@@ -17,7 +17,6 @@
 
 use clapf_core::Recommender;
 use clapf_data::{Interactions, ItemId, UserId};
-use std::collections::HashMap;
 
 /// RandomWalk hyper-parameters.
 #[derive(Copy, Clone, Debug)]
@@ -64,28 +63,35 @@ impl RandomWalk {
 }
 
 impl RandomWalkModel {
-    /// One expectation round of user→item→user propagation: distributes each
-    /// user's mass to co-observing users, weighted by co-observation counts.
-    fn propagate(&self, mass: &HashMap<u32, f64>) -> HashMap<u32, f64> {
-        let mut next: HashMap<u32, f64> = HashMap::new();
-        for (&v, &w) in mass {
-            for &item in self.train.items_of(UserId(v)) {
-                for &reached in self.train.users_of(item) {
-                    *next.entry(reached.0).or_insert(0.0) += w;
+    /// The reachable-user weights of `u` after `hops` rounds of
+    /// user→item→user propagation (each round distributes every user's mass
+    /// to co-observing users, weighted by co-observation counts), then
+    /// thresholded. Dense over user ids and accumulated in id order, so the
+    /// floating-point sums — and hence the scores — are reproducible.
+    fn reachable(&self, u: UserId) -> Vec<f64> {
+        let n_users = self.train.n_users() as usize;
+        let mut mass = vec![0.0f64; n_users];
+        mass[u.index()] = 1.0;
+        for _ in 0..self.config.hops.max(1) {
+            let mut next = vec![0.0f64; n_users];
+            for (v, &w) in mass.iter().enumerate() {
+                if w == 0.0 {
+                    continue;
+                }
+                for &item in self.train.items_of(UserId(v as u32)) {
+                    for &reached in self.train.users_of(item) {
+                        next[reached.index()] += w;
+                    }
                 }
             }
+            mass = next;
         }
-        next
-    }
-
-    /// The reachable-user weights of `u` after `hops` rounds, thresholded.
-    fn reachable(&self, u: UserId) -> HashMap<u32, f64> {
-        let mut mass = HashMap::from([(u.0, 1.0f64)]);
-        for _ in 0..self.config.hops.max(1) {
-            mass = self.propagate(&mass);
+        mass[u.index()] = 0.0; // a user is not her own neighbour
+        for w in &mut mass {
+            if *w < self.config.threshold as f64 {
+                *w = 0.0;
+            }
         }
-        mass.remove(&u.0); // a user is not her own neighbour
-        mass.retain(|_, w| *w >= self.config.threshold as f64);
         mass
     }
 }
@@ -109,12 +115,15 @@ impl Recommender for RandomWalkModel {
         out.clear();
         out.resize(self.train.n_items() as usize, 0.0);
         let neighbours = self.reachable(u);
-        let total: f64 = neighbours.values().sum();
+        let total: f64 = neighbours.iter().sum();
         if total == 0.0 {
             return;
         }
-        for (&v, &w) in &neighbours {
-            for &item in self.train.items_of(UserId(v)) {
+        for (v, &w) in neighbours.iter().enumerate() {
+            if w == 0.0 {
+                continue;
+            }
+            for &item in self.train.items_of(UserId(v as u32)) {
                 out[item.index()] += (w / total) as f32;
             }
         }
@@ -225,6 +234,30 @@ mod tests {
         two.scores_into(UserId(0), &mut s2);
         assert_eq!(s1[2], 0.0, "one hop should not reach item 2");
         assert!(s2[2] > 0.0, "two hops should reach item 2");
+    }
+
+    #[test]
+    fn refits_score_bit_identically() {
+        // Scores sum many neighbours' f32 contributions; the order of those
+        // sums must not depend on anything but the data.
+        use clapf_data::synthetic::{generate, WorldConfig};
+        use rand::{rngs::SmallRng, SeedableRng};
+        let world = WorldConfig {
+            n_users: 120,
+            n_items: 90,
+            target_pairs: 2_400,
+            ..WorldConfig::default()
+        };
+        let data = generate(&world, &mut SmallRng::seed_from_u64(3)).unwrap();
+        let a = RandomWalk::default().fit(&data);
+        let b = RandomWalk::default().fit(&data);
+        let (mut sa, mut sb) = (Vec::new(), Vec::new());
+        for u in data.users() {
+            a.scores_into(u, &mut sa);
+            b.scores_into(u, &mut sb);
+            let bits = |s: &[f32]| s.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&sa), bits(&sb), "user {u:?} scored differently");
+        }
     }
 
     #[test]
