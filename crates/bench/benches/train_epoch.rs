@@ -5,7 +5,7 @@
 //! stand-in.
 
 use clapf_baselines::{Bpr, BprConfig, Climf, ClimfConfig, Mpr, MprConfig, Wmf, WmfConfig};
-use clapf_core::{Clapf, ClapfConfig, ParallelConfig};
+use clapf_core::{Clapf, ClapfConfig, FitOptions, ParallelConfig};
 use clapf_data::synthetic::{generate, WorldConfig};
 use clapf_data::Interactions;
 use clapf_mf::SgdConfig;
@@ -103,7 +103,9 @@ fn bench_train(c: &mut Criterion) {
                     },
                     ..ClapfConfig::map(0.4)
                 });
-                let (model, _) = trainer.fit_parallel(&data, &UniformSampler, 2);
+                let (model, _) = trainer
+                    .fit_with(&data, &mut UniformSampler, 2, FitOptions::default())
+                    .expect("a fit without checkpoints does no I/O");
                 black_box(model.mf.params_sq_norm())
             })
         });

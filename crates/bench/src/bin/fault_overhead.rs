@@ -5,7 +5,8 @@
 //! * the per-call cost of a **disarmed failpoint** (`clapf_faults::check`
 //!   when the global kill switch is off — one relaxed atomic load),
 //! * the wall-time delta of the **crash-safe trainer**
-//!   ([`Clapf::fit_resumable`]) over the plain serial `fit` with a sparse
+//!   ([`Clapf::fit_with`] and a checkpoint directory) over the plain
+//!   serial `fit` with a sparse
 //!   checkpoint cadence (so the delta isolates the machinery, not disk),
 //! * the throughput of the **guarded atomic write**
 //!   ([`clapf_faults::write_all`]) against a plain `write_all`.
@@ -15,7 +16,7 @@
 //! to `fit` from the same base seed, or the times compare different work.
 
 use bench::Cli;
-use clapf_core::{CheckpointConfig, Clapf, ClapfConfig, NoopObserver};
+use clapf_core::{CheckpointConfig, Clapf, ClapfConfig, FitOptions};
 use clapf_data::synthetic::{generate, WorldConfig};
 use clapf_data::Interactions;
 use clapf_eval::report;
@@ -37,7 +38,7 @@ struct FaultOverheadReport {
     check_disabled_ns: f64,
     /// Plain serial `fit`, best-of-N seconds.
     baseline_secs: f64,
-    /// `fit_resumable` (sparse cadence: one initial + one final
+    /// Checkpointed `fit_with` (sparse cadence: one initial + one final
     /// checkpoint), best-of-N seconds.
     resumable_secs: f64,
     resumable_overhead_pct: f64,
@@ -103,7 +104,7 @@ fn main() {
     assert_eq!(hits, check_calls);
     let check_disabled_ns = wall.as_secs_f64() * 1e9 / check_calls as f64;
 
-    // --- fit vs fit_resumable -------------------------------------------
+    // --- fit vs checkpointed fit_with ------------------------------------
     let ckpt_dir = std::env::temp_dir().join(format!("clapf-bench-faults-{}", std::process::id()));
     let ckpt = CheckpointConfig {
         // Sparse cadence: only the epoch-0 safety checkpoint and the final
@@ -120,8 +121,12 @@ fn main() {
     };
     let resumable = || {
         let mut sampler = DssSampler::dss(DssMode::Map);
+        let opts = FitOptions {
+            checkpoint: Some(&ckpt),
+            ..FitOptions::default()
+        };
         let (m, _) = trainer
-            .fit_resumable(&data, &mut sampler, base_seed, &ckpt, &mut NoopObserver)
+            .fit_with(&data, &mut sampler, base_seed, opts)
             .expect("resumable fit");
         m.mf
     };
@@ -142,7 +147,7 @@ fn main() {
     assert_eq!(
         base_model.unwrap().params_sq_norm().to_bits(),
         resumable_model.unwrap().params_sq_norm().to_bits(),
-        "fit_resumable diverged from fit — the times compare different work"
+        "the checkpointed fit diverged from fit — the times compare different work"
     );
 
     // --- guarded vs raw write -------------------------------------------

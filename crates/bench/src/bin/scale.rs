@@ -17,7 +17,7 @@
 //!
 //! Usage: `scale [--smoke] [--out DIR]`.
 
-use clapf_core::{Clapf, ClapfConfig, ParallelConfig};
+use clapf_core::{Clapf, ClapfConfig, FitOptions, ParallelConfig};
 use clapf_data::stream::{StreamConfig, StreamWorld};
 use clapf_data::{Interactions, UserId};
 use clapf_eval::report;
@@ -206,7 +206,9 @@ fn leg_train(file: &Path) {
         ..config
     });
     let t = Instant::now();
-    let (pmodel, pfit) = par.fit_parallel(&data, &UniformSampler, SEED ^ 1);
+    let (pmodel, pfit) = par
+        .fit_with(&data, &mut UniformSampler, SEED ^ 1, FitOptions::default())
+        .expect("a fit without checkpoints does no I/O");
     let par_secs = t.elapsed().as_secs_f64();
     black_box(pmodel.mf.params_sq_norm());
     assert!(!pfit.diverged, "one-worker fit diverged");

@@ -1,4 +1,4 @@
-//! Hogwild training-throughput scaling: steps/sec of `Clapf::fit_parallel`
+//! Hogwild training-throughput scaling: steps/sec of `Clapf::fit_with`
 //! at 1/2/4/8 worker threads against the serial `fit`, on the ML100K
 //! stand-in world. Emits `results/BENCH_train_scaling.json` so the perf
 //! trajectory is machine-readable across PRs.
@@ -7,7 +7,7 @@
 //! a ratio measured on a small container is not mistaken for a regression.
 
 use bench::Cli;
-use clapf_core::{Clapf, ClapfConfig, ParallelConfig};
+use clapf_core::{Clapf, ClapfConfig, FitOptions, ParallelConfig};
 use clapf_data::synthetic::{generate, WorldConfig};
 use clapf_data::Interactions;
 use clapf_eval::report;
@@ -88,7 +88,9 @@ fn main() {
             },
             ..config
         });
-        let (model, fit_report) = trainer.fit_parallel(&data, &UniformSampler, 2);
+        let (model, fit_report) = trainer
+            .fit_with(&data, &mut UniformSampler, 2, FitOptions::default())
+            .expect("a fit without checkpoints does no I/O");
         black_box(model.mf.params_sq_norm());
         assert!(!fit_report.diverged, "parallel fit diverged at {threads} threads");
         let secs = fit_report.elapsed.as_secs_f64();

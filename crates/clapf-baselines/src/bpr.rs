@@ -2,22 +2,22 @@
 //!
 //! The seminal pairwise baseline: maximize `Σ ln σ(f_ui − f_uj)` over
 //! observed/unobserved pairs by SGD (Eqs. 1–4 of the paper). CLAPF with
-//! `λ = 0` coincides with this model; keeping a standalone implementation
-//! both provides the baseline and cross-checks the reduction.
+//! `λ = 0` optimizes the same criterion, and one of its steps applies this
+//! exact update — plus the weight decay Eq. 23 still gives the second
+//! observed item `k`, whose gradient coefficient is 0. Keeping a standalone
+//! implementation both provides the baseline and cross-checks the reduction
+//! (the `clapf_step_at_lambda_zero_is_a_bpr_step` test).
 
-use crate::observe::{build_epoch_stats, epoch_control, epoch_len, StepTally};
-use crate::resume::{fit_resumable_loop, ResumeReport};
-use clapf_core::checkpoint::{self, CheckpointConfig, CheckpointError};
-use clapf_core::objective::{ln_sigmoid, sigmoid};
-use clapf_core::{FactorRecommender, ParallelConfig};
+use clapf_core::checkpoint::CheckpointError;
+use clapf_core::objective::sigmoid;
+use clapf_core::{
+    train, FactorRecommender, FitOptions, FitReport, ParallelConfig, Plan, Seed, SgdRates, Step,
+    StepTally,
+};
 use clapf_data::Interactions;
-use clapf_mf::{Init, MfModel, SgdConfig, SharedMfModel};
+use clapf_mf::{Init, SgdConfig, SharedMfModel};
 use clapf_sampling::{sample_observed_pair, sample_unobserved_uniform};
-use clapf_telemetry::{FitMeta, FitSummary, NoopObserver, TrainObserver};
-use rand::rngs::SmallRng;
-use rand::{Rng, RngCore, SeedableRng};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::time::Instant;
+use rand::{Rng, RngCore};
 
 /// BPR hyper-parameters.
 #[derive(Copy, Clone, Debug)]
@@ -30,7 +30,7 @@ pub struct BprConfig {
     pub iterations: usize,
     /// Parameter initialization.
     pub init: Init,
-    /// Multi-threaded training settings for [`Bpr::fit_parallel`].
+    /// Multi-threaded training settings for [`Bpr::fit_with`].
     pub parallel: ParallelConfig,
 }
 
@@ -54,343 +54,171 @@ pub struct Bpr {
 }
 
 impl Bpr {
-    /// Fits by SGD with uniform negative sampling.
+    /// Fits by SGD with uniform negative sampling, serially, on the
+    /// caller's RNG stream.
     pub fn fit<R: Rng>(&self, data: &Interactions, rng: &mut R) -> FactorRecommender {
-        self.fit_observed(data, rng, &mut NoopObserver)
-    }
-
-    /// [`fit`](Bpr::fit) under a [`TrainObserver`]. BPR has no sampler
-    /// refresh, so the loop is chunked into synthetic epochs (one data pass
-    /// each, at most 100 per run) purely for observation; the step order and
-    /// RNG stream are exactly those of the flat loop, so an observed fit is
-    /// bit-identical to an unobserved one. A divergence or
-    /// [`Control::Abort`](clapf_telemetry::Control::Abort) stops training
-    /// at the epoch edge.
-    pub fn fit_observed<R: Rng>(
-        &self,
-        data: &Interactions,
-        rng: &mut R,
-        observer: &mut dyn TrainObserver,
-    ) -> FactorRecommender {
-        let cfg = &self.config;
-        assert!(cfg.dim > 0, "dim must be positive");
-        let start = Instant::now();
-        let model = MfModel::new(data.n_users(), data.n_items(), cfg.dim, cfg.init, rng);
-        let shared = SharedMfModel::new(model);
-        let iterations = resolve_iterations(cfg.iterations, data.n_pairs());
-        let params = BprParams::new(&cfg.sgd);
-        let observing = observer.enabled();
-
-        observer.on_fit_start(&FitMeta {
-            model: "BPR".to_string(),
-            sampler: "UniformNegative".to_string(),
-            dim: cfg.dim,
-            iterations,
-            threads: 1,
-            n_users: data.n_users(),
-            n_items: data.n_items(),
-            n_pairs: data.n_pairs(),
-        });
-
-        let epoch_steps = epoch_len(iterations, data.n_pairs());
-        let n_epochs = iterations.div_ceil(epoch_steps);
-        let mut u_old = vec![0.0f32; cfg.dim];
-        let mut grad_u = vec![0.0f32; cfg.dim];
-        let mut tally = StepTally::new(observing);
-        let mut steps_done = 0usize;
-        let mut aborted_at = None;
-        let mut epoch_clock = Instant::now();
-
-        for epoch in 0..n_epochs {
-            let epoch_start = epoch * epoch_steps;
-            let epoch_end = ((epoch + 1) * epoch_steps).min(iterations);
-            for _ in epoch_start..epoch_end {
-                bpr_step(&shared, data, rng, &params, &mut u_old, &mut grad_u, &mut tally);
-            }
-            steps_done = epoch_end;
-
-            let now = Instant::now();
-            let stats = build_epoch_stats(
-                epoch,
-                epoch_end - epoch_start,
-                steps_done,
-                now - epoch_clock,
-                tally.take(),
-                observing.then(|| shared.view()),
-            );
-            epoch_clock = now;
-            if epoch_control(observer, &stats, steps_done) {
-                if steps_done < iterations {
-                    aborted_at = Some(steps_done);
-                }
-                break;
-            }
-        }
-
-        let model = shared.into_inner();
-        observer.on_fit_end(&FitSummary {
-            steps: steps_done,
-            elapsed: start.elapsed(),
-            diverged: model.has_non_finite(),
-            aborted_at,
-        });
-        FactorRecommender {
-            model,
-            label: "BPR".into(),
-        }
-    }
-
-    /// Trains **crash-safely** with the same checkpoint machinery as
-    /// [`Clapf::fit_resumable`](clapf_core::Clapf::fit_resumable):
-    /// checkpoints to `ckpt.dir` at synthetic-epoch edges, resumes from the
-    /// newest valid checkpoint when `ckpt.resume` is set, and recovers from
-    /// divergence by rolling back with a shrunk learning rate (at most
-    /// `ckpt.max_retries` times).
-    ///
-    /// BPR's negative sampler is stateless, so a checkpoint (model + RNG
-    /// state + epoch) captures the whole run: an uninterrupted resumable fit
-    /// is bit-identical to [`fit`](Bpr::fit) with
-    /// `SmallRng::seed_from_u64(base_seed)`, and an interrupted-and-resumed
-    /// fit is bit-identical to the uninterrupted one (both pinned by tests).
-    pub fn fit_resumable(
-        &self,
-        data: &Interactions,
-        base_seed: u64,
-        ckpt: &CheckpointConfig,
-        observer: &mut dyn TrainObserver,
-    ) -> Result<(FactorRecommender, ResumeReport), CheckpointError> {
-        let cfg = &self.config;
-        assert!(cfg.dim > 0, "dim must be positive");
-        let iterations = resolve_iterations(cfg.iterations, data.n_pairs());
-        let epoch_steps = epoch_len(iterations, data.n_pairs());
-        let fp = checkpoint::fingerprint(&[
-            ("model", "BPR".to_string()),
-            ("dim", cfg.dim.to_string()),
-            ("sgd", format!("{:?}", cfg.sgd)),
-            ("init", format!("{:?}", cfg.init)),
-            ("iterations", iterations.to_string()),
-            ("epoch", epoch_steps.to_string()),
-            ("sampler", "UniformNegative".to_string()),
-            ("seed", base_seed.to_string()),
-            (
-                "data",
-                format!("{}x{}:{}", data.n_users(), data.n_items(), data.n_pairs()),
-            ),
-        ]);
-        let meta = FitMeta {
-            model: "BPR".to_string(),
-            sampler: "UniformNegative".to_string(),
-            dim: cfg.dim,
-            iterations,
-            threads: 1,
-            n_users: data.n_users(),
-            n_items: data.n_items(),
-            n_pairs: data.n_pairs(),
-        };
-        let mut u_old = vec![0.0f32; cfg.dim];
-        let mut grad_u = vec![0.0f32; cfg.dim];
-        let (model, report) = fit_resumable_loop(
+        let (model, _) = train(
             data,
-            cfg.dim,
-            cfg.init,
-            iterations,
-            meta,
-            fp,
-            base_seed,
-            ckpt,
-            observer,
-            |scale| BprParams::scaled(&cfg.sgd, scale),
-            |shared, rng, p, tally| bpr_step(shared, data, rng, p, &mut u_old, &mut grad_u, tally),
-        )?;
-        Ok((
-            FactorRecommender {
-                model,
-                label: "BPR".into(),
-            },
-            report,
-        ))
-    }
-
-    /// Fits with Hogwild-style lock-free parallel SGD, sharing the model
-    /// across `config.parallel.threads` workers (0 = all cores). BPR's
-    /// negative sampler is stateless, so workers need no epoch barrier —
-    /// they just drain a shared step counter in chunks. `threads = 1` is
-    /// bit-identical to [`fit`](Bpr::fit) with
-    /// `SmallRng::seed_from_u64(base_seed)`.
-    pub fn fit_parallel(&self, data: &Interactions, base_seed: u64) -> FactorRecommender {
-        self.fit_parallel_observed(data, base_seed, &mut NoopObserver)
-    }
-
-    /// [`fit_parallel`](Bpr::fit_parallel) under a [`TrainObserver`].
-    ///
-    /// Unlike the CLAPF trainer, BPR's workers synchronize on **no** epoch
-    /// barriers (its sampler is stateless), so there is no quiescent point
-    /// at which per-epoch model scans would be consistent; the observer
-    /// receives `on_fit_start` and `on_fit_end` (with a post-join divergence
-    /// check) but no `on_epoch` callbacks. Use [`fit_observed`](Bpr::fit_observed)
-    /// when per-epoch statistics matter.
-    pub fn fit_parallel_observed(
-        &self,
-        data: &Interactions,
-        base_seed: u64,
-        observer: &mut dyn TrainObserver,
-    ) -> FactorRecommender {
-        let cfg = &self.config;
-        assert!(cfg.dim > 0, "dim must be positive");
-        let start = Instant::now();
-        let threads = cfg.parallel.resolve_threads();
-        let chunk = cfg.parallel.resolve_chunk();
-
-        let mut init_rng = SmallRng::seed_from_u64(base_seed);
-        let model = MfModel::new(data.n_users(), data.n_items(), cfg.dim, cfg.init, &mut init_rng);
-        let shared = SharedMfModel::new(model);
-        let iterations = resolve_iterations(cfg.iterations, data.n_pairs());
-        let params = BprParams::new(&cfg.sgd);
-
-        observer.on_fit_start(&FitMeta {
-            model: "BPR".to_string(),
-            sampler: "UniformNegative".to_string(),
-            dim: cfg.dim,
-            iterations,
-            threads,
-            n_users: data.n_users(),
-            n_items: data.n_items(),
-            n_pairs: data.n_pairs(),
-        });
-
-        // Worker 0 continues the init stream (serial-equivalent); the rest
-        // get independent streams.
-        let mut rngs = Vec::with_capacity(threads);
-        rngs.push(init_rng);
-        for w in 1..threads {
-            rngs.push(SmallRng::seed_from_u64(base_seed.wrapping_add(w as u64)));
-        }
-        let counter = AtomicUsize::new(0);
-
-        std::thread::scope(|scope| {
-            for mut wrng in rngs {
-                let shared = &shared;
-                let counter = &counter;
-                let params = &params;
-                scope.spawn(move || {
-                    let mut u_old = vec![0.0f32; cfg.dim];
-                    let mut grad_u = vec![0.0f32; cfg.dim];
-                    // No barriers ⇒ no consistent epoch edges; the workers
-                    // keep their tallies disabled and the hot loop stays
-                    // untouched by telemetry.
-                    let mut tally = StepTally::new(false);
-                    loop {
-                        let s = counter.fetch_add(chunk, Ordering::Relaxed);
-                        if s >= iterations {
-                            break;
-                        }
-                        for _ in s..(s + chunk).min(iterations) {
-                            bpr_step(
-                                shared, data, &mut wrng, params, &mut u_old, &mut grad_u,
-                                &mut tally,
-                            );
-                        }
-                    }
-                });
-            }
-        });
-
-        let model = shared.into_inner();
-        observer.on_fit_end(&FitSummary {
-            steps: iterations,
-            elapsed: start.elapsed(),
-            diverged: model.has_non_finite(),
-            aborted_at: None,
-        });
+            &mut BprStep::new(&self.config),
+            Seed::Stream(rng),
+            FitOptions::default(),
+        )
+        .expect("a fit without checkpoints does no I/O");
         FactorRecommender {
             model,
             label: "BPR".into(),
         }
     }
-}
 
-pub(crate) fn resolve_iterations(iterations: usize, n_pairs: usize) -> usize {
-    if iterations > 0 {
-        iterations
-    } else {
-        (100 * n_pairs).clamp(1, 8_000_000)
+    /// Fits from `SmallRng::seed_from_u64(seed)` through the shared driver,
+    /// with the same contracts as
+    /// [`Clapf::fit_with`](clapf_core::Clapf::fit_with): an observer sees
+    /// synthetic epochs (one data pass each, at most 100 per run);
+    /// checkpoints resume bit-identically and roll back on divergence;
+    /// `config.parallel.threads` Hogwild workers share the model, and one
+    /// worker is bit-identical to [`fit`](Bpr::fit) with the same seed.
+    pub fn fit_with(
+        &self,
+        data: &Interactions,
+        seed: u64,
+        opts: FitOptions<'_>,
+    ) -> Result<(FactorRecommender, FitReport), CheckpointError> {
+        let (model, report) = train(
+            data,
+            &mut BprStep::new(&self.config),
+            Seed::Base(seed),
+            opts,
+        )?;
+        let label = "BPR".into();
+        Ok((FactorRecommender { model, label }, report))
     }
 }
 
-struct BprParams {
-    lr: f32,
-    decay_u: f32,
-    decay_v: f32,
-    decay_b: f32,
+/// The plan of a baseline fit. BPR and MPR have no sampler refresh, so
+/// their epochs exist only for observation, divergence checks and
+/// checkpoints: one pass over the observed pairs, widened so a run has at
+/// most 100 of them. Chunking the steps changes neither their order nor
+/// the RNG stream.
+pub(crate) fn baseline_plan(
+    dim: usize,
+    init: Init,
+    iterations: usize,
+    parallel: &ParallelConfig,
+    n_pairs: usize,
+) -> Plan {
+    let iterations = Plan::budget(iterations, n_pairs);
+    Plan {
+        dim,
+        init,
+        iterations,
+        epoch_steps: n_pairs.max(iterations.div_ceil(100)).max(1),
+        threads: parallel.resolve_threads(),
+        chunk: parallel.resolve_chunk(),
+    }
 }
 
-impl BprParams {
-    fn new(sgd: &SgdConfig) -> Self {
-        Self::scaled(sgd, 1.0)
-    }
+/// One BPR SGD step (Eqs. 1–4).
+#[derive(Clone, Debug)]
+struct BprStep {
+    config: BprConfig,
+    rates: SgdRates,
+    u_old: Vec<f32>,
+    grad_u: Vec<f32>,
+}
 
-    /// `lr_scale` multiplies the learning rate (divergence-recovery
-    /// backoff); `1.0` is bitwise-exact, so the resumable path at scale 1
-    /// steps identically to [`new`](BprParams::new).
-    fn scaled(sgd: &SgdConfig, lr_scale: f32) -> Self {
-        let lr = sgd.learning_rate * lr_scale;
-        BprParams {
-            lr,
-            decay_u: lr * sgd.reg_user,
-            decay_v: lr * sgd.reg_item,
-            decay_b: lr * sgd.reg_bias,
+impl BprStep {
+    fn new(config: &BprConfig) -> Self {
+        assert!(config.dim > 0, "dim must be positive");
+        BprStep {
+            config: *config,
+            rates: SgdRates::scaled(&config.sgd, 1.0),
+            u_old: vec![0.0; config.dim],
+            grad_u: vec![0.0; config.dim],
         }
     }
 }
 
-/// One BPR SGD step (Eqs. 1–4), shared by the serial and parallel paths.
-#[inline]
-#[allow(clippy::too_many_arguments)]
-fn bpr_step(
-    shared: &SharedMfModel,
-    data: &Interactions,
-    rng: &mut dyn RngCore,
-    p: &BprParams,
-    u_old: &mut [f32],
-    grad_u: &mut [f32],
-    tally: &mut StepTally,
-) {
-    let model = shared.view();
-    let (u, i) = sample_observed_pair(data, rng);
-    let Some(j) = sample_unobserved_uniform(data, u, rng) else {
-        if tally.enabled {
-            tally.skipped += 1;
+impl Step for BprStep {
+    fn plan(&self, data: &Interactions) -> Plan {
+        let c = &self.config;
+        baseline_plan(c.dim, c.init, c.iterations, &c.parallel, data.n_pairs())
+    }
+
+    fn label(&self) -> String {
+        "BPR".into()
+    }
+
+    fn sampler(&self) -> &'static str {
+        "UniformNegative"
+    }
+
+    fn fingerprint(&self, plan: &Plan, seed: u64) -> Vec<(&'static str, String)> {
+        let c = &self.config;
+        vec![
+            ("model", "BPR".to_string()),
+            ("dim", c.dim.to_string()),
+            ("sgd", format!("{:?}", c.sgd)),
+            ("init", format!("{:?}", c.init)),
+            ("iterations", plan.iterations.to_string()),
+            ("epoch", plan.epoch_steps.to_string()),
+            ("sampler", self.sampler().to_string()),
+            ("seed", seed.to_string()),
+        ]
+    }
+
+    fn set_lr_scale(&mut self, scale: f32) {
+        self.rates = SgdRates::scaled(&self.config.sgd, scale);
+    }
+
+    fn fork(&self) -> Option<Box<dyn Step + Send>> {
+        Some(Box::new(self.clone()))
+    }
+
+    #[inline]
+    fn step(
+        &mut self,
+        shared: &SharedMfModel,
+        data: &Interactions,
+        rng: &mut dyn RngCore,
+        tally: &mut StepTally,
+    ) {
+        let model = shared.view();
+        let p = &self.rates;
+        let probe = tally.start_draw();
+        let (u, i) = sample_observed_pair(data, rng);
+        let drawn = sample_unobserved_uniform(data, u, rng);
+        tally.end_draw(probe);
+        let Some(j) = drawn else {
+            tally.skip();
+            return;
+        };
+        let x = model.score(u, i) - model.score(u, j);
+        let g = sigmoid(-x);
+        tally.record(x, g);
+
+        model.copy_user_into(u, &mut self.u_old);
+        for ((slot, &vi), &vj) in self.grad_u.iter_mut().zip(model.item(i)).zip(model.item(j)) {
+            *slot = vi - vj;
         }
-        return;
-    };
-    let x = model.score(u, i) - model.score(u, j);
-    let g = sigmoid(-x);
-
-    if tally.enabled {
-        tally.sampled += 1;
-        tally.loss += -ln_sigmoid(x as f64);
-        tally.gsum += g as f64;
+        shared.sgd_user(u, p.lr * g, &self.grad_u, p.decay_u);
+        shared.sgd_item(i, p.lr * g, &self.u_old, p.decay_v);
+        shared.sgd_bias(i, p.lr, g, p.decay_b);
+        shared.sgd_item(j, -p.lr * g, &self.u_old, p.decay_v);
+        shared.sgd_bias(j, p.lr, -g, p.decay_b);
     }
-
-    model.copy_user_into(u, u_old);
-    for ((slot, &vi), &vj) in grad_u.iter_mut().zip(model.item(i)).zip(model.item(j)) {
-        *slot = vi - vj;
-    }
-    shared.sgd_user(u, p.lr * g, grad_u, p.decay_u);
-    shared.sgd_item(i, p.lr * g, u_old, p.decay_v);
-    shared.sgd_bias(i, p.lr, g, p.decay_b);
-    shared.sgd_item(j, -p.lr * g, u_old, p.decay_v);
-    shared.sgd_bias(j, p.lr, -g, p.decay_b);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testing::{checkpointed, observed};
     use clapf_core::Recommender;
+    use clapf_core::{CheckpointConfig, NoopObserver, TrainObserver};
     use clapf_data::split::{split, SplitStrategy};
     use clapf_data::synthetic::{generate, WorldConfig};
     use clapf_data::{ItemId, UserId};
     use clapf_metrics::{evaluate_serial, EvalConfig};
+    use clapf_mf::MfModel;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
@@ -448,7 +276,10 @@ mod tests {
             },
         };
         let serial = trainer.fit(&data, &mut SmallRng::seed_from_u64(33));
-        let parallel = trainer.fit_parallel(&data, 33);
+        let parallel = trainer
+            .fit_with(&data, 33, FitOptions::default())
+            .unwrap()
+            .0;
         for u in data.users() {
             for i in data.items() {
                 assert_eq!(serial.score(u, i).to_bits(), parallel.score(u, i).to_bits());
@@ -470,7 +301,9 @@ mod tests {
                 ..BprConfig::default()
             },
         }
-        .fit_parallel(&data, 9);
+        .fit_with(&data, 9, FitOptions::default())
+        .unwrap()
+        .0;
         assert!(!model.model.has_non_finite());
     }
 
@@ -507,7 +340,7 @@ mod tests {
         };
         let plain = trainer.fit(&data, &mut SmallRng::seed_from_u64(50));
         let mut obs = Recording::default();
-        let observed = trainer.fit_observed(&data, &mut SmallRng::seed_from_u64(50), &mut obs);
+        let observed = trainer.fit_with(&data, 50, observed(&mut obs)).unwrap().0;
         for u in data.users() {
             for i in data.items() {
                 assert_eq!(plain.score(u, i).to_bits(), observed.score(u, i).to_bits());
@@ -541,19 +374,21 @@ mod tests {
             },
         };
         let mut obs = Recording::default();
-        let model = trainer.fit_parallel_observed(&data, 9, &mut obs);
+        let model = trainer.fit_with(&data, 9, observed(&mut obs)).unwrap().0;
         assert!(!model.model.has_non_finite());
         assert_eq!(obs.meta.expect("fit_start fired").threads, 4);
-        // BPR's lock-free workers have no barriers, hence no epoch edges.
-        assert!(obs.epochs.is_empty());
+        // The fan-out sweeps the same synthetic epochs as a serial fit:
+        // one data pass each (4 000 steps ≥ |P| here, so ⌈4 000 / |P|⌉).
+        assert!(data.n_pairs() >= 40, "epochs are data passes");
+        assert_eq!(obs.epochs.len(), 4_000usize.div_ceil(data.n_pairs()));
+        assert_eq!(obs.epochs.last().unwrap().steps_total, 4_000);
         let summary = obs.summary.expect("fit_end fired");
         assert_eq!(summary.steps, 4_000);
         assert!(!summary.diverged);
     }
 
     fn ckpt_dir(tag: &str) -> std::path::PathBuf {
-        let dir =
-            std::env::temp_dir().join(format!("clapf-bpr-ckpt-{}-{tag}", std::process::id()));
+        let dir = std::env::temp_dir().join(format!("clapf-bpr-ckpt-{}-{tag}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         dir
     }
@@ -589,10 +424,10 @@ mod tests {
         let dir = ckpt_dir("uninterrupted");
         let ckpt = CheckpointConfig::new(&dir);
         let (resumable, report) = trainer
-            .fit_resumable(&data, 71, &ckpt, &mut NoopObserver)
+            .fit_with(&data, 71, checkpointed(&ckpt, &mut NoopObserver))
             .unwrap();
         assert!(report.resumed_from.is_none());
-        assert_eq!(report.steps, 4_000);
+        assert_eq!(report.iterations, 4_000);
         assert_eq!(report.recoveries, 0);
         for u in data.users() {
             for i in data.items() {
@@ -617,15 +452,15 @@ mod tests {
         let ckpt = CheckpointConfig::new(&dir);
         // First run "crashes" two synthetic epochs in.
         let (_, first) = trainer
-            .fit_resumable(&data, 73, &ckpt, &mut AbortAfterEpochs(2))
+            .fit_with(&data, 73, checkpointed(&ckpt, &mut AbortAfterEpochs(2)))
             .unwrap();
         assert!(first.aborted_at.is_some(), "abort fired mid-run");
 
         let (resumed, report) = trainer
-            .fit_resumable(&data, 73, &ckpt, &mut NoopObserver)
+            .fit_with(&data, 73, checkpointed(&ckpt, &mut NoopObserver))
             .unwrap();
         assert!(report.resumed_from.unwrap() >= 1, "resumed mid-run");
-        assert_eq!(report.steps, 4_000);
+        assert_eq!(report.iterations, 4_000);
         for u in data.users() {
             for i in data.items() {
                 assert_eq!(full.score(u, i).to_bits(), resumed.score(u, i).to_bits());
@@ -655,12 +490,121 @@ mod tests {
             ..CheckpointConfig::new(&dir)
         };
         let (model, report) = trainer
-            .fit_resumable(&data, 75, &ckpt, &mut NoopObserver)
+            .fit_with(&data, 75, checkpointed(&ckpt, &mut NoopObserver))
             .unwrap();
-        assert!(report.recoveries >= 1, "lr 1e5 should diverge at least once");
+        assert!(
+            report.recoveries >= 1,
+            "lr 1e5 should diverge at least once"
+        );
         assert!(!report.diverged, "recovered run ends finite");
         assert!(!model.model.has_non_finite());
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// One CLAPF-MAP step at λ = 0 and one BPR step, applied to the same
+    /// model on the same record `(u, i, j)` (CLAPF also draws a second
+    /// observed item `k ≠ i`). Returns both updated models and `k`.
+    fn clapf_and_bpr_step(sgd: SgdConfig) -> (MfModel, MfModel, ItemId) {
+        use clapf_core::{ClapfConfig, ClapfStep};
+        use clapf_sampling::TripleSampler;
+
+        /// Completes every record with a fixed `(k, j)`.
+        struct Fixed(ItemId, ItemId);
+        impl TripleSampler for Fixed {
+            fn refresh(&mut self, _: &MfModel) {}
+            fn complete(
+                &mut self,
+                _: &Interactions,
+                _: &MfModel,
+                _: UserId,
+                _: ItemId,
+                _: &mut dyn RngCore,
+            ) -> Option<(ItemId, ItemId)> {
+                Some((self.0, self.1))
+            }
+            fn name(&self) -> &'static str {
+                "Fixed"
+            }
+        }
+
+        let data = generate(&WorldConfig::tiny(), &mut SmallRng::seed_from_u64(90)).unwrap();
+        let mut rng = SmallRng::seed_from_u64(91);
+        let start = MfModel::new(data.n_users(), data.n_items(), 6, Init::default(), &mut rng);
+        // The record BPR's step will draw from this RNG state.
+        let (u, i) = sample_observed_pair(&data, &mut rng.clone());
+        let j = {
+            let mut r = rng.clone();
+            sample_observed_pair(&data, &mut r);
+            sample_unobserved_uniform(&data, u, &mut r).unwrap()
+        };
+        let k = *data
+            .items_of(u)
+            .iter()
+            .find(|&&k| k != i)
+            .expect("user has two items");
+
+        let run = |step: &mut dyn Step| {
+            let shared = SharedMfModel::new(start.clone());
+            step.step(&shared, &data, &mut rng.clone(), &mut StepTally::default());
+            shared.into_inner()
+        };
+        let clapf_cfg = ClapfConfig {
+            dim: 6,
+            sgd,
+            ..ClapfConfig::map(0.0)
+        };
+        let clapf = run(&mut ClapfStep::new(&clapf_cfg, Fixed(k, j)));
+        let bpr = run(&mut BprStep::new(&BprConfig {
+            dim: 6,
+            sgd,
+            ..BprConfig::default()
+        }));
+        (clapf, bpr, k)
+    }
+
+    #[test]
+    fn clapf_step_at_lambda_zero_is_a_bpr_step() {
+        // Sec 4.3: with λ = 0 the listwise pair drops out of the criterion.
+        // Without item/bias regularization the two updates are the same
+        // arithmetic, bit for bit.
+        let sgd = SgdConfig {
+            reg_item: 0.0,
+            reg_bias: 0.0,
+            ..SgdConfig::default()
+        };
+        let (clapf, bpr, _) = clapf_and_bpr_step(sgd);
+        let bits = |m: &MfModel| {
+            let mut v: Vec<u32> = Vec::new();
+            for u in 0..m.n_users() {
+                v.extend(m.user(UserId(u)).iter().map(|x| x.to_bits()));
+            }
+            for i in 0..m.n_items() {
+                v.extend(m.item(ItemId(i)).iter().map(|x| x.to_bits()));
+                v.push(m.bias(ItemId(i)).to_bits());
+            }
+            v
+        };
+        assert_eq!(bits(&clapf), bits(&bpr));
+    }
+
+    #[test]
+    fn clapf_step_at_lambda_zero_still_decays_k() {
+        // Eq. 23 weight-decays V_k and b_k even though their gradient
+        // coefficient λ is 0, so with the default regularization the two
+        // steps differ there — and only there.
+        let (clapf, bpr, k) = clapf_and_bpr_step(SgdConfig::default());
+        for u in 0..clapf.n_users() {
+            assert_eq!(clapf.user(UserId(u)), bpr.user(UserId(u)));
+        }
+        for i in (0..clapf.n_items()).map(ItemId) {
+            if i == k {
+                assert_ne!(clapf.item(i), bpr.item(i), "V_k is decayed");
+                assert_ne!(clapf.bias(i), bpr.bias(i), "b_k is decayed");
+            } else {
+                assert_eq!(clapf.item(i), bpr.item(i), "item {i:?}");
+                assert_eq!(clapf.bias(i).to_bits(), bpr.bias(i).to_bits(), "bias {i:?}");
+            }
+        }
     }
 
     #[test]

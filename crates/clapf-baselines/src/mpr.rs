@@ -12,20 +12,17 @@
 //! uncertain pool is the most-popular half of the catalogue. This
 //! substitution is recorded in DESIGN.md.
 
-use crate::bpr::resolve_iterations;
-use crate::observe::{build_epoch_stats, epoch_control, epoch_len, StepTally};
-use crate::resume::{fit_resumable_loop, ResumeReport};
-use clapf_core::checkpoint::{self, CheckpointConfig, CheckpointError};
-use clapf_core::objective::{ln_sigmoid, sigmoid};
-use clapf_core::{FactorRecommender, ParallelConfig};
+use crate::bpr::baseline_plan;
+use clapf_core::checkpoint::CheckpointError;
+use clapf_core::objective::sigmoid;
+use clapf_core::{
+    train, FactorRecommender, FitOptions, FitReport, ParallelConfig, Plan, Seed, SgdRates, Step,
+    StepTally,
+};
 use clapf_data::{Interactions, ItemId, UserId};
-use clapf_mf::{Init, MfModel, SgdConfig, SharedMfModel};
+use clapf_mf::{Init, SgdConfig, SharedMfModel};
 use clapf_sampling::sample_observed_pair;
-use clapf_telemetry::{FitMeta, FitSummary, NoopObserver, TrainObserver};
-use rand::rngs::SmallRng;
-use rand::{Rng, RngCore, SeedableRng};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::time::Instant;
+use rand::{Rng, RngCore};
 
 /// MPR hyper-parameters (the paper searches λ ∈ {0.0, 0.1, …, 1.0}).
 #[derive(Copy, Clone, Debug)]
@@ -42,7 +39,7 @@ pub struct MprConfig {
     pub init: Init,
     /// Fraction of the catalogue (by popularity) forming the uncertain pool.
     pub uncertain_fraction: f64,
-    /// Multi-threaded training settings for [`Mpr::fit_parallel`].
+    /// Multi-threaded training settings for [`Mpr::fit_with`].
     pub parallel: ParallelConfig,
 }
 
@@ -68,267 +65,38 @@ pub struct Mpr {
 }
 
 impl Mpr {
-    /// Fits by SGD over (observed, uncertain, negative) triples.
+    /// Fits by SGD over (observed, uncertain, negative) triples, serially,
+    /// on the caller's RNG stream.
     pub fn fit<R: Rng>(&self, data: &Interactions, rng: &mut R) -> FactorRecommender {
-        self.fit_observed(data, rng, &mut NoopObserver)
-    }
-
-    /// [`fit`](Mpr::fit) under a [`TrainObserver`]. Like BPR, MPR has no
-    /// sampler refresh, so the loop is chunked into synthetic epochs (one
-    /// data pass each, at most 100 per run) purely for observation — the
-    /// step order and RNG stream match the flat loop bit for bit. A
-    /// divergence or [`Control::Abort`](clapf_telemetry::Control::Abort)
-    /// stops training at the epoch edge.
-    pub fn fit_observed<R: Rng>(
-        &self,
-        data: &Interactions,
-        rng: &mut R,
-        observer: &mut dyn TrainObserver,
-    ) -> FactorRecommender {
-        let cfg = &self.config;
-        cfg.check();
-        let start = Instant::now();
-        let model = MfModel::new(data.n_users(), data.n_items(), cfg.dim, cfg.init, rng);
-        let shared = SharedMfModel::new(model);
-        let iterations = resolve_iterations(cfg.iterations, data.n_pairs());
-        let pools = ItemPools::from_popularity(data, cfg.uncertain_fraction);
-        let params = MprParams::new(cfg);
-        let observing = observer.enabled();
-
-        observer.on_fit_start(&FitMeta {
-            model: format!("MPR(λ={:.1})", cfg.lambda),
-            sampler: "PopularityPools".to_string(),
-            dim: cfg.dim,
-            iterations,
-            threads: 1,
-            n_users: data.n_users(),
-            n_items: data.n_items(),
-            n_pairs: data.n_pairs(),
-        });
-
-        let epoch_steps = epoch_len(iterations, data.n_pairs());
-        let n_epochs = iterations.div_ceil(epoch_steps);
-        let mut u_old = vec![0.0f32; cfg.dim];
-        let mut grad_u = vec![0.0f32; cfg.dim];
-        let mut tally = StepTally::new(observing);
-        let mut steps_done = 0usize;
-        let mut aborted_at = None;
-        let mut epoch_clock = Instant::now();
-
-        for epoch in 0..n_epochs {
-            let epoch_start = epoch * epoch_steps;
-            let epoch_end = ((epoch + 1) * epoch_steps).min(iterations);
-            for _ in epoch_start..epoch_end {
-                mpr_step(
-                    &shared, data, &pools, rng, &params, &mut u_old, &mut grad_u, &mut tally,
-                );
-            }
-            steps_done = epoch_end;
-
-            let now = Instant::now();
-            let stats = build_epoch_stats(
-                epoch,
-                epoch_end - epoch_start,
-                steps_done,
-                now - epoch_clock,
-                tally.take(),
-                observing.then(|| shared.view()),
-            );
-            epoch_clock = now;
-            if epoch_control(observer, &stats, steps_done) {
-                if steps_done < iterations {
-                    aborted_at = Some(steps_done);
-                }
-                break;
-            }
-        }
-
-        let model = shared.into_inner();
-        observer.on_fit_end(&FitSummary {
-            steps: steps_done,
-            elapsed: start.elapsed(),
-            diverged: model.has_non_finite(),
-            aborted_at,
-        });
+        let mut step = MprStep::new(&self.config, data);
+        let (model, _) = train(data, &mut step, Seed::Stream(rng), FitOptions::default())
+            .expect("a fit without checkpoints does no I/O");
         FactorRecommender {
             model,
-            label: format!("MPR(λ={:.1})", cfg.lambda),
+            label: step.label(),
         }
     }
 
-    /// Trains **crash-safely**, mirroring
-    /// [`Bpr::fit_resumable`](crate::Bpr::fit_resumable): checkpoints at
-    /// synthetic-epoch edges, resumes from the newest valid checkpoint, and
-    /// rolls back with a shrunk learning rate on divergence.
-    ///
-    /// MPR's popularity pools are rebuilt deterministically from the data on
-    /// every run, so — like the CLAPF trainer's rank-aware samplers — they
-    /// never need to be serialized; a checkpoint (model + RNG state + epoch)
-    /// captures the whole run and the bit-identity contracts hold.
-    pub fn fit_resumable(
+    /// Fits from `SmallRng::seed_from_u64(seed)` through the shared driver,
+    /// with the contracts of [`Bpr::fit_with`](crate::Bpr::fit_with). The
+    /// popularity pools are rebuilt deterministically from the data on
+    /// every run, so a checkpoint (model + RNG state + epoch) captures the
+    /// whole run.
+    pub fn fit_with(
         &self,
         data: &Interactions,
-        base_seed: u64,
-        ckpt: &CheckpointConfig,
-        observer: &mut dyn TrainObserver,
-    ) -> Result<(FactorRecommender, ResumeReport), CheckpointError> {
-        let cfg = &self.config;
-        cfg.check();
-        let iterations = resolve_iterations(cfg.iterations, data.n_pairs());
-        let epoch_steps = epoch_len(iterations, data.n_pairs());
-        let pools = ItemPools::from_popularity(data, cfg.uncertain_fraction);
-        let label = format!("MPR(λ={:.1})", cfg.lambda);
-        let fp = checkpoint::fingerprint(&[
-            ("model", "MPR".to_string()),
-            ("dim", cfg.dim.to_string()),
-            // λ at full precision — the display label rounds to one decimal.
-            ("lambda", format!("{}", cfg.lambda)),
-            ("uncertain", format!("{}", cfg.uncertain_fraction)),
-            ("sgd", format!("{:?}", cfg.sgd)),
-            ("init", format!("{:?}", cfg.init)),
-            ("iterations", iterations.to_string()),
-            ("epoch", epoch_steps.to_string()),
-            ("sampler", "PopularityPools".to_string()),
-            ("seed", base_seed.to_string()),
-            (
-                "data",
-                format!("{}x{}:{}", data.n_users(), data.n_items(), data.n_pairs()),
-            ),
-        ]);
-        let meta = FitMeta {
-            model: label.clone(),
-            sampler: "PopularityPools".to_string(),
-            dim: cfg.dim,
-            iterations,
-            threads: 1,
-            n_users: data.n_users(),
-            n_items: data.n_items(),
-            n_pairs: data.n_pairs(),
-        };
-        let mut u_old = vec![0.0f32; cfg.dim];
-        let mut grad_u = vec![0.0f32; cfg.dim];
-        let (model, report) = fit_resumable_loop(
-            data,
-            cfg.dim,
-            cfg.init,
-            iterations,
-            meta,
-            fp,
-            base_seed,
-            ckpt,
-            observer,
-            |scale| MprParams::scaled(cfg, scale),
-            |shared, rng, p, tally| {
-                mpr_step(shared, data, &pools, rng, p, &mut u_old, &mut grad_u, tally)
-            },
-        )?;
+        seed: u64,
+        opts: FitOptions<'_>,
+    ) -> Result<(FactorRecommender, FitReport), CheckpointError> {
+        let mut step = MprStep::new(&self.config, data);
+        let (model, report) = train(data, &mut step, Seed::Base(seed), opts)?;
+        let label = step.label();
         Ok((FactorRecommender { model, label }, report))
-    }
-
-    /// Fits with Hogwild-style lock-free parallel SGD. The popularity pools
-    /// are computed once and shared read-only; like BPR, MPR's samplers are
-    /// stateless so workers drain a shared step counter without barriers.
-    /// `threads = 1` is bit-identical to [`fit`](Mpr::fit) with
-    /// `SmallRng::seed_from_u64(base_seed)`.
-    pub fn fit_parallel(&self, data: &Interactions, base_seed: u64) -> FactorRecommender {
-        self.fit_parallel_observed(data, base_seed, &mut NoopObserver)
-    }
-
-    /// [`fit_parallel`](Mpr::fit_parallel) under a [`TrainObserver`]. As
-    /// with BPR, the lock-free workers have no epoch barriers, so the
-    /// observer receives `on_fit_start` and `on_fit_end` (with a post-join
-    /// divergence check) but no `on_epoch` callbacks; use
-    /// [`fit_observed`](Mpr::fit_observed) for per-epoch statistics.
-    pub fn fit_parallel_observed(
-        &self,
-        data: &Interactions,
-        base_seed: u64,
-        observer: &mut dyn TrainObserver,
-    ) -> FactorRecommender {
-        let cfg = &self.config;
-        cfg.check();
-        let start = Instant::now();
-        let threads = cfg.parallel.resolve_threads();
-        let chunk = cfg.parallel.resolve_chunk();
-
-        let mut init_rng = SmallRng::seed_from_u64(base_seed);
-        let model = MfModel::new(data.n_users(), data.n_items(), cfg.dim, cfg.init, &mut init_rng);
-        let shared = SharedMfModel::new(model);
-        let iterations = resolve_iterations(cfg.iterations, data.n_pairs());
-        let pools = ItemPools::from_popularity(data, cfg.uncertain_fraction);
-        let params = MprParams::new(cfg);
-
-        observer.on_fit_start(&FitMeta {
-            model: format!("MPR(λ={:.1})", cfg.lambda),
-            sampler: "PopularityPools".to_string(),
-            dim: cfg.dim,
-            iterations,
-            threads,
-            n_users: data.n_users(),
-            n_items: data.n_items(),
-            n_pairs: data.n_pairs(),
-        });
-
-        let mut rngs = Vec::with_capacity(threads);
-        rngs.push(init_rng);
-        for w in 1..threads {
-            rngs.push(SmallRng::seed_from_u64(base_seed.wrapping_add(w as u64)));
-        }
-        let counter = AtomicUsize::new(0);
-
-        std::thread::scope(|scope| {
-            for mut wrng in rngs {
-                let shared = &shared;
-                let counter = &counter;
-                let params = &params;
-                let pools = &pools;
-                scope.spawn(move || {
-                    let mut u_old = vec![0.0f32; cfg.dim];
-                    let mut grad_u = vec![0.0f32; cfg.dim];
-                    // No barriers ⇒ no consistent epoch edges; tallies stay
-                    // disabled and the hot loop is telemetry-free.
-                    let mut tally = StepTally::new(false);
-                    loop {
-                        let s = counter.fetch_add(chunk, Ordering::Relaxed);
-                        if s >= iterations {
-                            break;
-                        }
-                        for _ in s..(s + chunk).min(iterations) {
-                            mpr_step(
-                                shared, data, pools, &mut wrng, params, &mut u_old, &mut grad_u,
-                                &mut tally,
-                            );
-                        }
-                    }
-                });
-            }
-        });
-
-        let model = shared.into_inner();
-        observer.on_fit_end(&FitSummary {
-            steps: iterations,
-            elapsed: start.elapsed(),
-            diverged: model.has_non_finite(),
-            aborted_at: None,
-        });
-        FactorRecommender {
-            model,
-            label: format!("MPR(λ={:.1})", cfg.lambda),
-        }
-    }
-}
-
-impl MprConfig {
-    fn check(&self) {
-        assert!(self.dim > 0, "dim must be positive");
-        assert!(
-            (0.0..=1.0).contains(&self.lambda),
-            "lambda must be in [0, 1]"
-        );
     }
 }
 
 /// Popularity split of the catalogue into uncertain head / negative tail.
+#[derive(Clone, Debug)]
 struct ItemPools {
     by_pop: Vec<ItemId>,
     head: usize,
@@ -353,48 +121,7 @@ impl ItemPools {
     }
 }
 
-struct MprParams {
-    lambda: f32,
-    ci: f32,
-    ck: f32,
-    cj: f32,
-    lr: f32,
-    decay_u: f32,
-    decay_v: f32,
-    decay_b: f32,
-}
-
-impl MprParams {
-    fn new(cfg: &MprConfig) -> Self {
-        Self::scaled(cfg, 1.0)
-    }
-
-    /// `lr_scale` multiplies the learning rate (divergence-recovery
-    /// backoff); `1.0` is bitwise-exact, so the resumable path at scale 1
-    /// steps identically to [`new`](MprParams::new).
-    fn scaled(cfg: &MprConfig, lr_scale: f32) -> Self {
-        let lambda = cfg.lambda;
-        let lr = cfg.sgd.learning_rate * lr_scale;
-        MprParams {
-            lambda,
-            // R = λ f_ui + (1 − 2λ) f_uk − (1 − λ) f_uj
-            ci: lambda,
-            ck: 1.0 - 2.0 * lambda,
-            cj: -(1.0 - lambda),
-            lr,
-            decay_u: lr * cfg.sgd.reg_user,
-            decay_v: lr * cfg.sgd.reg_item,
-            decay_b: lr * cfg.sgd.reg_bias,
-        }
-    }
-}
-
-fn draw(
-    pool: &[ItemId],
-    data: &Interactions,
-    u: UserId,
-    rng: &mut dyn RngCore,
-) -> Option<ItemId> {
+fn draw(pool: &[ItemId], data: &Interactions, u: UserId, rng: &mut dyn RngCore) -> Option<ItemId> {
     for _ in 0..64 {
         let c = pool[rng.gen_range(0..pool.len())];
         if !data.contains(u, c) {
@@ -404,64 +131,121 @@ fn draw(
     None
 }
 
-/// One MPR SGD step, shared by the serial and parallel paths.
-#[inline]
-#[allow(clippy::too_many_arguments)]
-fn mpr_step(
-    shared: &SharedMfModel,
-    data: &Interactions,
-    pools: &ItemPools,
-    rng: &mut dyn RngCore,
-    p: &MprParams,
-    u_old: &mut [f32],
-    grad_u: &mut [f32],
-    tally: &mut StepTally,
-) {
-    let model = shared.view();
-    let (u, i) = sample_observed_pair(data, rng);
-    let Some(k) = draw(pools.uncertain(), data, u, rng) else {
-        if tally.enabled {
-            tally.skipped += 1;
-        }
-        return;
-    };
-    let Some(j) = draw(pools.negative(), data, u, rng) else {
-        if tally.enabled {
-            tally.skipped += 1;
-        }
-        return;
-    };
+/// One MPR SGD step: `R = λ f_ui + (1 − 2λ) f_uk − (1 − λ) f_uj`.
+#[derive(Clone, Debug)]
+struct MprStep {
+    config: MprConfig,
+    pools: ItemPools,
+    rates: SgdRates,
+    u_old: Vec<f32>,
+    grad_u: Vec<f32>,
+}
 
-    let r = p.lambda * (model.score(u, i) - model.score(u, k))
-        + (1.0 - p.lambda) * (model.score(u, k) - model.score(u, j));
-    let g = sigmoid(-r);
+impl MprStep {
+    fn new(config: &MprConfig, data: &Interactions) -> Self {
+        assert!(config.dim > 0, "dim must be positive");
+        assert!(
+            (0.0..=1.0).contains(&config.lambda),
+            "lambda must be in [0, 1]"
+        );
+        MprStep {
+            config: *config,
+            pools: ItemPools::from_popularity(data, config.uncertain_fraction),
+            rates: SgdRates::scaled(&config.sgd, 1.0),
+            u_old: vec![0.0; config.dim],
+            grad_u: vec![0.0; config.dim],
+        }
+    }
+}
 
-    if tally.enabled {
-        tally.sampled += 1;
-        tally.loss += -ln_sigmoid(r as f64);
-        tally.gsum += g as f64;
+impl Step for MprStep {
+    fn plan(&self, data: &Interactions) -> Plan {
+        let c = &self.config;
+        baseline_plan(c.dim, c.init, c.iterations, &c.parallel, data.n_pairs())
     }
 
-    model.copy_user_into(u, u_old);
-    grad_u.fill(0.0);
-    for (t, c) in [(i, p.ci), (k, p.ck), (j, p.cj)] {
-        if c != 0.0 {
-            for (slot, &w) in grad_u.iter_mut().zip(model.item(t)) {
-                *slot += c * w;
+    fn label(&self) -> String {
+        format!("MPR(λ={:.1})", self.config.lambda)
+    }
+
+    fn sampler(&self) -> &'static str {
+        "PopularityPools"
+    }
+
+    fn fingerprint(&self, plan: &Plan, seed: u64) -> Vec<(&'static str, String)> {
+        let c = &self.config;
+        vec![
+            ("model", "MPR".to_string()),
+            ("dim", c.dim.to_string()),
+            // λ at full precision — the display label rounds to one decimal.
+            ("lambda", format!("{}", c.lambda)),
+            ("uncertain", format!("{}", c.uncertain_fraction)),
+            ("sgd", format!("{:?}", c.sgd)),
+            ("init", format!("{:?}", c.init)),
+            ("iterations", plan.iterations.to_string()),
+            ("epoch", plan.epoch_steps.to_string()),
+            ("sampler", self.sampler().to_string()),
+            ("seed", seed.to_string()),
+        ]
+    }
+
+    fn set_lr_scale(&mut self, scale: f32) {
+        self.rates = SgdRates::scaled(&self.config.sgd, scale);
+    }
+
+    fn fork(&self) -> Option<Box<dyn Step + Send>> {
+        Some(Box::new(self.clone()))
+    }
+
+    #[inline]
+    fn step(
+        &mut self,
+        shared: &SharedMfModel,
+        data: &Interactions,
+        rng: &mut dyn RngCore,
+        tally: &mut StepTally,
+    ) {
+        let model = shared.view();
+        let (lambda, p) = (self.config.lambda, &self.rates);
+        let probe = tally.start_draw();
+        let (u, i) = sample_observed_pair(data, rng);
+        let drawn = draw(self.pools.uncertain(), data, u, rng)
+            .and_then(|k| Some((k, draw(self.pools.negative(), data, u, rng)?)));
+        tally.end_draw(probe);
+        let Some((k, j)) = drawn else {
+            tally.skip();
+            return;
+        };
+
+        let r = lambda * (model.score(u, i) - model.score(u, k))
+            + (1.0 - lambda) * (model.score(u, k) - model.score(u, j));
+        let g = sigmoid(-r);
+        tally.record(r, g);
+
+        model.copy_user_into(u, &mut self.u_old);
+        let coefficients = [(i, lambda), (k, 1.0 - 2.0 * lambda), (j, -(1.0 - lambda))];
+        self.grad_u.fill(0.0);
+        for (t, c) in coefficients {
+            if c != 0.0 {
+                for (slot, &w) in self.grad_u.iter_mut().zip(model.item(t)) {
+                    *slot += c * w;
+                }
             }
         }
-    }
-    shared.sgd_user(u, p.lr * g, grad_u, p.decay_u);
-    for (t, c) in [(i, p.ci), (k, p.ck), (j, p.cj)] {
-        shared.sgd_item(t, p.lr * g * c, u_old, p.decay_v);
-        shared.sgd_bias(t, p.lr, g * c, p.decay_b);
+        shared.sgd_user(u, p.lr * g, &self.grad_u, p.decay_u);
+        for (t, c) in coefficients {
+            shared.sgd_item(t, p.lr * g * c, &self.u_old, p.decay_v);
+            shared.sgd_bias(t, p.lr, g * c, p.decay_b);
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testing::{checkpointed, observed};
     use clapf_core::Recommender;
+    use clapf_core::{CheckpointConfig, NoopObserver, TrainObserver};
     use clapf_data::split::{split, SplitStrategy};
     use clapf_data::synthetic::{generate, WorldConfig};
     use clapf_data::UserId;
@@ -526,7 +310,10 @@ mod tests {
             },
         };
         let serial = trainer.fit(&data, &mut SmallRng::seed_from_u64(44));
-        let parallel = trainer.fit_parallel(&data, 44);
+        let parallel = trainer
+            .fit_with(&data, 44, FitOptions::default())
+            .unwrap()
+            .0;
         for u in data.users() {
             for i in data.items() {
                 assert_eq!(serial.score(u, i).to_bits(), parallel.score(u, i).to_bits());
@@ -548,7 +335,9 @@ mod tests {
                 ..MprConfig::default()
             },
         }
-        .fit_parallel(&data, 7);
+        .fit_with(&data, 7, FitOptions::default())
+        .unwrap()
+        .0;
         assert!(!model.model.has_non_finite());
     }
 
@@ -582,7 +371,7 @@ mod tests {
         };
         let plain = trainer.fit(&data, &mut SmallRng::seed_from_u64(60));
         let mut obs = Recording::default();
-        let observed = trainer.fit_observed(&data, &mut SmallRng::seed_from_u64(60), &mut obs);
+        let observed = trainer.fit_with(&data, 60, observed(&mut obs)).unwrap().0;
         for u in data.users() {
             for i in data.items() {
                 assert_eq!(plain.score(u, i).to_bits(), observed.score(u, i).to_bits());
@@ -600,8 +389,7 @@ mod tests {
     }
 
     fn ckpt_dir(tag: &str) -> std::path::PathBuf {
-        let dir =
-            std::env::temp_dir().join(format!("clapf-mpr-ckpt-{}-{tag}", std::process::id()));
+        let dir = std::env::temp_dir().join(format!("clapf-mpr-ckpt-{}-{tag}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         dir
     }
@@ -636,12 +424,12 @@ mod tests {
         };
         let plain = trainer.fit(&data, &mut SmallRng::seed_from_u64(81));
         let dir = ckpt_dir("uninterrupted");
-        let ckpt = clapf_core::CheckpointConfig::new(&dir);
+        let ckpt = CheckpointConfig::new(&dir);
         let (resumable, report) = trainer
-            .fit_resumable(&data, 81, &ckpt, &mut clapf_core::NoopObserver)
+            .fit_with(&data, 81, checkpointed(&ckpt, &mut NoopObserver))
             .unwrap();
         assert!(report.resumed_from.is_none());
-        assert_eq!(report.steps, 4_000);
+        assert_eq!(report.iterations, 4_000);
         for u in data.users() {
             for i in data.items() {
                 assert_eq!(plain.score(u, i).to_bits(), resumable.score(u, i).to_bits());
@@ -663,17 +451,17 @@ mod tests {
         };
         let full = trainer.fit(&data, &mut SmallRng::seed_from_u64(83));
         let dir = ckpt_dir("interrupt");
-        let ckpt = clapf_core::CheckpointConfig::new(&dir);
+        let ckpt = CheckpointConfig::new(&dir);
         let (_, first) = trainer
-            .fit_resumable(&data, 83, &ckpt, &mut AbortAfterEpochs(2))
+            .fit_with(&data, 83, checkpointed(&ckpt, &mut AbortAfterEpochs(2)))
             .unwrap();
         assert!(first.aborted_at.is_some(), "abort fired mid-run");
 
         let (resumed, report) = trainer
-            .fit_resumable(&data, 83, &ckpt, &mut clapf_core::NoopObserver)
+            .fit_with(&data, 83, checkpointed(&ckpt, &mut NoopObserver))
             .unwrap();
         assert!(report.resumed_from.unwrap() >= 1, "resumed mid-run");
-        assert_eq!(report.steps, 4_000);
+        assert_eq!(report.iterations, 4_000);
         for u in data.users() {
             for i in data.items() {
                 assert_eq!(full.score(u, i).to_bits(), resumed.score(u, i).to_bits());

@@ -5,7 +5,8 @@ use std::path::PathBuf;
 /// Which model family `fit` trains.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum ModelKind {
-    /// Plain BPR (equivalently CLAPF at λ = 0).
+    /// BPR's criterion, trained as CLAPF at λ = 0 (whose steps add only
+    /// weight decay on the second observed item).
     Bpr,
     /// CLAPF-MAP.
     ClapfMap,

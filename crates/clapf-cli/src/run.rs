@@ -6,7 +6,7 @@ use crate::args::{
 };
 use crate::bundle::ModelBundle;
 use crate::telemetry::CliObserver;
-use clapf_core::{Clapf, ClapfConfig, ClapfMode, FitReport, ParallelConfig};
+use clapf_core::{Clapf, ClapfConfig, ClapfMode, FitOptions, FitReport, ParallelConfig};
 use clapf_data::loader::{load_ratings_path, PAPER_RATING_THRESHOLD};
 use clapf_data::split::{split, SplitStrategy};
 use clapf_data::synthetic::{self, DatasetSpec, WorldConfig};
@@ -128,12 +128,13 @@ fn generate<W: Write>(a: GenerateArgs, out: &mut W) -> Result<(), CliError> {
 fn fit_model(
     a: &FitArgs,
     train: &Interactions,
-    rng: &mut SmallRng,
     observer: &mut dyn TrainObserver,
     registry: Option<&Registry>,
 ) -> Result<(clapf_mf::MfModel, String, FitReport), CliError> {
     let (mode, lambda) = match a.model {
-        ModelKind::Bpr => (ClapfMode::Map, 0.0), // CLAPF at λ = 0 ≡ BPR
+        // CLAPF at λ = 0 optimizes BPR's criterion (its steps only add
+        // weight decay on the second observed item).
+        ModelKind::Bpr => (ClapfMode::Map, 0.0),
         ModelKind::ClapfMap => (ClapfMode::Map, a.lambda),
         ModelKind::ClapfMrr => (ClapfMode::Mrr, a.lambda),
     };
@@ -152,60 +153,50 @@ fn fit_model(
         ..base
     };
     let trainer = Clapf::new(config);
-    let dss_mode = match mode {
-        ClapfMode::Map => DssMode::Map,
-        ClapfMode::Mrr => DssMode::Mrr,
-    };
     let workers = parallel.resolve_threads();
-    // DSS introspection rides on the sampler itself: when a registry is
-    // live, the sampler's draw-depth and refresh series land in it (the
-    // Hogwild clones share the same counters through their `Arc`s).
-    let make_dss = || {
-        let mut s = DssSampler::dss(dss_mode);
-        if let Some(reg) = registry {
-            s.attach_stats(DssStats::registered(reg));
-        }
-        s
-    };
-    let (model, report) = if let Some(dir) = &a.checkpoint_dir {
-        // Crash-safe path: serial only (the Hogwild interleaving is not
-        // replayable), checkpointing at epoch edges and resuming from the
-        // newest matching checkpoint when asked to.
-        if workers != 1 {
-            return Err(CliError::Config(format!(
-                "--checkpoint-dir requires the serial trainer (--threads 1), got {workers} workers"
-            )));
-        }
-        let ckpt = clapf_core::CheckpointConfig {
+    // Crash-safe runs are serial only: a Hogwild interleaving is not
+    // replayable, so resuming it could not reproduce the run.
+    let ckpt = a
+        .checkpoint_dir
+        .as_ref()
+        .map(|dir| clapf_core::CheckpointConfig {
             every_epochs: a.checkpoint_every,
             resume: a.resume,
             ..clapf_core::CheckpointConfig::new(dir.clone())
-        };
-        let mut sampler: Box<dyn TripleSampler> = if a.dss {
-            Box::new(make_dss())
-        } else {
-            Box::new(UniformSampler)
-        };
-        trainer
-            .fit_resumable(train, sampler.as_mut(), a.seed, &ckpt, observer)
-            .map_err(|e| match e {
-                clapf_core::CheckpointError::Mismatch { .. } => CliError::Config(format!(
-                    "{e} (pass a fresh --checkpoint-dir or drop --resume after changing the run config)"
-                )),
-                other => CliError::Io(other.to_string()),
-            })?
-    } else if workers == 1 {
-        let mut sampler: Box<dyn TripleSampler> = if a.dss {
-            Box::new(make_dss())
-        } else {
-            Box::new(UniformSampler)
-        };
-        trainer.fit_observed(train, sampler.as_mut(), rng, observer)
-    } else if a.dss {
-        trainer.fit_parallel_observed(train, &make_dss(), a.seed, observer)
+        });
+    if ckpt.is_some() && workers != 1 {
+        return Err(CliError::Config(format!(
+            "--checkpoint-dir requires the serial trainer (--threads 1), got {workers} workers"
+        )));
+    }
+    let mut sampler: Box<dyn TripleSampler> = if a.dss {
+        let mut s = DssSampler::dss(match mode {
+            ClapfMode::Map => DssMode::Map,
+            ClapfMode::Mrr => DssMode::Mrr,
+        });
+        // DSS introspection rides on the sampler itself: when a registry is
+        // live, the sampler's draw-depth and refresh series land in it (the
+        // Hogwild workers' copies share the same counters through `Arc`s).
+        if let Some(reg) = registry {
+            s.attach_stats(DssStats::registered(reg));
+        }
+        Box::new(s)
     } else {
-        trainer.fit_parallel_observed(train, &UniformSampler, a.seed, observer)
+        Box::new(UniformSampler)
     };
+    let opts = FitOptions {
+        observer: Some(observer),
+        checkpoint: ckpt.as_ref(),
+        probe: None,
+    };
+    let (model, report) = trainer
+        .fit_with(train, sampler.as_mut(), a.seed, opts)
+        .map_err(|e| match e {
+            clapf_core::CheckpointError::Mismatch { .. } => CliError::Config(format!(
+                "{e} (pass a fresh --checkpoint-dir or drop --resume after changing the run config)"
+            )),
+            other => CliError::Io(other.to_string()),
+        })?;
     let name = match a.model {
         ModelKind::Bpr => "BPR".to_string(),
         _ => format!("CLAPF(λ={lambda:.1})-{mode}"),
@@ -280,7 +271,7 @@ fn fit<W: Write>(a: FitArgs, out: &mut W) -> Result<(), CliError> {
     };
 
     let (model, mut description, report) =
-        fit_model(&a, &train, &mut rng, observer, tracing.then_some(&registry))?;
+        fit_model(&a, &train, observer, tracing.then_some(&registry))?;
     if let Some(epoch) = report.resumed_from {
         registry.counter("train.resumed").inc();
         if chatty {

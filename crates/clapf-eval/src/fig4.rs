@@ -6,14 +6,12 @@
 
 use crate::report::render_table;
 use crate::RunScale;
-use clapf_core::{Clapf, ClapfConfig, ClapfMode};
+use clapf_core::{Clapf, ClapfConfig, ClapfMode, FitOptions};
 use clapf_data::split::{Protocol, SplitStrategy};
 use clapf_data::Interactions;
 
 use clapf_mf::MfModel;
 use clapf_sampling::{DssMode, DssSampler, TripleSampler, UniformSampler};
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
 use serde::Serialize;
 
 /// MAP trajectory of one sampler.
@@ -127,26 +125,26 @@ pub fn run_dataset(
     let mut trajectories = Vec::new();
     for (name, mut sampler) in samplers() {
         let trainer = Clapf::new(config);
-        let mut rng = SmallRng::seed_from_u64(seed);
         let mut steps = Vec::new();
         let mut map = Vec::new();
         let mut train_map = Vec::new();
-        trainer.fit_with_checkpoints(
-            train,
-            sampler.as_mut(),
-            &mut rng,
-            checkpoint_every,
-            |step, mf| {
-                // The trainer fires a final checkpoint at `iterations`,
-                // which may duplicate the last cadence checkpoint.
-                if steps.last() == Some(&step) {
-                    return;
-                }
-                steps.push(step);
-                map.push(test_set_map(mf, train, test));
-                train_map.push(train_set_map(mf, train));
-            },
-        );
+        let mut probe = |step: usize, mf: &MfModel| {
+            // The trainer probes once more at the end of the run, which may
+            // duplicate the last cadence probe.
+            if steps.last() == Some(&step) {
+                return;
+            }
+            steps.push(step);
+            map.push(test_set_map(mf, train, test));
+            train_map.push(train_set_map(mf, train));
+        };
+        let opts = FitOptions {
+            probe: Some((checkpoint_every, &mut probe)),
+            ..FitOptions::default()
+        };
+        trainer
+            .fit_with(train, sampler.as_mut(), seed, opts)
+            .expect("a fit without checkpoints does no I/O");
         trajectories.push(Trajectory {
             sampler: name.to_string(),
             steps,
@@ -223,6 +221,8 @@ pub fn render(conv: &Convergence) -> String {
 mod tests {
     use super::*;
     use clapf_data::synthetic::{generate, WorldConfig};
+    use rand::rngs::SmallRng;
+    use rand::SeedableRng;
 
     #[test]
     fn trajectories_cover_all_samplers() {

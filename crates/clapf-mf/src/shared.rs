@@ -23,9 +23,9 @@
 //!   and friends); no `&mut MfModel` is ever formed while other threads
 //!   hold views, keeping the aliasing surface as small as stable Rust
 //!   allows for this pattern.
-//! * Cross-thread *ordering* is the caller's job: the parallel trainers
-//!   separate epochs with a barrier, which gives every thread a coherent
-//!   snapshot for rank-aware sampler refreshes.
+//! * Cross-thread *ordering* is the caller's job: the training driver
+//!   joins every epoch's workers before the next refresh, which gives that
+//!   refresh a coherent snapshot.
 //!
 //! Unsynchronized `f32` reads/writes are the deliberate, documented
 //! trade-off of Hogwild training: plain loads and stores keep the hot
@@ -91,8 +91,8 @@ impl SharedMfModel {
     /// A shared read view for scoring, sampling and checkpoints.
     ///
     /// While workers are mid-epoch the view may observe rows that another
-    /// thread is updating (see the module contract); between barriers it
-    /// is a coherent snapshot.
+    /// thread is updating (see the module contract); between epochs, once
+    /// the workers have joined, it is a coherent snapshot.
     #[inline]
     pub fn view(&self) -> &MfModel {
         // SAFETY: MfModel's own methods never mutate through &self, and

@@ -65,6 +65,10 @@ impl TripleSampler for DnsSampler {
     fn name(&self) -> &'static str {
         "DNS"
     }
+
+    fn fork(&self) -> Option<Box<dyn TripleSampler + Send>> {
+        Some(Box::new(*self))
+    }
 }
 
 #[cfg(test)]

@@ -382,6 +382,10 @@ impl TripleSampler for DssSampler {
             (false, false) => "Uniform(degenerate)",
         }
     }
+
+    fn fork(&self) -> Option<Box<dyn TripleSampler + Send>> {
+        Some(Box::new(self.clone()))
+    }
 }
 
 #[cfg(test)]

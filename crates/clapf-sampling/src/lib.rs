@@ -101,4 +101,53 @@ pub trait TripleSampler {
 
     /// Human-readable name for reports ("Uniform", "DSS", …).
     fn name(&self) -> &'static str;
+
+    /// A copy of this sampler, state included, for another Hogwild worker.
+    /// `None`, the default, keeps every fit driven by this sampler serial.
+    fn fork(&self) -> Option<Box<dyn TripleSampler + Send>> {
+        None
+    }
 }
+
+/// Forwards to the sampler behind a pointer, so trainers can hold a
+/// borrowed sampler (`&mut S`) or a forked one (`Box<dyn …>`) alike.
+macro_rules! forward_sampler {
+    ($($ptr:ty),*) => {$(
+        impl<T: TripleSampler + ?Sized> TripleSampler for $ptr {
+            fn refresh(&mut self, model: &MfModel) {
+                (**self).refresh(model)
+            }
+
+            fn complete(
+                &mut self,
+                data: &Interactions,
+                model: &MfModel,
+                u: UserId,
+                i: ItemId,
+                rng: &mut dyn RngCore,
+            ) -> Option<(ItemId, ItemId)> {
+                (**self).complete(data, model, u, i, rng)
+            }
+
+            fn sample(
+                &mut self,
+                data: &Interactions,
+                model: &MfModel,
+                u: UserId,
+                rng: &mut dyn RngCore,
+            ) -> Option<Triple> {
+                (**self).sample(data, model, u, rng)
+            }
+
+            fn name(&self) -> &'static str {
+                (**self).name()
+            }
+
+            fn fork(&self) -> Option<Box<dyn TripleSampler + Send>> {
+                (**self).fork()
+            }
+        }
+    )*};
+}
+
+forward_sampler!(&mut T, Box<T>);

@@ -89,6 +89,10 @@ impl TripleSampler for UniformSampler {
     fn name(&self) -> &'static str {
         "Uniform"
     }
+
+    fn fork(&self) -> Option<Box<dyn TripleSampler + Send>> {
+        Some(Box::new(*self))
+    }
 }
 
 #[cfg(test)]

@@ -14,10 +14,10 @@
 //!   single idiom instead of scattered `Instant::now()` bookkeeping.
 //! * [`JsonlSink`] — a structured event stream (one JSON object per line)
 //!   for run traces: `{"ev":"epoch","ts_ms":…,…}`.
-//! * [`TrainObserver`] — the hook trait `Clapf::fit`/`fit_parallel` (and the
-//!   BPR/MPR baselines) report through: per-epoch throughput, a running
-//!   logistic-loss proxy, parameter-norm snapshots and NaN/divergence
-//!   early-abort.
+//! * [`TrainObserver`] — the hook trait the one SGD driver
+//!   (`clapf_core::train`, behind CLAPF and the BPR/MPR baselines) reports
+//!   through: per-epoch throughput, a running logistic-loss proxy,
+//!   parameter-norm snapshots and NaN/divergence early-abort.
 //!
 //! Everything is hand-rolled on `std` — no external dependencies, matching
 //! the offline build — and the disabled path compiles down to a dead branch

@@ -1,8 +1,8 @@
 //! The training observation hook.
 //!
 //! Trainers (`Clapf`, `Bpr`, `Mpr`) call a [`TrainObserver`] at run
-//! boundaries and once per epoch, always from a *quiescent* point — the
-//! serial loop between steps, or the parallel trainer's epoch barrier — so
+//! boundaries and once per epoch, always from a *quiescent* point — an
+//! epoch edge, where no worker is stepping — so
 //! observers may be arbitrarily slow without perturbing training, and
 //! attaching one never changes the RNG stream (observed and unobserved runs
 //! are bit-identical; `clapf-core` pins this with a test).
@@ -38,8 +38,8 @@ pub struct FitMeta {
 ///
 /// The cheap fields (steps, timing, throughput) are always populated; the
 /// fields that cost a model scan or per-step accounting (`loss`,
-/// `grad_scale`, norms, `non_finite`) are `NaN`/`false` unless the observer
-/// reported itself [`enabled`](TrainObserver::enabled).
+/// `grad_scale`, norms) are `NaN` unless the observer reported itself
+/// [`enabled`](TrainObserver::enabled).
 #[derive(Clone, Debug, PartialEq)]
 pub struct EpochStats {
     /// Epoch index, 0-based (an epoch is one sampler-refresh interval).
@@ -64,8 +64,8 @@ pub struct EpochStats {
     pub user_norm: f64,
     /// Mean L2 norm of the item factor rows (`NaN` when not recorded).
     pub item_norm: f64,
-    /// True if any model parameter is non-finite (checked only when the
-    /// observer is enabled; triggers early abort).
+    /// True if any model parameter is non-finite at the epoch edge
+    /// (always checked; triggers a rollback or an early abort).
     pub non_finite: bool,
     /// Where this epoch's wall-clock went, phase by phase.
     pub phases: PhaseTimings,
@@ -144,9 +144,9 @@ pub enum Control {
 
 /// Observes a training run.
 ///
-/// All callbacks run at quiescent points and must not assume any particular
-/// thread: the parallel trainer invokes them from worker 0, so observers
-/// must be [`Send`]. Implementations must be read-only with respect to the
+/// All callbacks run at quiescent points, on the thread that called the
+/// trainer. Observers are [`Send`] so they can be handed to a training
+/// thread. Implementations must be read-only with respect to the
 /// trained model — the determinism contract is that attaching an observer
 /// leaves the learned weights bit-identical.
 pub trait TrainObserver: Send {

@@ -334,6 +334,9 @@ mod tests {
 
     #[test]
     fn save_load_round_trip_is_exact() {
+        // Failpoints are process-global: hold the guard so a concurrent
+        // fault test cannot fail this save.
+        let _guard = clapf_faults::exclusive();
         let dir = temp_dir("roundtrip");
         let cfg = CheckpointConfig::new(&dir);
         let original = ckpt(3);
@@ -363,6 +366,7 @@ mod tests {
 
     #[test]
     fn prune_keeps_the_newest_k() {
+        let _guard = clapf_faults::exclusive();
         let dir = temp_dir("prune");
         let cfg = CheckpointConfig {
             keep: 2,
@@ -382,6 +386,7 @@ mod tests {
 
     #[test]
     fn latest_skips_torn_newest_and_falls_back() {
+        let _guard = clapf_faults::exclusive();
         let dir = temp_dir("torn");
         let cfg = CheckpointConfig::new(&dir);
         save(&cfg, &ckpt(1)).unwrap();
@@ -397,6 +402,7 @@ mod tests {
 
     #[test]
     fn fingerprint_mismatch_is_a_hard_error() {
+        let _guard = clapf_faults::exclusive();
         let dir = temp_dir("mismatch");
         let cfg = CheckpointConfig::new(&dir);
         save(&cfg, &ckpt(1)).unwrap();
@@ -460,6 +466,7 @@ mod tests {
 
     #[test]
     fn clear_removes_all_checkpoints() {
+        let _guard = clapf_faults::exclusive();
         let dir = temp_dir("clear");
         let cfg = CheckpointConfig::new(&dir);
         save(&cfg, &ckpt(1)).unwrap();
@@ -472,6 +479,7 @@ mod tests {
 
     #[test]
     fn wrong_version_is_rejected() {
+        let _guard = clapf_faults::exclusive();
         let dir = temp_dir("version");
         let cfg = CheckpointConfig::new(&dir);
         let mut c = ckpt(1);

@@ -21,8 +21,8 @@ impl std::fmt::Display for ClapfMode {
     }
 }
 
-/// Settings for Hogwild-style multi-threaded training
-/// (see `Clapf::fit_parallel`).
+/// Settings for Hogwild-style multi-threaded training (see
+/// `Clapf::fit_with`).
 ///
 /// The defaults keep training serial; parallel SGD is opt-in because its
 /// lock-free updates make runs non-reproducible across thread interleavings
@@ -76,7 +76,8 @@ pub struct ClapfConfig {
     /// Instantiation (MAP or MRR).
     pub mode: ClapfMode,
     /// Tradeoff `λ ∈ [0, 1]` between the listwise and the pairwise pair;
-    /// `λ = 0` reduces CLAPF to BPR.
+    /// `λ = 0` reduces the criterion to BPR's (a step then differs from a
+    /// BPR step only in the weight decay it still applies to `V_k`, `b_k`).
     pub lambda: f32,
     /// Number of latent factors `d` (20 in the paper).
     pub dim: usize,
@@ -90,7 +91,7 @@ pub struct ClapfConfig {
     /// Sampler refresh cadence in SGD steps; `0` refreshes once per epoch
     /// (`|P|` steps), the amortization the paper borrows from AoBPR/DNS.
     pub refresh_every: usize,
-    /// Multi-threaded training settings used by `Clapf::fit_parallel`.
+    /// Multi-threaded training settings used by `Clapf::fit_with`.
     pub parallel: ParallelConfig,
     /// Use the reassociating wide (SIMD) dot kernel for the three score
     /// evaluations inside each SGD step. Off by default: the wide kernel
@@ -131,11 +132,7 @@ impl ClapfConfig {
 
     /// Resolves the step budget for a dataset with `n_pairs` training pairs.
     pub fn resolve_iterations(&self, n_pairs: usize) -> usize {
-        if self.iterations > 0 {
-            self.iterations
-        } else {
-            (100 * n_pairs).clamp(1, 8_000_000)
-        }
+        crate::Plan::budget(self.iterations, n_pairs)
     }
 
     /// Resolves the sampler refresh cadence for a dataset with `n_pairs`

@@ -151,7 +151,7 @@ pub fn clapf_coefficients(mode: crate::ClapfMode, lambda: f32) -> (f32, f32, f32
 /// `(i, k) ∈ I_u⁺²` and `(i, j)` fits this shape — the extension hook the
 /// paper's conclusion invites ("we encourage more smoothed listwise metrics
 /// to be optimized with our CLAPF framework"). Train custom instantiations
-/// with [`crate::Clapf::fit_with_weights`].
+/// through [`crate::ClapfStep::with_weights`] and [`crate::train`].
 #[derive(Copy, Clone, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct CriterionWeights {
     /// Coefficient of the anchor observed item's score `f_ui`.

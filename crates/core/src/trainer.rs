@@ -1,47 +1,14 @@
 //! The CLAPF SGD trainer (Sec 4.3 of the paper).
 
-use crate::checkpoint::{self, Checkpoint, CheckpointConfig, CheckpointError, CHECKPOINT_VERSION};
-use crate::objective::{ln_sigmoid, sigmoid, CriterionWeights};
+use crate::checkpoint::CheckpointError;
+use crate::driver::{train, FitOptions, FitReport, Plan, Seed, SgdRates, Step, StepTally};
+use crate::objective::{sigmoid, CriterionWeights};
 use crate::{ClapfConfig, Recommender};
 use clapf_data::{Interactions, ItemId, UserId};
 use clapf_mf::{MfModel, SharedMfModel};
 use clapf_sampling::{sample_observed_pair, TripleSampler};
-use clapf_telemetry::{
-    Control, EpochStats, FitMeta, FitSummary, NoopObserver, PhaseTimings, TrainObserver,
-};
-use rand::rngs::SmallRng;
-use rand::{Rng, RngCore, SeedableRng};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Barrier, Mutex};
-use std::time::{Duration, Instant};
-
-/// Outcome of a training run.
-#[derive(Clone, Debug)]
-pub struct FitReport {
-    /// SGD steps actually executed (less than the budget after an abort).
-    pub iterations: usize,
-    /// Wall-clock training time.
-    pub elapsed: Duration,
-    /// Name of the sampler that drove the run.
-    pub sampler: &'static str,
-    /// True if any parameter became non-finite (learning rate too high).
-    pub diverged: bool,
-    /// Per-epoch statistics, one entry per sampler-refresh interval.
-    /// Timing and step counts are always populated; the loss/gradient/norm
-    /// fields are `NaN` unless the run was observed by an
-    /// [`enabled`](TrainObserver::enabled) observer.
-    pub epochs: Vec<EpochStats>,
-    /// Step count at which an observer (or divergence detection) aborted
-    /// the run early, if it did.
-    pub aborted_at: Option<usize>,
-    /// Divergence recoveries performed by [`Clapf::fit_resumable`]: each one
-    /// rolled the model back to the last checkpoint and shrank the learning
-    /// rate. Always 0 on the non-resumable paths.
-    pub recoveries: u32,
-    /// Epoch a resumable fit restarted from, when it picked up an existing
-    /// checkpoint. `None` for fresh runs and the non-resumable paths.
-    pub resumed_from: Option<usize>,
-}
+use clapf_telemetry::{NoopObserver, TrainObserver};
+use rand::{Rng, RngCore};
 
 /// A fitted CLAPF model. Serializable (JSON via serde) for persistence;
 /// see the `model_round_trips_through_serde` integration test.
@@ -112,26 +79,25 @@ impl Clapf {
         &self.config
     }
 
-    /// Trains a model from scratch.
+    /// Trains a model from scratch, serially, on the caller's RNG stream.
     pub fn fit<S: TripleSampler + ?Sized, R: Rng>(
         &self,
         data: &Interactions,
         sampler: &mut S,
         rng: &mut R,
     ) -> (ClapfModel, FitReport) {
-        // Delegating through the observed path (rather than
-        // `fit_with_checkpoints`) keeps `fit` and `fit_observed` one
-        // monomorphization, so the telemetry overhead bench compares
-        // identical machine code.
+        // Delegating keeps `fit` and `fit_observed` one monomorphization, so
+        // the telemetry overhead bench compares identical machine code.
         self.fit_observed(data, sampler, rng, &mut NoopObserver)
     }
 
-    /// Trains a model under a [`TrainObserver`]: the observer receives
+    /// [`fit`](Clapf::fit) under a [`TrainObserver`]: the observer receives
     /// `on_fit_start`, one `on_epoch` per sampler-refresh interval (with
     /// throughput, loss proxy, gradient scale, factor norms and NaN
-    /// detection), and `on_fit_end`. Returning [`Control::Abort`] from
-    /// `on_epoch` — or tripping the non-finite check — stops training early;
-    /// the report's `aborted_at` records where.
+    /// detection), and `on_fit_end`. Returning
+    /// [`Control::Abort`](crate::Control::Abort) from `on_epoch` — or a
+    /// non-finite parameter at an epoch edge — stops training early; the
+    /// report's `aborted_at` records where.
     ///
     /// Attaching an observer never changes the learned weights: all
     /// instrumentation reads happen at epoch boundaries and the RNG stream
@@ -144,1037 +110,296 @@ impl Clapf {
         rng: &mut R,
         observer: &mut dyn TrainObserver,
     ) -> (ClapfModel, FitReport) {
-        let cfg = &self.config;
-        cfg.validate();
-        let weights = CriterionWeights::from_mode(cfg.mode, cfg.lambda);
-        let (model, report) = fit_inner(cfg, weights, data, sampler, rng, 0, |_, _| {}, observer);
-        (
-            ClapfModel {
-                mf: model,
-                config: *cfg,
-            },
-            report,
+        let opts = FitOptions {
+            observer: Some(observer),
+            ..FitOptions::default()
+        };
+        let (mf, report) = train(
+            data,
+            &mut ClapfStep::new(&self.config, sampler),
+            Seed::Stream(rng),
+            opts,
         )
+        .expect("a fit without checkpoints does no I/O");
+        (self.model(mf), report)
     }
 
-    /// Trains a model, invoking `checkpoint` with `(steps_done, model)` every
-    /// `checkpoint_every` steps (and once at the end). Pass `0` to disable.
+    /// Trains from `SmallRng::seed_from_u64(seed)` with everything
+    /// [`FitOptions`] offers: an observer, crash-safe checkpoints, a
+    /// convergence probe. `config.parallel.threads` Hogwild workers
+    /// (Recht et al., NIPS 2011) share the model without locks, each with
+    /// its own RNG and, every epoch, a fresh [`fork`](TripleSampler::fork)
+    /// of the once-refreshed `sampler` (a sampler that cannot fork trains
+    /// serially).
     ///
-    /// The Fig. 4 convergence experiment evaluates test MAP inside the
-    /// checkpoint callback.
-    pub fn fit_with_checkpoints<S, R, F>(
+    /// Determinism contract (pinned by tests):
+    ///
+    /// * `threads = 1` is **bit-identical** to [`fit`](Clapf::fit) with
+    ///   `SmallRng::seed_from_u64(seed)`: same init, same RNG stream, same
+    ///   step kernel in the same order. More threads trade bitwise
+    ///   reproducibility for throughput (model *quality* is preserved).
+    /// * An uninterrupted checkpointed fit is bit-identical to the plain
+    ///   one, and an interrupted-and-resumed fit to the uninterrupted one:
+    ///   a checkpoint carries the model, the full RNG state and the epoch,
+    ///   and rank-aware samplers rebuild their state from the model at the
+    ///   next refresh. This holds for `threads = 1`; a Hogwild
+    ///   interleaving is not replayable.
+    /// * On divergence a checkpointed fit rolls back to its last
+    ///   checkpoint with the learning rate times `lr_backoff` (at most
+    ///   `max_retries` times, counted in `FitReport::recoveries`); without
+    ///   checkpoints it aborts at the epoch edge.
+    ///
+    /// `threads = 0` resolves to all available cores, mirroring
+    /// `EvalConfig::threads`.
+    pub fn fit_with<S: TripleSampler + ?Sized>(
         &self,
         data: &Interactions,
         sampler: &mut S,
-        rng: &mut R,
-        checkpoint_every: usize,
-        checkpoint: F,
-    ) -> (ClapfModel, FitReport)
-    where
-        S: TripleSampler + ?Sized,
-        R: Rng,
-        F: FnMut(usize, &MfModel),
-    {
-        let cfg = &self.config;
-        cfg.validate();
-        let weights = CriterionWeights::from_mode(cfg.mode, cfg.lambda);
-        let (model, report) = fit_inner(
-            cfg,
-            weights,
+        seed: u64,
+        opts: FitOptions<'_>,
+    ) -> Result<(ClapfModel, FitReport), CheckpointError> {
+        let (mf, report) = train(
             data,
+            &mut ClapfStep::new(&self.config, sampler),
+            Seed::Base(seed),
+            opts,
+        )?;
+        Ok((self.model(mf), report))
+    }
+
+    fn model(&self, mf: MfModel) -> ClapfModel {
+        ClapfModel {
+            mf,
+            config: self.config,
+        }
+    }
+}
+
+/// One CLAPF SGD step of Sec 4.3 — draw a record, score the triple, apply
+/// the Eq. 23 updates — over records completed by the sampler `S` (owned,
+/// or borrowed as `&mut S`).
+///
+/// Construct it directly to train a **custom criterion**
+/// `R = c_i·f_ui + c_k·f_uk + c_j·f_uj` through [`train`]
+/// ([`with_weights`](ClapfStep::with_weights)) — the extension hook for
+/// new smoothed listwise metrics the paper's conclusion invites.
+#[derive(Clone, Debug)]
+pub struct ClapfStep<S> {
+    config: ClapfConfig,
+    weights: CriterionWeights,
+    sampler: S,
+    rates: SgdRates,
+    u_old: Vec<f32>,
+    grad_u: Vec<f32>,
+}
+
+impl<S: TripleSampler> ClapfStep<S> {
+    /// The step of the configuration's mode and λ.
+    pub fn new(config: &ClapfConfig, sampler: S) -> Self {
+        config.validate();
+        Self::build(
+            config,
+            CriterionWeights::from_mode(config.mode, config.lambda),
             sampler,
-            rng,
-            checkpoint_every,
-            checkpoint,
-            &mut NoopObserver,
-        );
-        (
-            ClapfModel {
-                mf: model,
-                config: *cfg,
-            },
-            report,
         )
     }
 
-    /// Trains with a **custom criterion** `R = c_i·f_ui + c_k·f_uk + c_j·f_uj`
-    /// instead of the paper's MAP/MRR instantiations — the extension hook for
-    /// new smoothed listwise metrics the paper's conclusion invites. The
-    /// configuration's `mode`/`lambda` are ignored; everything else
-    /// (dimension, SGD settings, budgets) applies.
+    /// A step that optimizes `weights` instead of the paper's MAP/MRR
+    /// instantiations. The configuration's `mode`/`lambda` only label the
+    /// run; everything else (dimension, SGD settings, budgets) applies.
     ///
     /// # Panics
     /// Panics if `weights` is not ranking-consistent (total observed weight
     /// must be positive, unobserved weight negative) — such a criterion
     /// optimizes *against* the implicit-feedback assumption.
-    pub fn fit_with_weights<S: TripleSampler + ?Sized, R: Rng>(
-        &self,
-        data: &Interactions,
-        weights: CriterionWeights,
-        sampler: &mut S,
-        rng: &mut R,
-    ) -> (MfModel, FitReport) {
+    pub fn with_weights(config: &ClapfConfig, weights: CriterionWeights, sampler: S) -> Self {
         assert!(
             weights.is_ranking_consistent(),
             "criterion {weights:?} does not rank observed above unobserved"
         );
-        let cfg = &self.config;
-        cfg.validate();
-        fit_inner(cfg, weights, data, sampler, rng, 0, |_, _| {}, &mut NoopObserver)
+        config.validate();
+        Self::build(config, weights, sampler)
     }
 
-    /// Trains **crash-safely**: checkpoints to `ckpt.dir` at epoch edges,
-    /// resumes from the newest valid checkpoint when `ckpt.resume` is set,
-    /// and recovers from divergence by rolling back to the last checkpoint
-    /// with a shrunk learning rate (at most `ckpt.max_retries` times).
-    ///
-    /// Determinism contract (pinned by tests):
-    ///
-    /// * An **uninterrupted** resumable fit is bit-identical to
-    ///   [`fit`](Clapf::fit) with `SmallRng::seed_from_u64(base_seed)` —
-    ///   checkpoint writes happen off the RNG stream at epoch edges.
-    /// * An **interrupted-and-resumed** fit is bit-identical to the
-    ///   uninterrupted one: a checkpoint carries the model, the full RNG
-    ///   state and the epoch index, and rank-aware samplers rebuild their
-    ///   state deterministically from the checkpointed model at the next
-    ///   refresh, so nothing else needs to be persisted.
-    ///
-    /// This is a serial-only path (the Hogwild interleaving is not
-    /// replayable); combine with [`fit_parallel`](Clapf::fit_parallel) by
-    /// resolving `parallel.threads == 1`.
-    ///
-    /// Divergence handling differs from the other paths: where they abort,
-    /// this one reloads the last checkpoint, multiplies the learning rate by
-    /// `ckpt.lr_backoff`, and continues; `FitReport::recoveries` counts the
-    /// rollbacks, and the run only reports `diverged` once the retry budget
-    /// is exhausted.
-    pub fn fit_resumable<S: TripleSampler + ?Sized>(
-        &self,
-        data: &Interactions,
-        sampler: &mut S,
-        base_seed: u64,
-        ckpt: &CheckpointConfig,
-        observer: &mut dyn TrainObserver,
-    ) -> Result<(ClapfModel, FitReport), CheckpointError> {
-        let cfg = &self.config;
-        cfg.validate();
-        let weights = CriterionWeights::from_mode(cfg.mode, cfg.lambda);
-        let (model, report) =
-            fit_resumable_inner(cfg, weights, data, sampler, base_seed, ckpt, observer)?;
-        Ok((
-            ClapfModel {
-                mf: model,
-                config: *cfg,
-            },
-            report,
-        ))
-    }
-
-    /// Trains with Hogwild-style lock-free parallel SGD (Recht et al.,
-    /// NIPS 2011): `config.parallel.threads` workers share one model through
-    /// [`SharedMfModel`] and apply updates without locks. Each worker owns a
-    /// clone of `sampler` and its own RNG; rank-aware samplers (DSS, DNS)
-    /// rebuild their ranking lists at epoch barriers, from a quiescent model.
-    ///
-    /// Determinism: `threads = 1` is **bit-identical** to
-    /// [`fit`](Clapf::fit) with `SmallRng::seed_from_u64(base_seed)` — both
-    /// paths run the same `sgd_step` kernel in the same order on the same
-    /// RNG stream. With more threads, step interleaving (and hence the exact
-    /// parameters) varies run to run; model *quality* is preserved, which is
-    /// the Hogwild trade: throughput for bitwise reproducibility.
-    ///
-    /// `threads = 0` resolves to all available cores, mirroring
-    /// `EvalConfig::threads`.
-    pub fn fit_parallel<S>(
-        &self,
-        data: &Interactions,
-        sampler: &S,
-        base_seed: u64,
-    ) -> (ClapfModel, FitReport)
-    where
-        S: TripleSampler + Clone + Send,
-    {
-        self.fit_parallel_observed(data, sampler, base_seed, &mut NoopObserver)
-    }
-
-    /// [`fit_parallel`](Clapf::fit_parallel) under a [`TrainObserver`].
-    ///
-    /// Observer callbacks run on worker 0 at epoch barriers, where the model
-    /// is quiescent (the other workers are only refreshing their samplers),
-    /// so per-epoch norms and NaN checks read a consistent model without a
-    /// lock. An abort decision is published through the barrier, so every
-    /// worker leaves at the same epoch edge. Per-step accounting stays in
-    /// worker-local plain structs flushed at barriers — the Hogwild hot loop
-    /// never touches shared telemetry state.
-    pub fn fit_parallel_observed<S>(
-        &self,
-        data: &Interactions,
-        sampler: &S,
-        base_seed: u64,
-        observer: &mut dyn TrainObserver,
-    ) -> (ClapfModel, FitReport)
-    where
-        S: TripleSampler + Clone + Send,
-    {
-        let cfg = &self.config;
-        cfg.validate();
-        let weights = CriterionWeights::from_mode(cfg.mode, cfg.lambda);
-        let (model, report) = fit_parallel_inner(cfg, weights, data, sampler, base_seed, observer);
-        (
-            ClapfModel {
-                mf: model,
-                config: *cfg,
-            },
-            report,
-        )
-    }
-}
-
-/// Per-step constants of the SGD loop, precomputed once per fit.
-#[derive(Copy, Clone)]
-struct StepParams {
-    weights: CriterionWeights,
-    lr: f32,
-    decay_u: f32,
-    decay_v: f32,
-    decay_b: f32,
-    /// Score triples with the reassociating wide dot kernel
-    /// (`ClapfConfig::simd_training`). Changes the rounding of each score —
-    /// and therefore the trajectory — so it is part of the checkpoint
-    /// fingerprint.
-    wide: bool,
-}
-
-impl StepParams {
-    fn new(cfg: &ClapfConfig, weights: CriterionWeights) -> Self {
-        Self::scaled(cfg, weights, 1.0)
-    }
-
-    /// Like [`StepParams::new`] with the learning rate multiplied by
-    /// `lr_scale` — the divergence-recovery knob. `lr_scale = 1.0` is
-    /// bit-identical to `new` (multiplying an `f32` by 1.0 is exact), which
-    /// is what keeps an uninterrupted resumable fit bitwise equal to `fit`.
-    fn scaled(cfg: &ClapfConfig, weights: CriterionWeights, lr_scale: f32) -> Self {
-        let lr = cfg.sgd.learning_rate * lr_scale;
-        StepParams {
+    fn build(config: &ClapfConfig, weights: CriterionWeights, sampler: S) -> Self {
+        ClapfStep {
+            config: *config,
             weights,
-            lr,
-            decay_u: lr * cfg.sgd.reg_user,
-            decay_v: lr * cfg.sgd.reg_item,
-            decay_b: lr * cfg.sgd.reg_bias,
-            wide: cfg.simd_training,
+            sampler,
+            rates: SgdRates::scaled(&config.sgd, 1.0),
+            u_old: vec![0.0; config.dim],
+            grad_u: vec![0.0; config.dim],
         }
     }
 }
 
-/// Worker-local per-step accounting. Plain (non-atomic) fields on purpose:
-/// the hot loop only ever touches this thread-private struct, and the
-/// totals are flushed into shared state at epoch barriers. When `enabled`
-/// is false the instrumentation collapses to one predictable dead branch
-/// per step — the telemetry overhead bench pins this at ~0%.
-#[derive(Default)]
-struct StepLocal {
-    enabled: bool,
-    /// Steps whose sampler produced a triple.
-    sampled: u64,
-    /// Steps whose sampler returned `None` (degenerate users).
-    skipped: u64,
-    /// Accumulated logistic-loss proxy `Σ −ln σ(R)`.
-    loss: f64,
-    /// Accumulated gradient scale `Σ σ(−R)`.
-    gsum: f64,
-    /// Steps seen by the strided sampling probe's stride counter.
-    calls: u64,
-    /// Nanoseconds the probed steps spent drawing their training sample.
-    probe_ns: u64,
-    /// Number of probed steps behind `probe_ns`.
-    probed: u64,
-}
-
-/// One in this many observed steps times its sampling draw; the epoch
-/// extrapolates the probes into a sampling-phase estimate. Power of two so
-/// the stride check is a mask.
-const SAMPLE_PROBE_STRIDE: u64 = 512;
-
-impl StepLocal {
-    fn new(enabled: bool) -> Self {
-        StepLocal {
-            enabled,
-            ..StepLocal::default()
+impl<S: TripleSampler> Step for ClapfStep<S> {
+    fn plan(&self, data: &Interactions) -> Plan {
+        let cfg = &self.config;
+        Plan {
+            dim: cfg.dim,
+            init: cfg.init,
+            iterations: cfg.resolve_iterations(data.n_pairs()),
+            epoch_steps: cfg.resolve_refresh(data.n_pairs()),
+            threads: cfg.parallel.resolve_threads(),
+            chunk: cfg.parallel.resolve_chunk(),
         }
     }
 
-    /// Drains the counts accumulated since the last take.
-    fn take(&mut self) -> StepLocal {
-        std::mem::replace(self, StepLocal::new(self.enabled))
+    fn label(&self) -> String {
+        format!("CLAPF(λ={:.1})-{}", self.config.lambda, self.config.mode)
     }
 
-    /// Adds this worker's counts into a shared accumulator (barrier-cold
-    /// path; the mutex is uncontended relative to epoch length).
-    fn flush_into(&mut self, shared: &Mutex<StepLocal>) {
-        let taken = self.take();
-        let mut acc = shared.lock().expect("telemetry accumulator lock");
-        acc.sampled += taken.sampled;
-        acc.skipped += taken.skipped;
-        acc.loss += taken.loss;
-        acc.gsum += taken.gsum;
-        acc.calls += taken.calls;
-        acc.probe_ns += taken.probe_ns;
-        acc.probed += taken.probed;
-    }
-}
-
-/// Builds one epoch's [`EpochStats`]. Timing is always present; the model
-/// scan (norms, NaN detection) and the loss/gradient means run only when
-/// `model` is `Some`, i.e. when an enabled observer asked to pay for them.
-/// `phases` carries the caller's refresh/sweep/checkpoint attribution; the
-/// sampling estimate is extrapolated here from the strided probes.
-fn build_epoch_stats(
-    epoch: usize,
-    steps: usize,
-    steps_total: usize,
-    elapsed: Duration,
-    acc: StepLocal,
-    model: Option<&MfModel>,
-    mut phases: PhaseTimings,
-) -> EpochStats {
-    let mut stats = EpochStats::timing_only(epoch, steps, steps_total, elapsed);
-    if acc.probed > 0 {
-        let per_draw_ns = acc.probe_ns as f64 / acc.probed as f64;
-        phases.sampling_secs = per_draw_ns * acc.calls as f64 / 1e9;
-    }
-    stats.phases = phases;
-    if let Some(m) = model {
-        let n = acc.sampled.max(1) as f64;
-        stats.loss = acc.loss / n;
-        stats.grad_scale = acc.gsum / n;
-        stats.skipped = acc.skipped;
-        stats.user_norm = m.mean_user_norm();
-        stats.item_norm = m.mean_item_norm();
-        stats.non_finite = m.has_non_finite();
-    }
-    stats
-}
-
-/// One SGD step of Sec 4.3: draw a record, score the triple, apply the
-/// Eq. 23 updates through the shared view. Both the serial and the parallel
-/// trainer run exactly this function, which is what makes `threads = 1`
-/// bit-identical to the serial path.
-#[inline]
-#[allow(clippy::too_many_arguments)]
-fn sgd_step<S: TripleSampler + ?Sized>(
-    shared: &SharedMfModel,
-    data: &Interactions,
-    sampler: &mut S,
-    rng: &mut dyn RngCore,
-    p: &StepParams,
-    u_old: &mut [f32],
-    grad_u: &mut [f32],
-    local: &mut StepLocal,
-) {
-    let model = shared.view();
-
-    // Strided sampling probe: every SAMPLE_PROBE_STRIDE-th observed step
-    // times its draw so the epoch can attribute sweep time to sampling
-    // without paying two clock reads per step. Clock reads never touch
-    // the RNG stream, so probed and unprobed fits stay bit-identical.
-    let probe_t = if local.enabled {
-        local.calls += 1;
-        (local.calls & (SAMPLE_PROBE_STRIDE - 1) == 1).then(Instant::now)
-    } else {
-        None
-    };
-
-    // The paper's SGD record: a uniform observed pair (u, i) plus the
-    // sampler's completion (k, j).
-    let (u, i) = sample_observed_pair(data, rng);
-    let drawn = sampler.complete(data, model, u, i, rng);
-    if let Some(t0) = probe_t {
-        local.probe_ns += t0.elapsed().as_nanos() as u64;
-        local.probed += 1;
-    }
-    let Some((k, j)) = drawn else {
-        if local.enabled {
-            local.skipped += 1;
-        }
-        return;
-    };
-
-    // Kernel choice is per-fit, not per-step: the scalar dot (default)
-    // preserves historical trajectories bit-for-bit; the wide dot
-    // (`simd_training`) reassociates the lane sum for throughput.
-    let score: fn(&MfModel, UserId, ItemId) -> f32 = if p.wide {
-        MfModel::score_wide
-    } else {
-        MfModel::score
-    };
-    let f_ui = score(model, u, i);
-    let f_uk = if k == i { f_ui } else { score(model, u, k) };
-    let f_uj = score(model, u, j);
-    let r = p.weights.criterion(f_ui, f_uk, f_uj);
-    // Eq. 23: every parameter gradient carries the scale 1 − σ(R).
-    let g = sigmoid(-r);
-
-    if local.enabled {
-        local.sampled += 1;
-        local.loss += -ln_sigmoid(r as f64);
-        local.gsum += g as f64;
+    fn sampler(&self) -> &'static str {
+        self.sampler.name()
     }
 
-    model.copy_user_into(u, u_old);
-
-    let CriterionWeights {
-        c_i: ci,
-        c_k: ck,
-        c_j: cj,
-    } = p.weights;
-
-    // ∂R/∂U_u = c_i V_i + c_k V_k + c_j V_j. The saxpy kernel is
-    // elementwise (lane t only ever touches slot t), so vectorizing it is
-    // bit-identical to the scalar loop it replaced and safe to use
-    // unconditionally, wide flag or not.
-    grad_u.fill(0.0);
-    for (t, c) in [(i, ci), (k, ck), (j, cj)] {
-        if c != 0.0 {
-            clapf_mf::simd::saxpy(grad_u, c, model.item(t));
-        }
-    }
-    shared.sgd_user(u, p.lr * g, grad_u, p.decay_u);
-
-    // Item updates use the user's pre-update factors; when the user
-    // has a single observed item k collapses onto i and the two
-    // coefficients merge.
-    if i == k {
-        shared.sgd_item(i, p.lr * g * (ci + ck), u_old, p.decay_v);
-        shared.sgd_bias(i, p.lr, g * (ci + ck), p.decay_b);
-    } else {
-        shared.sgd_item(i, p.lr * g * ci, u_old, p.decay_v);
-        shared.sgd_bias(i, p.lr, g * ci, p.decay_b);
-        shared.sgd_item(k, p.lr * g * ck, u_old, p.decay_v);
-        shared.sgd_bias(k, p.lr, g * ck, p.decay_b);
-    }
-    shared.sgd_item(j, p.lr * g * cj, u_old, p.decay_v);
-    shared.sgd_bias(j, p.lr, g * cj, p.decay_b);
-}
-
-/// The model label used in telemetry events.
-fn model_label(cfg: &ClapfConfig) -> String {
-    format!("CLAPF(λ={:.1})-{}", cfg.lambda, cfg.mode)
-}
-
-/// The shared SGD loop (Sec 4.3) over an arbitrary linear criterion.
-///
-/// The loop is structured as epochs (sampler-refresh intervals) so the
-/// observer sees the same boundaries as the parallel trainer; the
-/// refresh/step/checkpoint order — and hence the RNG stream — is exactly
-/// the flat loop it replaced.
-#[allow(clippy::too_many_arguments)]
-fn fit_inner<S, R, F>(
-    cfg: &ClapfConfig,
-    weights: CriterionWeights,
-    data: &Interactions,
-    sampler: &mut S,
-    rng: &mut R,
-    checkpoint_every: usize,
-    mut checkpoint: F,
-    observer: &mut dyn TrainObserver,
-) -> (MfModel, FitReport)
-where
-    S: TripleSampler + ?Sized,
-    R: Rng,
-    F: FnMut(usize, &MfModel),
-{
-    let start = Instant::now();
-    let model = MfModel::new(data.n_users(), data.n_items(), cfg.dim, cfg.init, rng);
-    // The serial path runs through the same shared view (from one thread)
-    // as the parallel trainer, so both execute identical arithmetic.
-    let shared = SharedMfModel::new(model);
-    let iterations = cfg.resolve_iterations(data.n_pairs());
-    let refresh_every = cfg.resolve_refresh(data.n_pairs());
-    let n_epochs = iterations.div_ceil(refresh_every);
-    let params = StepParams::new(cfg, weights);
-    let observing = observer.enabled();
-
-    observer.on_fit_start(&FitMeta {
-        model: model_label(cfg),
-        sampler: sampler.name().to_string(),
-        dim: cfg.dim,
-        iterations,
-        threads: 1,
-        n_users: data.n_users(),
-        n_items: data.n_items(),
-        n_pairs: data.n_pairs(),
-    });
-
-    let mut u_old = vec![0.0f32; cfg.dim];
-    let mut grad_u = vec![0.0f32; cfg.dim];
-    let mut local = StepLocal::new(observing);
-    let mut epochs = Vec::with_capacity(n_epochs);
-    let mut aborted_at = None;
-    let mut steps_done = 0usize;
-    let mut epoch_clock = Instant::now();
-
-    for epoch in 0..n_epochs {
-        let refresh_t = Instant::now();
-        sampler.refresh(shared.view());
-        let refresh_secs = refresh_t.elapsed().as_secs_f64();
-        let mut checkpoint_secs = 0.0f64;
-        let sweep_t = Instant::now();
-        let epoch_start = epoch * refresh_every;
-        let epoch_end = ((epoch + 1) * refresh_every).min(iterations);
-        for step in epoch_start..epoch_end {
-            sgd_step(
-                &shared, data, sampler, rng, &params, &mut u_old, &mut grad_u, &mut local,
-            );
-
-            if checkpoint_every > 0 && (step + 1) % checkpoint_every == 0 {
-                let ckpt_t = Instant::now();
-                checkpoint(step + 1, shared.view());
-                checkpoint_secs += ckpt_t.elapsed().as_secs_f64();
-            }
-        }
-        let sweep_secs = (sweep_t.elapsed().as_secs_f64() - checkpoint_secs).max(0.0);
-        steps_done = epoch_end;
-
-        let now = Instant::now();
-        let stats = build_epoch_stats(
-            epoch,
-            epoch_end - epoch_start,
-            steps_done,
-            now - epoch_clock,
-            local.take(),
-            observing.then(|| shared.view()),
-            PhaseTimings {
-                refresh_secs,
-                sweep_secs,
-                sampling_secs: 0.0, // extrapolated from the probes inside
-                checkpoint_secs,
-            },
-        );
-        epoch_clock = now;
-        let control = observer.on_epoch(&stats);
-        let bad = stats.non_finite;
-        epochs.push(stats);
-        if bad {
-            observer.on_divergence(steps_done);
-        }
-        if bad || control == Control::Abort {
-            if steps_done < iterations {
-                aborted_at = Some(steps_done);
-            }
-            break;
-        }
-    }
-    checkpoint(steps_done, shared.view());
-
-    let model = shared.into_inner();
-    let elapsed = start.elapsed();
-    let diverged = model.has_non_finite();
-    observer.on_fit_end(&FitSummary {
-        steps: steps_done,
-        elapsed,
-        diverged,
-        aborted_at,
-    });
-    let report = FitReport {
-        iterations: steps_done,
-        elapsed,
-        sampler: sampler.name(),
-        diverged,
-        epochs,
-        aborted_at,
-        recoveries: 0,
-        resumed_from: None,
-    };
-    (model, report)
-}
-
-/// Captures the run state at an epoch edge into a [`Checkpoint`].
-fn snapshot(
-    fp: &str,
-    epoch: usize,
-    steps_done: usize,
-    rng: &SmallRng,
-    lr_scale: f32,
-    retries: u32,
-    model: &MfModel,
-) -> Checkpoint {
-    Checkpoint {
-        version: CHECKPOINT_VERSION,
-        fingerprint: fp.to_string(),
-        epoch,
-        steps_done,
-        rng_state: rng.state().to_vec(),
-        lr_scale,
-        retries,
-        model: model.clone(),
-    }
-}
-
-/// The crash-safe serial loop behind [`Clapf::fit_resumable`].
-///
-/// Mirrors [`fit_inner`] exactly on the RNG stream — same init, same
-/// per-epoch refresh → step order — so an uninterrupted run is bit-identical
-/// to `fit`. Everything this loop adds (checkpoint writes, divergence
-/// rollback, resume) happens *off* the RNG stream at epoch edges.
-#[allow(clippy::too_many_arguments)]
-fn fit_resumable_inner<S>(
-    cfg: &ClapfConfig,
-    weights: CriterionWeights,
-    data: &Interactions,
-    sampler: &mut S,
-    base_seed: u64,
-    ckpt_cfg: &CheckpointConfig,
-    observer: &mut dyn TrainObserver,
-) -> Result<(MfModel, FitReport), CheckpointError>
-where
-    S: TripleSampler + ?Sized,
-{
-    let start = Instant::now();
-    let iterations = cfg.resolve_iterations(data.n_pairs());
-    let refresh_every = cfg.resolve_refresh(data.n_pairs());
-    let n_epochs = iterations.div_ceil(refresh_every);
-    let every = ckpt_cfg.resolve_every();
-    let observing = observer.enabled();
-
-    let fp = checkpoint::fingerprint(&[
-        ("model", model_label(cfg)),
-        ("dim", cfg.dim.to_string()),
-        ("sgd", format!("{:?}", cfg.sgd)),
-        ("init", format!("{:?}", cfg.init)),
-        ("iterations", iterations.to_string()),
-        ("refresh", refresh_every.to_string()),
-        ("sampler", sampler.name().to_string()),
-        ("seed", base_seed.to_string()),
-        // The score-kernel choice changes per-step rounding, so resuming a
-        // scalar-kernel checkpoint under the wide kernel (or vice versa)
-        // would splice two different trajectories.
-        ("kernel", if cfg.simd_training { "wide" } else { "scalar" }.to_string()),
-        (
-            "data",
-            format!("{}x{}:{}", data.n_users(), data.n_items(), data.n_pairs()),
-        ),
-    ]);
-
-    std::fs::create_dir_all(&ckpt_cfg.dir)?;
-    if !ckpt_cfg.resume {
-        // A non-resuming run must also never leave stale snapshots a later
-        // `--resume` could silently pick up.
-        checkpoint::clear(&ckpt_cfg.dir)?;
-    }
-    let resumed = if ckpt_cfg.resume {
-        checkpoint::latest(&ckpt_cfg.dir, &fp)?
-    } else {
-        None
-    };
-
-    let (mut shared, mut rng, mut epoch, mut lr_scale, mut retries, resumed_from) = match resumed {
-        Some(c) => {
-            let rng = SmallRng::from_state(c.rng_words()?);
-            let epoch = c.epoch;
+    fn fingerprint(&self, plan: &Plan, seed: u64) -> Vec<(&'static str, String)> {
+        let cfg = &self.config;
+        vec![
+            ("model", self.label()),
+            ("dim", cfg.dim.to_string()),
+            ("sgd", format!("{:?}", cfg.sgd)),
+            ("init", format!("{:?}", cfg.init)),
+            ("iterations", plan.iterations.to_string()),
+            ("refresh", plan.epoch_steps.to_string()),
+            ("sampler", self.sampler.name().to_string()),
+            ("seed", seed.to_string()),
+            // The score-kernel choice changes per-step rounding, so resuming
+            // a scalar-kernel checkpoint under the wide kernel (or vice
+            // versa) would splice two different trajectories.
             (
-                SharedMfModel::new(c.model),
-                rng,
-                epoch,
-                c.lr_scale,
-                c.retries,
-                Some(epoch),
-            )
-        }
-        None => {
-            let mut rng = SmallRng::seed_from_u64(base_seed);
-            let model = MfModel::new(data.n_users(), data.n_items(), cfg.dim, cfg.init, &mut rng);
-            // Epoch-0 checkpoint: the rollback target if the very first
-            // epoch diverges, and the resume point for a crash before the
-            // first cadence save.
-            checkpoint::save(ckpt_cfg, &snapshot(&fp, 0, 0, &rng, 1.0, 0, &model))?;
-            (SharedMfModel::new(model), rng, 0, 1.0f32, 0u32, None)
-        }
-    };
+                "kernel",
+                if cfg.simd_training { "wide" } else { "scalar" }.to_string(),
+            ),
+        ]
+    }
 
-    observer.on_fit_start(&FitMeta {
-        model: model_label(cfg),
-        sampler: sampler.name().to_string(),
-        dim: cfg.dim,
-        iterations,
-        threads: 1,
-        n_users: data.n_users(),
-        n_items: data.n_items(),
-        n_pairs: data.n_pairs(),
-    });
+    fn refresh(&mut self, model: &MfModel) {
+        self.sampler.refresh(model);
+    }
 
-    let mut u_old = vec![0.0f32; cfg.dim];
-    let mut grad_u = vec![0.0f32; cfg.dim];
-    let mut local = StepLocal::new(observing);
-    let mut epochs = Vec::with_capacity(n_epochs.saturating_sub(epoch));
-    let mut aborted_at = None;
-    let mut recoveries = 0u32;
-    let mut steps_done = (epoch * refresh_every).min(iterations);
-    let mut params = StepParams::scaled(cfg, weights, lr_scale);
-    let mut epoch_clock = Instant::now();
+    fn set_lr_scale(&mut self, scale: f32) {
+        self.rates = SgdRates::scaled(&self.config.sgd, scale);
+    }
 
-    // Checkpoint saves land after an epoch's stats are built, so their
-    // cost is carried into the *next* epoch's attribution.
-    let mut carried_checkpoint_secs = 0.0f64;
-    while epoch < n_epochs {
-        let refresh_t = Instant::now();
-        sampler.refresh(shared.view());
-        let refresh_secs = refresh_t.elapsed().as_secs_f64();
-        let sweep_t = Instant::now();
-        let epoch_start = epoch * refresh_every;
-        let epoch_end = ((epoch + 1) * refresh_every).min(iterations);
-        for _ in epoch_start..epoch_end {
-            sgd_step(
-                &shared, data, sampler, &mut rng, &params, &mut u_old, &mut grad_u, &mut local,
-            );
-        }
-        let sweep_secs = sweep_t.elapsed().as_secs_f64();
-        steps_done = epoch_end;
+    fn fork(&self) -> Option<Box<dyn Step + Send>> {
+        let sampler = self.sampler.fork()?;
+        Some(Box::new(ClapfStep {
+            config: self.config,
+            weights: self.weights,
+            sampler,
+            rates: self.rates,
+            u_old: self.u_old.clone(),
+            grad_u: self.grad_u.clone(),
+        }))
+    }
 
-        let now = Instant::now();
-        let stats = build_epoch_stats(
-            epoch,
-            epoch_end - epoch_start,
-            steps_done,
-            now - epoch_clock,
-            local.take(),
-            observing.then(|| shared.view()),
-            PhaseTimings {
-                refresh_secs,
-                sweep_secs,
-                sampling_secs: 0.0, // extrapolated from the probes inside
-                checkpoint_secs: std::mem::take(&mut carried_checkpoint_secs),
-            },
-        );
-        epoch_clock = now;
-        let control = observer.on_epoch(&stats);
-        // Divergence detection must not depend on an enabled observer on
-        // this path — recovery is its contract, observed or not.
-        let bad = if observing {
-            stats.non_finite
-        } else {
-            shared.view().has_non_finite()
+    #[inline]
+    fn step(
+        &mut self,
+        shared: &SharedMfModel,
+        data: &Interactions,
+        rng: &mut dyn RngCore,
+        tally: &mut StepTally,
+    ) {
+        let model = shared.view();
+        let p = &self.rates;
+
+        // The paper's SGD record: a uniform observed pair (u, i) plus the
+        // sampler's completion (k, j).
+        let probe = tally.start_draw();
+        let (u, i) = sample_observed_pair(data, rng);
+        let drawn = self.sampler.complete(data, model, u, i, rng);
+        tally.end_draw(probe);
+        let Some((k, j)) = drawn else {
+            tally.skip();
+            return;
         };
-        epochs.push(stats);
-        if bad {
-            observer.on_divergence(steps_done);
-            if retries < ckpt_cfg.max_retries {
-                if let Some(c) = checkpoint::latest(&ckpt_cfg.dir, &fp)? {
-                    retries += 1;
-                    recoveries += 1;
-                    lr_scale = c.lr_scale * ckpt_cfg.lr_backoff;
-                    params = StepParams::scaled(cfg, weights, lr_scale);
-                    rng = SmallRng::from_state(c.rng_words()?);
-                    epoch = c.epoch;
-                    steps_done = c.steps_done;
-                    shared = SharedMfModel::new(c.model);
-                    // Persist the shrunk learning rate: a crash right after
-                    // the rollback must resume with it, not re-diverge.
-                    checkpoint::save(
-                        ckpt_cfg,
-                        &snapshot(&fp, epoch, steps_done, &rng, lr_scale, retries, shared.view()),
-                    )?;
-                    continue;
-                }
+
+        // Kernel choice is per-fit, not per-step: the scalar dot (default)
+        // preserves historical trajectories bit-for-bit; the wide dot
+        // (`simd_training`) reassociates the lane sum for throughput.
+        let score: fn(&MfModel, UserId, ItemId) -> f32 = if self.config.simd_training {
+            MfModel::score_wide
+        } else {
+            MfModel::score
+        };
+        let f_ui = score(model, u, i);
+        let f_uk = if k == i { f_ui } else { score(model, u, k) };
+        let f_uj = score(model, u, j);
+        let r = self.weights.criterion(f_ui, f_uk, f_uj);
+        // Eq. 23: every parameter gradient carries the scale 1 − σ(R).
+        let g = sigmoid(-r);
+        tally.record(r, g);
+
+        let (u_old, grad_u) = (&mut self.u_old, &mut self.grad_u);
+        model.copy_user_into(u, u_old);
+
+        let CriterionWeights {
+            c_i: ci,
+            c_k: ck,
+            c_j: cj,
+        } = self.weights;
+
+        // ∂R/∂U_u = c_i V_i + c_k V_k + c_j V_j. The saxpy kernel is
+        // elementwise (lane t only ever touches slot t), so vectorizing it is
+        // bit-identical to the scalar loop it replaced and safe to use
+        // unconditionally, wide flag or not.
+        grad_u.fill(0.0);
+        for (t, c) in [(i, ci), (k, ck), (j, cj)] {
+            if c != 0.0 {
+                clapf_mf::simd::saxpy(grad_u, c, model.item(t));
             }
-            if steps_done < iterations {
-                aborted_at = Some(steps_done);
-            }
-            break;
         }
-        if control == Control::Abort {
-            if steps_done < iterations {
-                aborted_at = Some(steps_done);
-            }
-            break;
-        }
+        shared.sgd_user(u, p.lr * g, grad_u, p.decay_u);
 
-        epoch += 1;
-        if epoch % every == 0 || epoch == n_epochs {
-            let ckpt_t = Instant::now();
-            checkpoint::save(
-                ckpt_cfg,
-                &snapshot(&fp, epoch, steps_done, &rng, lr_scale, retries, shared.view()),
-            )?;
-            carried_checkpoint_secs += ckpt_t.elapsed().as_secs_f64();
+        // Item updates use the user's pre-update factors; when the user
+        // has a single observed item k collapses onto i and the two
+        // coefficients merge.
+        if i == k {
+            shared.sgd_item(i, p.lr * g * (ci + ck), u_old, p.decay_v);
+            shared.sgd_bias(i, p.lr, g * (ci + ck), p.decay_b);
+        } else {
+            shared.sgd_item(i, p.lr * g * ci, u_old, p.decay_v);
+            shared.sgd_bias(i, p.lr, g * ci, p.decay_b);
+            shared.sgd_item(k, p.lr * g * ck, u_old, p.decay_v);
+            shared.sgd_bias(k, p.lr, g * ck, p.decay_b);
         }
+        shared.sgd_item(j, p.lr * g * cj, u_old, p.decay_v);
+        shared.sgd_bias(j, p.lr, g * cj, p.decay_b);
     }
-
-    let model = shared.into_inner();
-    let elapsed = start.elapsed();
-    let diverged = model.has_non_finite();
-    observer.on_fit_end(&FitSummary {
-        steps: steps_done,
-        elapsed,
-        diverged,
-        aborted_at,
-    });
-    let report = FitReport {
-        iterations: steps_done,
-        elapsed,
-        sampler: sampler.name(),
-        diverged,
-        epochs,
-        aborted_at,
-        recoveries,
-        resumed_from,
-    };
-    Ok((model, report))
-}
-
-/// The Hogwild parallel loop: workers share the model through
-/// [`SharedMfModel`], claim chunks of steps from a shared counter, and
-/// synchronize on a barrier once per refresh interval ("epoch") so sampler
-/// refreshes see a quiescent model.
-///
-/// Observer choreography: worker 0 carries the `&mut dyn TrainObserver` and
-/// invokes it between the two epoch barriers, where no worker is stepping —
-/// the other workers are at most *reading* the model to refresh their
-/// samplers, so per-epoch norms and NaN checks see consistent parameters.
-/// Each worker flushes its [`StepLocal`] into the shared accumulator
-/// *before* the first barrier, so worker 0's drain observes every count from
-/// the finished epoch (the barrier supplies the happens-before edge). An
-/// abort is published before the second barrier and checked by every worker
-/// after it, so all workers leave at the same epoch edge and the barrier
-/// never deadlocks. The final epoch's stats are assembled on the caller's
-/// thread once the scope has joined.
-fn fit_parallel_inner<S>(
-    cfg: &ClapfConfig,
-    weights: CriterionWeights,
-    data: &Interactions,
-    sampler: &S,
-    base_seed: u64,
-    observer: &mut dyn TrainObserver,
-) -> (MfModel, FitReport)
-where
-    S: TripleSampler + Clone + Send,
-{
-    let start = Instant::now();
-    let threads = cfg.parallel.resolve_threads();
-    let chunk = cfg.parallel.resolve_chunk();
-
-    let mut init_rng = SmallRng::seed_from_u64(base_seed);
-    let model = MfModel::new(data.n_users(), data.n_items(), cfg.dim, cfg.init, &mut init_rng);
-    let shared = SharedMfModel::new(model);
-    let iterations = cfg.resolve_iterations(data.n_pairs());
-    let refresh_every = cfg.resolve_refresh(data.n_pairs());
-    let n_epochs = iterations.div_ceil(refresh_every);
-    let params = StepParams::new(cfg, weights);
-    let sampler_name = sampler.name();
-    let observing = observer.enabled();
-
-    observer.on_fit_start(&FitMeta {
-        model: model_label(cfg),
-        sampler: sampler_name.to_string(),
-        dim: cfg.dim,
-        iterations,
-        threads,
-        n_users: data.n_users(),
-        n_items: data.n_items(),
-        n_pairs: data.n_pairs(),
-    });
-
-    // Worker 0 continues the init RNG stream — with one thread that makes
-    // this loop consume the exact RNG sequence of the serial path. Extra
-    // workers get independent streams derived from the base seed.
-    let mut rngs = Vec::with_capacity(threads);
-    rngs.push(init_rng);
-    for w in 1..threads {
-        rngs.push(SmallRng::seed_from_u64(base_seed.wrapping_add(w as u64)));
-    }
-
-    let counter = AtomicUsize::new(0);
-    let barrier = Barrier::new(threads);
-    let abort = AtomicBool::new(false);
-    let accum = Mutex::new(StepLocal::new(observing));
-    let epochs = Mutex::new(Vec::with_capacity(n_epochs));
-    // Worker 0 parks the final epoch's wall clock and its refresh seconds
-    // here so the caller's thread can attribute that epoch after the join.
-    let last_epoch_elapsed = Mutex::new((Duration::ZERO, 0.0f64));
-    // Only worker 0 invokes the observer (and only between barriers); the
-    // mutex exists to hand the `&mut` across the scope, not for contention.
-    let obs_mutex = Mutex::new(observer);
-
-    std::thread::scope(|scope| {
-        for (w, mut wrng) in rngs.into_iter().enumerate() {
-            let mut wsampler = sampler.clone();
-            let shared = &shared;
-            let counter = &counter;
-            let barrier = &barrier;
-            let abort = &abort;
-            let accum = &accum;
-            let epochs = &epochs;
-            let last_epoch_elapsed = &last_epoch_elapsed;
-            let obs_mutex = &obs_mutex;
-            let is_obs_worker = w == 0;
-            scope.spawn(move || {
-                let mut u_old = vec![0.0f32; cfg.dim];
-                let mut grad_u = vec![0.0f32; cfg.dim];
-                let mut local = StepLocal::new(observing);
-                let mut epoch_clock = Instant::now();
-                // Worker 0's own refresh duration for the epoch whose stats
-                // are built one iteration later (and, at the end, on the
-                // caller's thread).
-                let mut prev_refresh_secs = 0.0f64;
-                for epoch in 0..n_epochs {
-                    // Publish this worker's counts for the finished epoch
-                    // before the barrier, so the drain below sees them all.
-                    if observing && epoch > 0 {
-                        local.flush_into(accum);
-                    }
-                    // Between these two waits no worker is stepping, so the
-                    // leader's counter reset, every sampler refresh and the
-                    // observer's model scan read a quiescent model; the
-                    // second wait publishes all of it.
-                    let at_start = barrier.wait();
-                    if at_start.is_leader() {
-                        counter.store(epoch * refresh_every, Ordering::Relaxed);
-                    }
-                    if is_obs_worker && epoch > 0 {
-                        let now = Instant::now();
-                        let steps_total = epoch * refresh_every;
-                        let acc = accum.lock().expect("telemetry accumulator lock").take();
-                        let epoch_secs = (now - epoch_clock).as_secs_f64();
-                        let stats = build_epoch_stats(
-                            epoch - 1,
-                            refresh_every,
-                            steps_total,
-                            now - epoch_clock,
-                            acc,
-                            observing.then(|| shared.view()),
-                            PhaseTimings {
-                                refresh_secs: prev_refresh_secs,
-                                sweep_secs: (epoch_secs - prev_refresh_secs).max(0.0),
-                                sampling_secs: 0.0,
-                                checkpoint_secs: 0.0,
-                            },
-                        );
-                        epoch_clock = now;
-                        let mut o = obs_mutex.lock().expect("telemetry observer lock");
-                        let control = o.on_epoch(&stats);
-                        let bad = stats.non_finite;
-                        epochs.lock().expect("telemetry epochs lock").push(stats);
-                        if bad {
-                            o.on_divergence(steps_total);
-                        }
-                        if bad || control == Control::Abort {
-                            abort.store(true, Ordering::Relaxed);
-                        }
-                    }
-                    let refresh_t = Instant::now();
-                    wsampler.refresh(shared.view());
-                    if is_obs_worker {
-                        prev_refresh_secs = refresh_t.elapsed().as_secs_f64();
-                    }
-                    barrier.wait();
-                    // Every worker reads the decision after the same
-                    // barrier, so all of them exit at this epoch edge.
-                    if abort.load(Ordering::Relaxed) {
-                        break;
-                    }
-
-                    let epoch_end = ((epoch + 1) * refresh_every).min(iterations);
-                    loop {
-                        let s = counter.fetch_add(chunk, Ordering::Relaxed);
-                        if s >= epoch_end {
-                            break;
-                        }
-                        for _ in s..(s + chunk).min(epoch_end) {
-                            sgd_step(
-                                shared,
-                                data,
-                                &mut wsampler,
-                                &mut wrng,
-                                &params,
-                                &mut u_old,
-                                &mut grad_u,
-                                &mut local,
-                            );
-                        }
-                    }
-                }
-                // Final flush: the last executed epoch's counts, assembled
-                // into stats on the caller's thread after the join.
-                if observing {
-                    local.flush_into(accum);
-                }
-                if is_obs_worker {
-                    *last_epoch_elapsed.lock().expect("telemetry clock lock") =
-                        (epoch_clock.elapsed(), prev_refresh_secs);
-                }
-            });
-        }
-    });
-
-    let observer = obs_mutex.into_inner().expect("telemetry observer lock");
-
-    let mut epochs = epochs.into_inner().expect("telemetry epochs lock");
-    let aborted = abort.load(Ordering::Relaxed);
-    let steps_done = if aborted {
-        // Abort fires at an epoch edge after `epochs.len()` full epochs.
-        epochs.len() * refresh_every
-    } else {
-        iterations
-    };
-    if !aborted && n_epochs > 0 {
-        // The final epoch was never followed by a barrier, so its stats are
-        // built here, from the joined (quiescent) model.
-        let epoch_start = (n_epochs - 1) * refresh_every;
-        let (final_elapsed, final_refresh_secs) =
-            *last_epoch_elapsed.lock().expect("telemetry clock lock");
-        let stats = build_epoch_stats(
-            n_epochs - 1,
-            iterations - epoch_start,
-            iterations,
-            final_elapsed,
-            accum.into_inner().expect("telemetry accumulator lock"),
-            observing.then(|| shared.view()),
-            PhaseTimings {
-                refresh_secs: final_refresh_secs,
-                sweep_secs: (final_elapsed.as_secs_f64() - final_refresh_secs).max(0.0),
-                sampling_secs: 0.0,
-                checkpoint_secs: 0.0,
-            },
-        );
-        let _ = observer.on_epoch(&stats);
-        if stats.non_finite {
-            observer.on_divergence(iterations);
-        }
-        epochs.push(stats);
-    }
-
-    let model = shared.into_inner();
-    let elapsed = start.elapsed();
-    let diverged = model.has_non_finite();
-    let aborted_at = aborted.then_some(steps_done);
-    observer.on_fit_end(&FitSummary {
-        steps: steps_done,
-        elapsed,
-        diverged,
-        aborted_at,
-    });
-    let report = FitReport {
-        iterations: steps_done,
-        elapsed,
-        sampler: sampler_name,
-        diverged,
-        epochs,
-        aborted_at,
-        recoveries: 0,
-        resumed_from: None,
-    };
-    (model, report)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ClapfMode;
+    use crate::{CheckpointConfig, ClapfMode};
     use clapf_data::synthetic::{generate, WorldConfig};
     use clapf_metrics::{evaluate_serial, EvalConfig};
     use clapf_sampling::{DssMode, DssSampler, UniformSampler};
+    use clapf_telemetry::{Control, EpochStats, FitMeta, FitSummary};
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
+    use std::time::Duration;
+
+    fn observed(observer: &mut dyn TrainObserver) -> FitOptions<'_> {
+        FitOptions {
+            observer: Some(observer),
+            ..FitOptions::default()
+        }
+    }
+
+    fn checkpointed<'a>(
+        ckpt: &'a CheckpointConfig,
+        observer: &'a mut dyn TrainObserver,
+    ) -> FitOptions<'a> {
+        FitOptions {
+            observer: Some(observer),
+            checkpoint: Some(ckpt),
+            probe: None,
+        }
+    }
 
     fn world(seed: u64) -> Interactions {
         let cfg = WorldConfig {
@@ -1210,8 +435,14 @@ mod tests {
         let a = fit(9);
         let b = fit(9);
         let c = fit(10);
-        assert_eq!(a.mf.score(UserId(3), ItemId(5)), b.mf.score(UserId(3), ItemId(5)));
-        assert_ne!(a.mf.score(UserId(3), ItemId(5)), c.mf.score(UserId(3), ItemId(5)));
+        assert_eq!(
+            a.mf.score(UserId(3), ItemId(5)),
+            b.mf.score(UserId(3), ItemId(5))
+        );
+        assert_ne!(
+            a.mf.score(UserId(3), ItemId(5)),
+            c.mf.score(UserId(3), ItemId(5))
+        );
     }
 
     #[test]
@@ -1236,12 +467,18 @@ mod tests {
             iterations: 1_000,
             ..quick_config(ClapfMode::Map, 0.3)
         });
-        let mut rng = SmallRng::seed_from_u64(1);
         let mut seen = Vec::new();
-        trainer.fit_with_checkpoints(&data, &mut UniformSampler, &mut rng, 250, |s, m| {
+        let mut probe = |s: usize, m: &MfModel| {
             assert!(!m.has_non_finite());
             seen.push(s);
-        });
+        };
+        let opts = FitOptions {
+            probe: Some((250, &mut probe)),
+            ..FitOptions::default()
+        };
+        trainer
+            .fit_with(&data, &mut UniformSampler, 1, opts)
+            .unwrap();
         assert_eq!(seen, vec![250, 500, 750, 1000, 1000]);
     }
 
@@ -1251,9 +488,13 @@ mod tests {
         // the untrained (random-init) model by a wide margin on AUC.
         let data = world(4);
         let mut rng = SmallRng::seed_from_u64(5);
-        let split =
-            clapf_data::split::split(&data, clapf_data::split::SplitStrategy::PerUser, 0.5, &mut rng)
-                .unwrap();
+        let split = clapf_data::split::split(
+            &data,
+            clapf_data::split::SplitStrategy::PerUser,
+            0.5,
+            &mut rng,
+        )
+        .unwrap();
         let trainer = Clapf::new(ClapfConfig {
             iterations: 120_000,
             ..quick_config(ClapfMode::Map, 0.4)
@@ -1323,7 +564,7 @@ mod tests {
 
     #[test]
     fn threads_1_is_bitwise_serial() {
-        // fit_parallel with one worker must reproduce fit exactly: same
+        // fit_with at one worker must reproduce fit exactly: same
         // init, same RNG stream, same kernel, same step order.
         let data = world(12);
         let cfg = ClapfConfig {
@@ -1335,7 +576,10 @@ mod tests {
             let mut rng = SmallRng::seed_from_u64(42);
             trainer.fit(&data, &mut UniformSampler, &mut rng).0
         };
-        let parallel = trainer.fit_parallel(&data, &UniformSampler, 42).0;
+        let parallel = trainer
+            .fit_with(&data, &mut UniformSampler, 42, FitOptions::default())
+            .unwrap()
+            .0;
         for u in data.users() {
             for i in data.items() {
                 assert_eq!(
@@ -1364,7 +608,13 @@ mod tests {
             trainer.fit(&data, &mut sampler, &mut rng).0
         };
         let parallel = trainer
-            .fit_parallel(&data, &DssSampler::dss(DssMode::Map), 8)
+            .fit_with(
+                &data,
+                &mut DssSampler::dss(DssMode::Map),
+                8,
+                FitOptions::default(),
+            )
+            .unwrap()
             .0;
         for u in data.users() {
             for i in data.items() {
@@ -1401,7 +651,9 @@ mod tests {
 
         let serial = {
             let mut rng = SmallRng::seed_from_u64(42);
-            Clapf::new(cfg).fit(&split.train, &mut UniformSampler, &mut rng).0
+            Clapf::new(cfg)
+                .fit(&split.train, &mut UniformSampler, &mut rng)
+                .0
         };
         let trainer = Clapf::new(ClapfConfig {
             parallel: crate::ParallelConfig {
@@ -1410,7 +662,9 @@ mod tests {
             },
             ..cfg
         });
-        let (par, report) = trainer.fit_parallel(&split.train, &UniformSampler, 42);
+        let (par, report) = trainer
+            .fit_with(&split.train, &mut UniformSampler, 42, FitOptions::default())
+            .unwrap();
         assert!(!report.diverged);
 
         let s = eval(&serial);
@@ -1431,7 +685,7 @@ mod tests {
 
     #[test]
     fn dss_refresh_under_threads_stays_finite() {
-        // Stress the epoch barrier: many workers, a rank-aware sampler
+        // Stress the epoch fan-out: many workers, a rank-aware sampler
         // that rebuilds per-epoch ranking lists, tiny chunks so every
         // epoch sees heavy counter contention. Must not deadlock, panic,
         // or blow up the parameters.
@@ -1445,8 +699,14 @@ mod tests {
             },
             ..quick_config(ClapfMode::Map, 0.4)
         });
-        let (model, report) =
-            trainer.fit_parallel(&data, &DssSampler::dss(DssMode::Map), 3);
+        let (model, report) = trainer
+            .fit_with(
+                &data,
+                &mut DssSampler::dss(DssMode::Map),
+                3,
+                FitOptions::default(),
+            )
+            .unwrap();
         assert_eq!(report.iterations, 10_000);
         assert_eq!(report.sampler, "DSS");
         assert!(!report.diverged);
@@ -1454,8 +714,33 @@ mod tests {
     }
 
     #[test]
+    fn fan_out_refreshes_the_lead_once_per_epoch() {
+        // Workers start every epoch from copies of the refreshed lead
+        // sampler instead of refreshing their own: one refresh per epoch,
+        // whatever the thread count.
+        let data = world(15);
+        let trainer = Clapf::new(ClapfConfig {
+            iterations: 4_000,
+            refresh_every: 1_000,
+            parallel: crate::ParallelConfig {
+                threads: 4,
+                chunk_size: 64,
+            },
+            ..quick_config(ClapfMode::Map, 0.4)
+        });
+        let stats = clapf_sampling::DssStats::new();
+        let mut sampler = DssSampler::dss(DssMode::Map);
+        sampler.attach_stats(stats.clone());
+        let (_, report) = trainer
+            .fit_with(&data, &mut sampler, 3, FitOptions::default())
+            .unwrap();
+        assert_eq!(report.epochs.len(), 4);
+        assert_eq!(stats.refreshes.get(), 4);
+    }
+
+    #[test]
     fn custom_weights_reproduce_the_mode_path() {
-        // fit_with_weights with the MAP weights must produce the exact same
+        // A ClapfStep::with_weights of the MAP weights must produce the exact same
         // parameters as the standard fit (same RNG stream, same loop).
         let data = world(8);
         let cfg = ClapfConfig {
@@ -1469,11 +754,15 @@ mod tests {
         };
         let custom = {
             let mut rng = SmallRng::seed_from_u64(4);
-            let weights =
-                crate::objective::CriterionWeights::from_mode(ClapfMode::Map, 0.4);
-            trainer
-                .fit_with_weights(&data, weights, &mut UniformSampler, &mut rng)
-                .0
+            let weights = crate::objective::CriterionWeights::from_mode(ClapfMode::Map, 0.4);
+            train(
+                &data,
+                &mut ClapfStep::with_weights(trainer.config(), weights, &mut UniformSampler),
+                Seed::Stream(&mut rng),
+                FitOptions::default(),
+            )
+            .unwrap()
+            .0
         };
         for u in 0..5u32 {
             for i in 0..5u32 {
@@ -1500,7 +789,13 @@ mod tests {
             ..quick_config(ClapfMode::Map, 0.0)
         });
         let mut rng = SmallRng::seed_from_u64(5);
-        let (model, report) = trainer.fit_with_weights(&data, weights, &mut UniformSampler, &mut rng);
+        let (model, report) = train(
+            &data,
+            &mut ClapfStep::with_weights(trainer.config(), weights, &mut UniformSampler),
+            Seed::Stream(&mut rng),
+            FitOptions::default(),
+        )
+        .unwrap();
         assert!(!report.diverged);
         assert!(!model.has_non_finite());
         // It learns *something*: observed items outrank random unobserved
@@ -1579,7 +874,9 @@ mod tests {
         let observed = {
             let mut rng = SmallRng::seed_from_u64(21);
             let mut sampler = DssSampler::dss(DssMode::Map);
-            trainer.fit_observed(&data, &mut sampler, &mut rng, &mut obs).0
+            trainer
+                .fit_observed(&data, &mut sampler, &mut rng, &mut obs)
+                .0
         };
         assert_same_scores(&plain, &observed, &data, "serial observed vs unobserved");
         assert_eq!(obs.epochs.len(), 4);
@@ -1596,10 +893,14 @@ mod tests {
             refresh_every: 1_000,
             ..quick_config(ClapfMode::Map, 0.4)
         });
-        let plain = trainer.fit_parallel(&data, &UniformSampler, 77).0;
+        let plain = trainer
+            .fit_with(&data, &mut UniformSampler, 77, FitOptions::default())
+            .unwrap()
+            .0;
         let mut obs = Recording::default();
         let observed = trainer
-            .fit_parallel_observed(&data, &UniformSampler, 77, &mut obs)
+            .fit_with(&data, &mut UniformSampler, 77, observed(&mut obs))
+            .unwrap()
             .0;
         assert_same_scores(&plain, &observed, &data, "parallel observed vs unobserved");
         assert_eq!(obs.epochs.len(), 4);
@@ -1682,7 +983,8 @@ mod tests {
             ..quick_config(ClapfMode::Map, 0.4)
         });
         let mut rng = SmallRng::seed_from_u64(2);
-        let (_, report) = trainer.fit_observed(&data, &mut UniformSampler, &mut rng, &mut AbortFirst);
+        let (_, report) =
+            trainer.fit_observed(&data, &mut UniformSampler, &mut rng, &mut AbortFirst);
         assert_eq!(report.iterations, 1_000);
         assert_eq!(report.aborted_at, Some(1_000));
         assert_eq!(report.epochs.len(), 1);
@@ -1710,8 +1012,9 @@ mod tests {
             },
             ..quick_config(ClapfMode::Map, 0.4)
         });
-        let (model, report) =
-            trainer.fit_parallel_observed(&data, &UniformSampler, 5, &mut AbortAfter(2));
+        let (model, report) = trainer
+            .fit_with(&data, &mut UniformSampler, 5, observed(&mut AbortAfter(2)))
+            .unwrap();
         // Abort decided after epoch 1's stats, published at the next epoch
         // edge: 2 full epochs ran.
         assert_eq!(report.iterations, 2_000);
@@ -1745,10 +1048,8 @@ mod tests {
     }
 
     fn ckpt_dir(tag: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "clapf-trainer-ckpt-{}-{tag}",
-            std::process::id()
-        ));
+        let dir =
+            std::env::temp_dir().join(format!("clapf-trainer-ckpt-{}-{tag}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         dir
     }
@@ -1770,6 +1071,7 @@ mod tests {
 
     #[test]
     fn resumable_uninterrupted_matches_fit_bitwise() {
+        let _guard = clapf_faults::exclusive();
         let data = world(30);
         let trainer = Clapf::new(ClapfConfig {
             iterations: 6_000,
@@ -1783,12 +1085,11 @@ mod tests {
         };
         let dir = ckpt_dir("uninterrupted");
         let (resumable, report) = trainer
-            .fit_resumable(
+            .fit_with(
                 &data,
                 &mut DssSampler::dss(DssMode::Map),
                 31,
-                &CheckpointConfig::new(&dir),
-                &mut NoopObserver,
+                checkpointed(&CheckpointConfig::new(&dir), &mut NoopObserver),
             )
             .unwrap();
         assert_same_scores(&plain, &resumable, &data, "resumable vs fit");
@@ -1800,6 +1101,7 @@ mod tests {
 
     #[test]
     fn resume_after_interrupt_is_bit_identical() {
+        let _guard = clapf_faults::exclusive();
         // The tentpole contract: interrupt a serial fit at an epoch edge,
         // resume from the checkpoint, and land on the exact bits an
         // uninterrupted run produces.
@@ -1819,23 +1121,21 @@ mod tests {
         let ckpt = CheckpointConfig::new(&dir);
         // First run "crashes" after two of the four epochs.
         let (_, first) = trainer
-            .fit_resumable(
+            .fit_with(
                 &data,
                 &mut DssSampler::dss(DssMode::Map),
                 77,
-                &ckpt,
-                &mut AbortAfterEpochs(2),
+                checkpointed(&ckpt, &mut AbortAfterEpochs(2)),
             )
             .unwrap();
         assert_eq!(first.aborted_at, Some(3_000));
 
         let (resumed, report) = trainer
-            .fit_resumable(
+            .fit_with(
                 &data,
                 &mut DssSampler::dss(DssMode::Map),
                 77,
-                &ckpt,
-                &mut NoopObserver,
+                checkpointed(&ckpt, &mut NoopObserver),
             )
             .unwrap();
         assert!(report.resumed_from.is_some());
@@ -1846,6 +1146,7 @@ mod tests {
 
     #[test]
     fn resume_false_restarts_from_scratch() {
+        let _guard = clapf_faults::exclusive();
         let data = world(32);
         let trainer = Clapf::new(ClapfConfig {
             iterations: 3_000,
@@ -1855,14 +1156,24 @@ mod tests {
         let dir = ckpt_dir("fresh");
         let ckpt = CheckpointConfig::new(&dir);
         let (a, _) = trainer
-            .fit_resumable(&data, &mut UniformSampler, 5, &ckpt, &mut NoopObserver)
+            .fit_with(
+                &data,
+                &mut UniformSampler,
+                5,
+                checkpointed(&ckpt, &mut NoopObserver),
+            )
             .unwrap();
         let fresh = CheckpointConfig {
             resume: false,
             ..ckpt.clone()
         };
         let (b, report) = trainer
-            .fit_resumable(&data, &mut UniformSampler, 5, &fresh, &mut NoopObserver)
+            .fit_with(
+                &data,
+                &mut UniformSampler,
+                5,
+                checkpointed(&fresh, &mut NoopObserver),
+            )
             .unwrap();
         assert_eq!(report.resumed_from, None);
         assert_same_scores(&a, &b, &data, "fresh restart is a full deterministic rerun");
@@ -1871,6 +1182,7 @@ mod tests {
 
     #[test]
     fn divergence_recovery_rolls_back_and_completes() {
+        let _guard = clapf_faults::exclusive();
         // A blow-up learning rate diverges; the resumable path must roll
         // back to the last checkpoint, shrink the rate, and finish the run
         // finite instead of aborting. The aggressive backoff turns the
@@ -1890,7 +1202,12 @@ mod tests {
             ..CheckpointConfig::new(&dir)
         };
         let (model, report) = trainer
-            .fit_resumable(&data, &mut UniformSampler, 3, &ckpt, &mut NoopObserver)
+            .fit_with(
+                &data,
+                &mut UniformSampler,
+                3,
+                checkpointed(&ckpt, &mut NoopObserver),
+            )
             .unwrap();
         assert!(report.recoveries >= 1, "recovered at least once");
         assert!(!report.diverged, "recovery must end finite");
@@ -1902,6 +1219,7 @@ mod tests {
 
     #[test]
     fn divergence_without_retry_budget_aborts_like_before() {
+        let _guard = clapf_faults::exclusive();
         let data = world(34);
         let mut cfg = ClapfConfig {
             iterations: 20_000,
@@ -1916,7 +1234,12 @@ mod tests {
             ..CheckpointConfig::new(&dir)
         };
         let (_, report) = trainer
-            .fit_resumable(&data, &mut UniformSampler, 3, &ckpt, &mut NoopObserver)
+            .fit_with(
+                &data,
+                &mut UniformSampler,
+                3,
+                checkpointed(&ckpt, &mut NoopObserver),
+            )
             .unwrap();
         assert!(report.diverged);
         assert_eq!(report.recoveries, 0);
@@ -1926,6 +1249,7 @@ mod tests {
 
     #[test]
     fn resume_with_different_config_is_rejected() {
+        let _guard = clapf_faults::exclusive();
         let data = world(35);
         let dir = ckpt_dir("mismatch");
         let ckpt = CheckpointConfig::new(&dir);
@@ -1937,10 +1261,20 @@ mod tests {
             })
         };
         mk(0.4)
-            .fit_resumable(&data, &mut UniformSampler, 1, &ckpt, &mut NoopObserver)
+            .fit_with(
+                &data,
+                &mut UniformSampler,
+                1,
+                checkpointed(&ckpt, &mut NoopObserver),
+            )
             .unwrap();
         let err = mk(0.3)
-            .fit_resumable(&data, &mut UniformSampler, 1, &ckpt, &mut NoopObserver)
+            .fit_with(
+                &data,
+                &mut UniformSampler,
+                1,
+                checkpointed(&ckpt, &mut NoopObserver),
+            )
             .unwrap_err();
         assert!(matches!(err, CheckpointError::Mismatch { .. }), "{err}");
         std::fs::remove_dir_all(&dir).ok();
@@ -1973,14 +1307,24 @@ mod tests {
             Some(1),
         );
         let err = trainer
-            .fit_resumable(&data, &mut UniformSampler, 9, &ckpt, &mut NoopObserver)
+            .fit_with(
+                &data,
+                &mut UniformSampler,
+                9,
+                checkpointed(&ckpt, &mut NoopObserver),
+            )
             .unwrap_err();
         assert!(matches!(err, CheckpointError::Io(_)), "{err}");
         assert!(clapf_faults::hits("checkpoint.save.write") >= 3);
         clapf_faults::reset();
 
         let (resumed, report) = trainer
-            .fit_resumable(&data, &mut UniformSampler, 9, &ckpt, &mut NoopObserver)
+            .fit_with(
+                &data,
+                &mut UniformSampler,
+                9,
+                checkpointed(&ckpt, &mut NoopObserver),
+            )
             .unwrap();
         assert_eq!(report.resumed_from, Some(1), "epoch-2 save was torn");
         assert_same_scores(&uninterrupted, &resumed, &data, "resume after torn save");
@@ -1998,6 +1342,12 @@ mod tests {
         };
         let trainer = Clapf::new(quick_config(ClapfMode::Map, 0.0));
         let mut rng = SmallRng::seed_from_u64(6);
-        let _ = trainer.fit_with_weights(&data, weights, &mut UniformSampler, &mut rng);
+        let _ = train(
+            &data,
+            &mut ClapfStep::with_weights(trainer.config(), weights, &mut UniformSampler),
+            Seed::Stream(&mut rng),
+            FitOptions::default(),
+        )
+        .unwrap();
     }
 }

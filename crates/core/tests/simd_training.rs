@@ -3,7 +3,7 @@
 //! learning, and — because the kernel choice is per-fit, not per-thread —
 //! single-worker parallel training stays bit-identical to serial either way.
 
-use clapf_core::{Clapf, ClapfConfig, ClapfModel, Recommender};
+use clapf_core::{Clapf, ClapfConfig, ClapfModel, FitOptions, Recommender};
 use clapf_data::split::{split, Split, SplitStrategy};
 use clapf_data::synthetic::{generate, WorldConfig};
 use clapf_data::Interactions;
@@ -113,7 +113,7 @@ fn each_kernel_is_self_reproducible() {
     }
 }
 
-/// `fit_parallel` with one worker is bit-identical to `fit` with the wide
+/// `fit_with` at one worker is bit-identical to `fit` with the wide
 /// kernel enabled too — the kernel is chosen once per fit from the config,
 /// so thread count and kernel choice are orthogonal.
 #[test]
@@ -121,7 +121,10 @@ fn threads_1_is_bitwise_serial_with_wide_kernel() {
     let data = world(34);
     let cfg = quick(true);
     let serial = fit_serial(cfg, &data, 42);
-    let parallel = Clapf::new(cfg).fit_parallel(&data, &UniformSampler, 42).0;
+    let parallel = Clapf::new(cfg)
+        .fit_with(&data, &mut UniformSampler, 42, FitOptions::default())
+        .unwrap()
+        .0;
     assert_bitwise_equal(&serial, &parallel, &data);
 }
 

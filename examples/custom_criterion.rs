@@ -3,15 +3,16 @@
 //! The paper's conclusion invites new smoothed listwise metrics to be
 //! optimized "with our CLAPF framework". Both published instantiations are
 //! linear criteria `R = c_i·f_ui + c_k·f_uk + c_j·f_uj`; this example
-//! defines two custom ones, trains them with `Clapf::fit_with_weights`,
-//! and compares all four on the same split.
+//! defines two custom ones, trains each as a `ClapfStep::with_weights`
+//! through the shared SGD driver (`clapf::core::train`), and compares all
+//! four on the same split.
 //!
 //! ```sh
 //! cargo run --release -p clapf --example custom_criterion
 //! ```
 
 use clapf::core::objective::CriterionWeights;
-use clapf::core::{Clapf, ClapfConfig, ClapfMode};
+use clapf::core::{train, ClapfConfig, ClapfMode, ClapfStep, FitOptions, Seed};
 use clapf::data::split::{split, SplitStrategy};
 use clapf::data::synthetic::{generate, WorldConfig};
 use clapf::data::UserId;
@@ -67,11 +68,11 @@ fn main() {
         "{:<22} {:>8} {:>8} {:>8} {:>8}",
         "criterion", "NDCG@5", "MAP", "MRR", "AUC"
     );
-    let trainer = Clapf::new(ClapfConfig::map(lambda));
+    let config = ClapfConfig::map(lambda);
     for (name, weights) in criteria {
-        let mut rng = SmallRng::seed_from_u64(7);
-        let (model, report) =
-            trainer.fit_with_weights(&s.train, weights, &mut UniformSampler, &mut rng);
+        let mut step = ClapfStep::with_weights(&config, weights, UniformSampler);
+        let (model, report) = train(&s.train, &mut step, Seed::Base(7), FitOptions::default())
+            .expect("a fit without checkpoints does no I/O");
         assert!(!report.diverged, "{name} diverged");
         let scorer = |u: UserId, out: &mut Vec<f32>| model.scores_for_user(u, out);
         let eval = evaluate(&scorer, &s.train, &s.test, &EvalConfig::at_5());

@@ -8,11 +8,12 @@
 //! cargo run --release -p clapf --example sampler_ablation
 //! ```
 
-use clapf::core::{Clapf, ClapfConfig};
+use clapf::core::{Clapf, ClapfConfig, FitOptions};
 use clapf::data::split::{split, SplitStrategy};
 use clapf::data::synthetic::{generate, WorldConfig};
 use clapf::data::UserId;
 use clapf::metrics::{evaluate, EvalConfig};
+use clapf::mf::MfModel;
 use clapf::{DssMode, DssSampler, TripleSampler, UniformSampler};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -51,23 +52,24 @@ fn main() {
 
     let mut trajectories: Vec<Vec<(usize, f64)>> = Vec::new();
     for (_, mut sampler) in samplers {
-        let mut rng = SmallRng::seed_from_u64(7); // same stream for all samplers
         let trainer = Clapf::new(config);
         let mut traj = Vec::new();
-        trainer.fit_with_checkpoints(
-            &s.train,
-            sampler.as_mut(),
-            &mut rng,
-            checkpoint,
-            |step, mf| {
-                if traj.last().map(|&(s, _)| s) == Some(step) {
-                    return;
-                }
-                let scorer = |u: UserId, out: &mut Vec<f32>| mf.scores_for_user(u, out);
-                let report = evaluate(&scorer, &s.train, &s.test, &EvalConfig::at_5());
-                traj.push((step, report.map));
-            },
-        );
+        let mut probe = |step: usize, mf: &MfModel| {
+            if traj.last().map(|&(s, _)| s) == Some(step) {
+                return;
+            }
+            let scorer = |u: UserId, out: &mut Vec<f32>| mf.scores_for_user(u, out);
+            let report = evaluate(&scorer, &s.train, &s.test, &EvalConfig::at_5());
+            traj.push((step, report.map));
+        };
+        let opts = FitOptions {
+            probe: Some((checkpoint, &mut probe)),
+            ..FitOptions::default()
+        };
+        // Seed 7: the same stream for all samplers.
+        trainer
+            .fit_with(&s.train, sampler.as_mut(), 7, opts)
+            .expect("a fit without checkpoints does no I/O");
         trajectories.push(traj);
     }
 

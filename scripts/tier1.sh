@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 verification: the gate every PR must keep green.
 #
-#   scripts/tier1.sh            # build + tests + clippy
+#   scripts/tier1.sh            # build + tests + clippy + perfbench build + smokes
 #
 # Mirrors ROADMAP.md's tier-1 definition (release build, full test suite)
 # and adds a warnings-as-errors clippy pass over the workspace.
@@ -16,6 +16,13 @@ cargo test -q
 
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace -- -D warnings
+
+echo "==> perfbench build: the benchmark compiles against the training API"
+# perfbench/ trains through Clapf::fit_observed and reads FitReport,
+# PhaseTimings::sweep_secs and TripleSampler; an API break must fail here,
+# not in the benchmark run.
+CARGO_TARGET_DIR=.bench_build cargo build --release --offline \
+  --manifest-path perfbench/Cargo.toml
 
 echo "==> telemetry smoke: fit --metrics-out + trace validation"
 smoke_dir="$(mktemp -d)"
