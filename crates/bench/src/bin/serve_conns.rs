@@ -18,7 +18,7 @@
 
 use clapf_data::loader::{load_ratings_reader, Separator};
 use clapf_mf::{Init, MfModel};
-use clapf_serve::{start, ModelBundle, ServeConfig, Transport};
+use clapf_serve::{start, ModelBundle, ServeConfig};
 use clapf_telemetry::Registry;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -100,7 +100,6 @@ fn main() {
     let server = start(
         bundle_path.clone(),
         ServeConfig {
-            transport: Transport::EventLoop,
             workers: 2,
             max_conns: n_conns + 64,
             ..ServeConfig::default()

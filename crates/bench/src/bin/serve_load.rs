@@ -15,18 +15,17 @@
 //!   overload shows up as a shed (503) rate instead of a silently slower
 //!   client.
 //!
-//! The leg matrix compares the thread-per-connection transport against the
-//! event loop with micro-batched scoring (batch 32 vs. 1 — the batching
-//! A/B), each with the cache on and off. The headline number for ISSUE 7:
-//! uncached event-loop QPS must land within 2× of cached.
+//! The leg matrix runs the event loop with micro-batched scoring at batch
+//! 32 vs. 1 (the batching A/B), with the cache on and off. The headline
+//! number: uncached QPS must land within 2× of cached.
 //!
-//! A final `--fleet N` section (ISSUE 9) boots a `clapf-fleet` router in
+//! A final `--fleet N` section boots a `clapf-fleet` router in
 //! front of N event-loop replicas and records fleet QPS (N vs. 1 through
 //! the same router), the failover blip when a replica dies mid-load, and
 //! the rollout commit window (downtime) of a fleet-wide two-phase bundle
 //! rollout under load.
 //!
-//! `--chaos` (ISSUE 10) replaces the matrix with the deterministic chaos
+//! `--chaos` replaces the matrix with the deterministic chaos
 //! leg: real replica child processes under a seeded fault schedule, with
 //! per-event-class error rates, times-to-recover and the hedge win rate
 //! written to `results/BENCH_fleet_chaos.json` (see [`bench::chaos`]).
@@ -36,7 +35,7 @@ use clapf_data::loader::{load_ratings_reader, Separator};
 use clapf_eval::report;
 use clapf_fleet::{rollout, FleetSpec, ReplicaSpec, RouterConfig, RouterHandle};
 use clapf_mf::{Init, MfModel};
-use clapf_serve::{start, ModelBundle, ServeConfig, ServerHandle, Transport};
+use clapf_serve::{start, ModelBundle, ServeConfig, ServerHandle};
 use clapf_telemetry::{Histogram, Registry};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -197,7 +196,6 @@ fn stage_means(debug_traces_body: &str) -> Vec<StageMean> {
 #[derive(Serialize)]
 struct LoadRun {
     label: String,
-    transport: &'static str,
     mode: &'static str,
     cache: &'static str,
     cache_capacity: usize,
@@ -216,7 +214,7 @@ struct LoadRun {
     cache_hit_rate: f64,
     /// Misses answered by coalescing onto an in-flight computation.
     coalesced: u64,
-    /// Mean users per scorer micro-batch (0 for the threaded transport).
+    /// Mean users per scorer micro-batch.
     mean_batch_size: f64,
     /// Per-stage mean latency over the leg's sampled traces, slowest
     /// first — attributes the cached/uncached gap (queue wait vs. scoring
@@ -279,10 +277,10 @@ struct ServeLoadReport {
     zipf_s: f64,
     duration_secs: f64,
     available_cores: usize,
-    /// Headline (ISSUE 7): event-loop cached QPS / uncached QPS at
+    /// Headline: cached QPS / uncached QPS at
     /// saturating concurrency, where micro-batches fill. Target ≤ 2.0.
     cached_over_uncached: f64,
-    /// Uncached event-loop QPS, batch_max 32 vs. 1, same concurrency —
+    /// Uncached QPS, batch_max 32 vs. 1, same concurrency —
     /// what micro-batching itself buys.
     batch_speedup: f64,
     runs: Vec<LoadRun>,
@@ -300,7 +298,6 @@ fn percentile(sorted_ms: &[f64], p: f64) -> f64 {
 /// One leg of the matrix.
 struct Leg {
     label: String,
-    transport: Transport,
     cache_capacity: usize,
     cache_label: &'static str,
     batch_max: usize,
@@ -330,13 +327,8 @@ fn run_leg(bundle_path: &std::path::Path, leg: &Leg, spec: &LoadSpec, zipf: &Zip
         bundle_path.to_path_buf(),
         ServeConfig {
             cache_capacity: leg.cache_capacity,
-            workers: match leg.transport {
-                // Threaded: a worker per client or responses serialize.
-                Transport::Threaded => clients.max(2),
-                // Event loop: scorers contend with the loop for cores.
-                Transport::EventLoop => 2,
-            },
-            transport: leg.transport,
+            // Scorers contend with the loop thread for cores.
+            workers: 2,
             batch_max: leg.batch_max,
             trace_sample: TRACE_SAMPLE,
             ..ServeConfig::default()
@@ -422,10 +414,6 @@ fn run_leg(bundle_path: &std::path::Path, leg: &Leg, spec: &LoadSpec, zipf: &Zip
     let requests = latencies_ms.len() as u64 + shed;
     LoadRun {
         label: leg.label.clone(),
-        transport: match leg.transport {
-            Transport::Threaded => "threaded",
-            Transport::EventLoop => "event",
-        },
         mode: if leg.open_rate.is_some() {
             "open"
         } else {
@@ -467,10 +455,8 @@ struct Fleet {
     router: RouterHandle,
 }
 
-/// Boots `n` uncached event-loop replicas on private copies of `master`
-/// and a router in front of them. Replicas behind a router must run the
-/// event loop: the router's pooled keep-alive upstreams would pin every
-/// thread-per-connection worker and starve the health/rollout probes.
+/// Boots `n` uncached replicas on private copies of `master` and a router
+/// in front of them.
 fn start_fleet(dir: &Path, master: &Path, n: usize, clients: usize) -> Fleet {
     let mut replicas = Vec::new();
     let mut addrs = Vec::new();
@@ -483,7 +469,6 @@ fn start_fleet(dir: &Path, master: &Path, n: usize, clients: usize) -> Fleet {
             ServeConfig {
                 cache_capacity: 0,
                 workers: 1,
-                transport: Transport::EventLoop,
                 // Micro-batching confounds the replica-count comparison on
                 // a shared-core testbed: concentrating every client on one
                 // replica fills batches that a sharded fleet cannot, which
@@ -828,31 +813,11 @@ fn main() {
     };
     let cache_cap = 2 * n_users as usize;
 
-    // Closed-loop matrix: the old thread-per-worker numbers stay in the
-    // report next to the event-loop ones, and batch 32 vs. 1 isolates what
-    // micro-batching itself buys on the uncached path.
+    // Closed-loop matrix: batch 32 vs. 1 isolates what micro-batching
+    // itself buys on the uncached path.
     let mut legs = vec![
         Leg {
-            label: "threaded cache=on".into(),
-            transport: Transport::Threaded,
-            cache_capacity: cache_cap,
-            cache_label: "on",
-            batch_max: 32,
-            open_rate: None,
-            clients: None,
-        },
-        Leg {
-            label: "threaded cache=off".into(),
-            transport: Transport::Threaded,
-            cache_capacity: 0,
-            cache_label: "off",
-            batch_max: 32,
-            open_rate: None,
-            clients: None,
-        },
-        Leg {
             label: "event batch=32 cache=on".into(),
-            transport: Transport::EventLoop,
             cache_capacity: cache_cap,
             cache_label: "on",
             batch_max: 32,
@@ -861,7 +826,6 @@ fn main() {
         },
         Leg {
             label: "event batch=32 cache=off".into(),
-            transport: Transport::EventLoop,
             cache_capacity: 0,
             cache_label: "off",
             batch_max: 32,
@@ -870,7 +834,6 @@ fn main() {
         },
         Leg {
             label: "event batch=1 cache=off".into(),
-            transport: Transport::EventLoop,
             cache_capacity: 0,
             cache_label: "off",
             batch_max: 1,
@@ -890,7 +853,6 @@ fn main() {
     ] {
         legs.push(Leg {
             label,
-            transport: Transport::EventLoop,
             cache_capacity: cap,
             cache_label,
             batch_max,
@@ -943,7 +905,6 @@ fn main() {
     ] {
         legs.push(Leg {
             label: format!("event batch=32 {tag}"),
-            transport: Transport::EventLoop,
             cache_capacity: cap,
             cache_label,
             batch_max: 32,
@@ -984,7 +945,7 @@ fn main() {
          (target <= 2.0), batch=32 vs batch=1 speedup = {batch_speedup:.2}x"
     );
 
-    // Fleet section (ISSUE 9): uncached closed-loop load through the
+    // Fleet section: uncached closed-loop load through the
     // router, fleet of 1 vs. fleet of N, then a replica kill and a
     // fleet-wide rollout under the same load. Events need at least two
     // replicas — a fleet of one has nothing to fail over to.

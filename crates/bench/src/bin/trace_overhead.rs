@@ -21,7 +21,7 @@ use bench::Cli;
 use clapf_data::loader::{load_ratings_reader, Separator};
 use clapf_eval::report;
 use clapf_mf::{Init, MfModel};
-use clapf_serve::{start, ModelBundle, ServeConfig, Transport};
+use clapf_serve::{start, ModelBundle, ServeConfig};
 use clapf_telemetry::{Registry, Tracer};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -74,7 +74,6 @@ impl Lane {
         let server = start(
             bundle_path.to_path_buf(),
             ServeConfig {
-                transport: Transport::EventLoop,
                 trace_sample,
                 ..ServeConfig::default()
             },

@@ -347,8 +347,6 @@ pub fn run_chaos(opts: &ChaosOptions) -> Result<ChaosReport, String> {
                 bundle.display().to_string(),
                 "--addr".into(),
                 "127.0.0.1:0".into(),
-                "--event-loop".into(),
-                "on".into(),
                 "--register".into(),
                 router.addr().to_string(),
                 "--name".into(),

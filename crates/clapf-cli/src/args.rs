@@ -126,26 +126,17 @@ pub struct ServeArgs {
     pub load: PathBuf,
     /// Bind address (`host:port`; port 0 picks an ephemeral port).
     pub addr: String,
-    /// Worker threads handling connections.
+    /// Scorer threads computing `/recommend` cache misses.
     pub workers: usize,
     /// Top-k cache capacity in entries (0 disables caching).
     pub cache: usize,
     /// Watch the bundle file and hot-swap on change, polling this often
     /// (seconds). `None` reloads only on `POST /reload`.
     pub watch_secs: Option<f64>,
-    /// Bounded accept-queue depth; connections beyond it are shed with 503.
-    pub queue: usize,
-    /// Admission deadline in milliseconds: a connection that waited longer
-    /// than this in the queue is shed instead of served.
-    pub deadline_ms: u64,
-    /// Serve with the event-driven transport (epoll readiness loop +
-    /// micro-batched scoring) instead of thread-per-connection workers.
-    /// Defaults on where the epoll backend exists (Linux).
-    pub event_loop: bool,
-    /// Most `/recommend` misses scored in one micro-batch (event loop).
+    /// Most `/recommend` misses scored in one micro-batch.
     pub batch_max: usize,
-    /// Longest an underfull batch is held open, in microseconds (event
-    /// loop; 0 disables the hold).
+    /// Longest an underfull batch is held open, in microseconds (0
+    /// disables the hold).
     pub batch_hold_us: u64,
     /// Trace one in this many `/recommend` requests (0 disables tracing).
     /// Sampled requests record a per-stage span breakdown, visible at
@@ -243,25 +234,20 @@ USAGE:
   rate instead of aborting.
   clapf recommend --load model.json --user RAW_ID [-k N]
   clapf serve --load model.json [--addr 127.0.0.1:7878] [--workers N]
-              [--cache N] [--watch SECS] [--queue N] [--deadline-ms N]
-              [--event-loop on|off] [--batch-max N] [--batch-hold-us N]
+              [--cache N] [--watch SECS] [--batch-max N] [--batch-hold-us N]
               [--trace-sample N] [--register HOST:PORT] [--name NAME]
               [--heartbeat-ms N] [--fault-control]
 
   serve answers GET /recommend/{user}?k=N, /healthz and /metrics, and
   hot-swaps the bundle on POST /reload (or automatically with --watch).
   --cache sizes the top-k result cache (0 disables it); POST /shutdown
-  drains in-flight requests and stops.
-  --queue bounds the accept queue (default 64) and --deadline-ms the
-  time a connection may wait in it (default 5000); anything beyond either
-  limit is shed with a typed 503 + Retry-After instead of queueing
-  unboundedly.
-  --event-loop (default on for Linux) serves every connection from one
-  epoll readiness loop and scores concurrent cache misses in micro-
-  batches of up to --batch-max users (default 32), holding an underfull
-  batch at most --batch-hold-us microseconds (default 100); --workers
-  then sizes the scorer pool. --event-loop off restores the
-  thread-per-connection transport.
+  drains in-flight requests and stops. Every connection is served from
+  one readiness loop (epoll on Linux), and concurrent cache misses are
+  scored in micro-batches of up to --batch-max users (default 32), an
+  underfull batch held at most --batch-hold-us microseconds (default
+  100); --workers (default 4) sizes the scorer pool. Past 10000 open
+  connections or 4096 queued misses, requests are shed with a typed
+  503 + Retry-After. serve rejects any flag not listed above.
   --trace-sample N traces one in N /recommend requests (0, the default,
   disables tracing): sampled requests record per-stage spans (parse,
   cache, queue, score, render, write), exposed as JSON at
@@ -334,6 +320,10 @@ impl Command {
         let parse_num = |flagname: &str, v: &str| -> Result<f64, String> {
             v.parse::<f64>()
                 .map_err(|_| format!("{flagname} expects a number, got {v:?}"))
+        };
+        let parse_count = |flagname: &str, v: &str| -> Result<usize, String> {
+            v.parse::<usize>()
+                .map_err(|_| format!("{flagname} expects a non-negative integer, got {v:?}"))
         };
 
         match sub {
@@ -449,16 +439,34 @@ impl Command {
                 }))
             }
             "serve" => {
+                reject_unknown_flags(
+                    "serve",
+                    &rest,
+                    &[
+                        "--load",
+                        "--addr",
+                        "--workers",
+                        "--cache",
+                        "--watch",
+                        "--batch-max",
+                        "--batch-hold-us",
+                        "--trace-sample",
+                        "--register",
+                        "--name",
+                        "--heartbeat-ms",
+                    ],
+                    &["--fault-control"],
+                )?;
                 let load = PathBuf::from(required("--load")?);
                 let addr = value("--addr")?
                     .cloned()
                     .unwrap_or_else(|| "127.0.0.1:7878".to_string());
                 let workers = match value("--workers")? {
-                    Some(v) => parse_num("--workers", v)? as usize,
+                    Some(v) => parse_count("--workers", v)?,
                     None => 4,
                 };
                 let cache = match value("--cache")? {
-                    Some(v) => parse_num("--cache", v)? as usize,
+                    Some(v) => parse_count("--cache", v)?,
                     None => 4096,
                 };
                 let watch_secs = match value("--watch")? {
@@ -470,28 +478,6 @@ impl Command {
                         Some(secs)
                     }
                     None => None,
-                };
-                let queue = match value("--queue")? {
-                    Some(v) => parse_num("--queue", v)? as usize,
-                    None => 64,
-                };
-                let deadline_ms = match value("--deadline-ms")? {
-                    Some(v) => {
-                        let ms = parse_num("--deadline-ms", v)?;
-                        if ms.is_nan() || ms <= 0.0 {
-                            return Err(format!("--deadline-ms must be positive, got {ms}"));
-                        }
-                        ms as u64
-                    }
-                    None => 5000,
-                };
-                let event_loop = match value("--event-loop")?.map(|s| s.as_str()) {
-                    None => cfg!(target_os = "linux"),
-                    Some("on") => true,
-                    Some("off") => false,
-                    Some(other) => {
-                        return Err(format!("--event-loop takes on|off, got {other:?}"))
-                    }
                 };
                 let batch_max = match value("--batch-max")? {
                     Some(v) => {
@@ -549,9 +535,6 @@ impl Command {
                     workers: workers.max(1),
                     cache,
                     watch_secs,
-                    queue: queue.max(1),
-                    deadline_ms,
-                    event_loop,
                     batch_max,
                     batch_hold_us,
                     trace_sample,
@@ -632,6 +615,29 @@ impl Command {
             other => Err(format!("unknown subcommand {other:?}\n{USAGE}")),
         }
     }
+}
+
+/// Fails on the first argument that is neither one of the subcommand's
+/// `valued` flags (skipping its value) nor one of its `switches`, naming
+/// it: a misspelt or retired flag must not be silently ignored.
+fn reject_unknown_flags(
+    sub: &str,
+    rest: &[&String],
+    valued: &[&str],
+    switches: &[&str],
+) -> Result<(), String> {
+    let mut i = 0;
+    while i < rest.len() {
+        let arg = rest[i].as_str();
+        if valued.contains(&arg) {
+            i += 2;
+        } else if switches.contains(&arg) {
+            i += 1;
+        } else {
+            return Err(format!("{sub} does not accept {arg:?} (see `clapf help`)"));
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -813,9 +819,6 @@ mod tests {
                 workers: 4,
                 cache: 4096,
                 watch_secs: None,
-                queue: 64,
-                deadline_ms: 5000,
-                event_loop: cfg!(target_os = "linux"),
                 batch_max: 32,
                 batch_hold_us: 100,
                 trace_sample: 0,
@@ -827,8 +830,7 @@ mod tests {
         );
         let c = Command::parse(&args(&[
             "serve", "--load", "m.json", "--addr", "0.0.0.0:9000", "--workers", "8",
-            "--cache", "0", "--watch", "2.5", "--queue", "16", "--deadline-ms", "250",
-            "--event-loop", "on", "--batch-max", "8", "--batch-hold-us", "0",
+            "--cache", "0", "--watch", "2.5", "--batch-max", "8", "--batch-hold-us", "0",
             "--trace-sample", "64", "--register", "127.0.0.1:7900", "--name", "replica-3",
             "--heartbeat-ms", "500", "--fault-control",
         ]))
@@ -841,9 +843,6 @@ mod tests {
                 workers: 8,
                 cache: 0,
                 watch_secs: Some(2.5),
-                queue: 16,
-                deadline_ms: 250,
-                event_loop: true,
                 batch_max: 8,
                 batch_hold_us: 0,
                 trace_sample: 64,
@@ -874,19 +873,43 @@ mod tests {
     }
 
     #[test]
-    fn serve_event_loop_flag_parses_and_validates() {
-        let off = Command::parse(&args(&["serve", "--load", "m.json", "--event-loop", "off"]))
-            .unwrap();
-        match off {
-            Command::Serve(a) => assert!(!a.event_loop),
-            other => panic!("{other:?}"),
+    fn serve_rejects_unknown_and_removed_flags() {
+        for (extra, named) in [
+            (&["--event-loop", "off"][..], "--event-loop"),
+            (&["--event-loop", "on"], "--event-loop"),
+            (&["--queue", "1"], "--queue"),
+            (&["--deadline-ms", "50"], "--deadline-ms"),
+            (&["--wokers", "2"], "--wokers"),
+            (&["--fault-control", "--bogus"], "--bogus"),
+            (&["stray"], "stray"),
+        ] {
+            let mut argv = vec!["serve", "--load", "m.json"];
+            argv.extend_from_slice(extra);
+            let err = Command::parse(&args(&argv)).unwrap_err();
+            assert!(err.contains(named), "{extra:?}: {err}");
         }
-        let err = Command::parse(&args(&["serve", "--load", "m.json", "--event-loop", "maybe"]))
-            .unwrap_err();
-        assert!(err.contains("--event-loop"), "{err}");
+        // A flag's value is skipped, not rejected as a stray argument.
+        assert!(Command::parse(&args(&["serve", "--load", "m.json", "--name", "x"])).is_ok());
         let err = Command::parse(&args(&["serve", "--load", "m.json", "--batch-max", "0"]))
             .unwrap_err();
         assert!(err.contains("--batch-max"), "{err}");
+    }
+
+    #[test]
+    fn serve_counts_reject_negative_and_fractional_values() {
+        for (flag, v) in [
+            ("--cache", "-5"),
+            ("--cache", "2.5"),
+            ("--workers", "-1"),
+            ("--workers", "1.5"),
+        ] {
+            let err = Command::parse(&args(&["serve", "--load", "m.json", flag, v])).unwrap_err();
+            assert!(err.contains(flag) && err.contains(v), "{flag} {v}: {err}");
+        }
+        match Command::parse(&args(&["serve", "--load", "m.json", "--cache", "0"])).unwrap() {
+            Command::Serve(a) => assert_eq!(a.cache, 0),
+            other => panic!("{other:?}"),
+        }
     }
 
     #[test]
@@ -895,9 +918,6 @@ mod tests {
         let err =
             Command::parse(&args(&["serve", "--load", "m.json", "--watch", "0"])).unwrap_err();
         assert!(err.contains("--watch"), "{err}");
-        let err = Command::parse(&args(&["serve", "--load", "m.json", "--deadline-ms", "0"]))
-            .unwrap_err();
-        assert!(err.contains("--deadline-ms"), "{err}");
     }
 
     #[test]

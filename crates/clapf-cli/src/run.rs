@@ -548,11 +548,6 @@ fn trace<W: Write>(a: TraceArgs, out: &mut W) -> Result<(), CliError> {
 /// line is written (and flushed) before blocking so wrappers can scrape
 /// the resolved port when binding to port 0.
 fn serve<W: Write>(a: ServeArgs, out: &mut W) -> Result<(), CliError> {
-    let transport = if a.event_loop {
-        clapf_serve::Transport::EventLoop
-    } else {
-        clapf_serve::Transport::Threaded
-    };
     let member_name = a
         .name
         .clone()
@@ -567,9 +562,6 @@ fn serve<W: Write>(a: ServeArgs, out: &mut W) -> Result<(), CliError> {
         workers: a.workers,
         cache_capacity: a.cache,
         watch_poll: a.watch_secs.map(std::time::Duration::from_secs_f64),
-        queue_bound: a.queue,
-        queue_deadline: std::time::Duration::from_millis(a.deadline_ms),
-        transport,
         batch_max: a.batch_max,
         batch_hold: std::time::Duration::from_micros(a.batch_hold_us),
         trace_sample: a.trace_sample,
@@ -582,17 +574,12 @@ fn serve<W: Write>(a: ServeArgs, out: &mut W) -> Result<(), CliError> {
         .map_err(|e| CliError::Io(e.to_string()))?;
     writeln!(
         out,
-        "serving {} (cache {} entries, {} workers, {}{})",
+        "serving {} (cache {} entries, {} workers, event loop, batches of {} held {}us{})",
         a.load.display(),
         a.cache,
         a.workers,
-        match transport {
-            clapf_serve::Transport::EventLoop => format!(
-                "event loop, batches of {} held {}us",
-                a.batch_max, a.batch_hold_us
-            ),
-            clapf_serve::Transport::Threaded => "threaded transport".to_string(),
-        },
+        a.batch_max,
+        a.batch_hold_us,
         match a.watch_secs {
             Some(s) => format!(", watching every {s}s"),
             None => String::new(),
@@ -616,11 +603,9 @@ fn serve<W: Write>(a: ServeArgs, out: &mut W) -> Result<(), CliError> {
 
 /// Boots a sharded fleet: the consistent-hash router starts first with an
 /// empty member table, then `--replicas` child `clapf serve` processes on
-/// ephemeral ports (each owning a copy of the bundle under `--dir`, each
-/// on the event-loop transport so the router's pooled connections never
-/// starve control-plane calls) join it by self-registering over
-/// `POST /fleet/register` and heartbeating membership leases. The
-/// supervisor is just another registrant: it registers each child
+/// ephemeral ports (each owning a copy of the bundle under `--dir`) join
+/// it by self-registering over `POST /fleet/register` and heartbeating
+/// membership leases. The supervisor is just another registrant: it registers each child
 /// synchronously at spawn (so startup order is deterministic) and again
 /// after a restart, but steady-state liveness is the lease protocol's —
 /// a replica whose heartbeats stop is evicted when its lease expires and
@@ -665,8 +650,6 @@ fn fleet_serve<W: Write>(a: FleetServeArgs, out: &mut W) -> Result<(), CliError>
             bundle.display().to_string(),
             "--addr".into(),
             "127.0.0.1:0".into(),
-            "--event-loop".into(),
-            "on".into(),
             "--register".into(),
             router.addr().to_string(),
             "--name".into(),

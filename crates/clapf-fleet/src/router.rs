@@ -513,8 +513,8 @@ pub fn start_router(
         );
     }
 
-    // Same accept + bounded-queue + worker shape as clapf-serve's threaded
-    // transport; each worker owns one pooled upstream per slot.
+    // Blocking accept + bounded queue + worker pool; each worker owns one
+    // pooled upstream per slot.
     let (tx, rx) = mpsc::sync_channel::<TcpStream>(64);
     let rx = Arc::new(Mutex::new(rx));
     for n in 0..config.workers.max(1) {
@@ -528,7 +528,7 @@ pub fn start_router(
                     loop {
                         let conn = rx.lock().expect("worker receiver poisoned").recv();
                         match conn {
-                            Ok(stream) => serve_connection(stream, &shared, &mut worker),
+                            Ok(stream) => relay_connection(stream, &shared, &mut worker),
                             Err(_) => return,
                         }
                     }
@@ -599,7 +599,7 @@ fn probe(shared: &RouterShared, slot: usize) {
 }
 
 /// Keep-alive request loop on one client connection.
-fn serve_connection(stream: TcpStream, shared: &Arc<RouterShared>, worker: &mut Worker) {
+fn relay_connection(stream: TcpStream, shared: &Arc<RouterShared>, worker: &mut Worker) {
     if stream.set_read_timeout(Some(READ_POLL)).is_err() {
         return;
     }

@@ -12,7 +12,7 @@ use clapf_data::loader::{load_ratings_reader, Separator};
 use clapf_data::ItemId;
 use clapf_fleet::{rollout, FleetSpec, ReplicaSpec, RolloutError, RouterConfig};
 use clapf_mf::{Init, MfModel};
-use clapf_serve::{fingerprint64, start, ModelBundle, ServeConfig, Transport};
+use clapf_serve::{fingerprint64, start, ModelBundle, ServeConfig};
 use clapf_telemetry::Registry;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -76,17 +76,6 @@ fn file_fingerprint(path: &Path) -> String {
     format!("{:016x}", fingerprint64(&std::fs::read(path).unwrap()))
 }
 
-/// A replica behind a router runs the **event-loop transport**: the
-/// router's workers hold pooled keep-alive connections open indefinitely,
-/// which under the threaded transport would pin one replica worker each
-/// and starve one-shot control-plane calls (health probes, rollout).
-fn replica_config() -> ServeConfig {
-    ServeConfig {
-        transport: Transport::EventLoop,
-        ..ServeConfig::default()
-    }
-}
-
 /// Starts `n` replicas all serving copies of bundle `a`, one copy per
 /// replica so commits rename independently. Returns handles and specs.
 fn start_replicas(
@@ -101,8 +90,12 @@ fn start_replicas(
     for i in 0..n {
         let path = scratch.path(&format!("replica-{i}.json"));
         std::fs::copy(&master, &path).unwrap();
-        let h = start(path.clone(), replica_config(), Arc::new(Registry::new()))
-            .expect("replica starts");
+        let h = start(
+            path.clone(),
+            ServeConfig::default(),
+            Arc::new(Registry::new()),
+        )
+        .expect("replica starts");
         specs.push(ReplicaSpec {
             addr: h.addr(),
             bundle: path,
@@ -288,7 +281,7 @@ fn router_masks_a_killed_replica_and_readmits_a_replacement() {
     // re-admits it without operator involvement.
     let replacement = start(
         specs[0].bundle.clone(),
-        replica_config(),
+        ServeConfig::default(),
         Arc::new(Registry::new()),
     )
     .expect("replacement starts");

@@ -13,7 +13,7 @@ use clapf_data::loader::{load_ratings_reader, Separator};
 use clapf_data::ItemId;
 use clapf_fleet::{HedgePolicy, RouterConfig, RouterHandle};
 use clapf_mf::{Init, MfModel};
-use clapf_serve::{start, ModelBundle, ServeConfig, Transport};
+use clapf_serve::{start, ModelBundle, ServeConfig};
 use clapf_telemetry::Registry;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -71,15 +71,7 @@ impl Drop for Scratch {
 fn start_replica(scratch: &Scratch, tag: &str) -> clapf_serve::ServerHandle {
     let path = scratch.path(&format!("replica-{tag}.json"));
     bundle(tag).save(&path).unwrap();
-    start(
-        path,
-        ServeConfig {
-            transport: Transport::EventLoop,
-            ..ServeConfig::default()
-        },
-        Arc::new(Registry::new()),
-    )
-    .expect("replica starts")
+    start(path, ServeConfig::default(), Arc::new(Registry::new())).expect("replica starts")
 }
 
 /// A port where nothing listens: bind, read the address, drop the socket.

@@ -279,13 +279,12 @@ fn score_batch(
             })
             .collect::<Vec<_>>()
     };
-    // Failpoint: tests inject I/O errors (typed 500s for the whole batch)
-    // and panics (exercising batch-granular catch_unwind isolation) here.
-    if clapf_faults::check("serve.batch.flush").is_err() {
-        shared.registry.counter("serve.batch.faults").inc();
-        return fail("batch scoring fault injected");
-    }
     let result = catch_unwind(AssertUnwindSafe(|| {
+        // Failpoint: tests inject I/O errors (typed 500s for the whole
+        // batch) and panics (exercising the catch_unwind isolation) here.
+        if clapf_faults::check("serve.batch.flush").is_err() {
+            return None;
+        }
         let model = &batch[0].model;
         // Distinct users only: duplicate users in one batch (same user at
         // different k, or uncoalesced cache-off traffic) share one sweep.
@@ -305,7 +304,7 @@ fn score_batch(
             .bundle
             .model
             .scores_into_batch(&users, &mut score_bufs[..users.len()]);
-        batch
+        let completions = batch
             .iter()
             .zip(&user_idx)
             .map(|(job, &idx)| {
@@ -329,10 +328,15 @@ fn score_batch(
                     timing: None, // filled by the scorer loop post-batch
                 }
             })
-            .collect::<Vec<_>>()
+            .collect::<Vec<_>>();
+        Some(completions)
     }));
     match result {
-        Ok(completions) => completions,
+        Ok(Some(completions)) => completions,
+        Ok(None) => {
+            shared.registry.counter("serve.batch.faults").inc();
+            fail("batch scoring fault injected")
+        }
         Err(_) => {
             shared.registry.counter("serve.panics").inc();
             fail("internal error: batch scorer panicked")

@@ -260,6 +260,7 @@ mod tests {
 
     #[test]
     fn round_trips_through_disk() {
+        let _guard = clapf_faults::exclusive(); // keeps other tests' bundle.* faults out
         let b = bundle();
         let dir = temp_dir("roundtrip");
         let path = dir.join("m.json");
@@ -336,6 +337,7 @@ mod tests {
 
     #[test]
     fn fingerprint_tracks_file_bytes_not_identity() {
+        let _guard = clapf_faults::exclusive(); // keeps other tests' bundle.* faults out
         let b = bundle();
         let dir = temp_dir("fingerprint");
         let (p1, p2) = (dir.join("a.json"), dir.join("b.json"));
@@ -380,6 +382,7 @@ mod tests {
 
     #[test]
     fn truncated_file_is_parse_error_not_panic() {
+        let _guard = clapf_faults::exclusive(); // keeps other tests' bundle.* faults out
         let b = bundle();
         let dir = temp_dir("truncated");
         let path = dir.join("m.json");
@@ -394,6 +397,7 @@ mod tests {
 
     #[test]
     fn garbage_bytes_are_parse_error() {
+        let _guard = clapf_faults::exclusive(); // keeps other tests' bundle.* faults out
         let dir = temp_dir("garbage");
         let path = dir.join("m.json");
         std::fs::write(&path, b"\x00\xffnot json at all").unwrap();
@@ -413,6 +417,7 @@ mod tests {
 
     #[test]
     fn corrupt_model_block_is_invalid_on_load() {
+        let _guard = clapf_faults::exclusive(); // keeps other tests' bundle.* faults out
         // Parseable JSON whose factor block disagrees with the claimed
         // shape: `load` must reject it as Invalid (the serde layer cannot
         // catch this — only validation can).

@@ -17,48 +17,16 @@
 //!
 //! Eviction is LRU per shard via a monotone use-tick; capacity 0 disables
 //! the cache entirely (every lookup is a miss, every insert a no-op), which
-//! is how the load generator measures the uncached baseline.
+//! is how the load generator measures the uncached baseline. Concurrent
+//! misses on one key are coalesced before they reach the scorer, by the
+//! event loop's `pending` map (see [`crate::transport`]).
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::time::Duration;
+use std::sync::{Arc, Mutex};
 
 /// Key: dense user id and requested list length.
 type Key = (u32, usize);
-
-/// In-flight computations are keyed by (user, k, generation): a result is
-/// only shareable among requests that pinned the same model generation.
-type FlightKey = (u32, usize, u64);
-
-/// How a [`TopKCache::get_or_compute`] call obtained its list.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CacheOutcome {
-    /// Served from the cache.
-    Hit,
-    /// Computed by this call (the coalescing leader, or uncontended).
-    Miss,
-    /// Awaited a concurrent computation of the same key.
-    Coalesced,
-}
-
-enum FlightState {
-    Pending,
-    Done(Arc<Vec<u32>>),
-    /// The leader dropped (panicked) without completing; followers fall
-    /// back to computing for themselves.
-    Failed,
-}
-
-struct Flight {
-    state: Mutex<FlightState>,
-    done: Condvar,
-}
-
-/// Longest a follower waits on a leader before falling back to computing
-/// for itself — one score sweep takes milliseconds, so this only fires if
-/// the leader is wedged (e.g. by an injected delay fault).
-const FLIGHT_WAIT: Duration = Duration::from_secs(10);
 
 struct Entry {
     generation: u64,
@@ -77,9 +45,6 @@ pub struct TopKCache {
     shards: Vec<Mutex<Shard>>,
     generation: AtomicU64,
     per_shard_capacity: usize,
-    /// Computations currently in flight, for miss coalescing — see
-    /// [`TopKCache::get_or_compute`].
-    in_flight: Mutex<HashMap<FlightKey, Arc<Flight>>>,
 }
 
 impl TopKCache {
@@ -92,7 +57,6 @@ impl TopKCache {
             shards: (0..n_shards).map(|_| Mutex::new(Shard::default())).collect(),
             generation: AtomicU64::new(0),
             per_shard_capacity: capacity.div_ceil(n_shards) * usize::from(capacity > 0),
-            in_flight: Mutex::new(HashMap::new()),
         }
     }
 
@@ -162,117 +126,6 @@ impl TopKCache {
                 items,
             },
         );
-    }
-
-    /// Looks up `(user, k)` under `generation`, computing (and inserting)
-    /// the list on a miss — with **miss coalescing**: when N threads miss
-    /// the same key concurrently, exactly one runs `compute` and the other
-    /// N−1 block until its result is ready, instead of each sweeping the
-    /// full item table (the classic miss-stampede on a hot user right
-    /// after a generation bump).
-    ///
-    /// Safety valves: a leader that panics (or is wedged past an internal
-    /// timeout) releases its followers, which then compute for themselves —
-    /// coalescing can delay a correct answer but never lose one. With the
-    /// cache disabled (capacity 0) there is no miss to coalesce by
-    /// definition: every call computes.
-    pub fn get_or_compute<F>(
-        &self,
-        user: u32,
-        k: usize,
-        generation: u64,
-        compute: F,
-    ) -> (Arc<Vec<u32>>, CacheOutcome)
-    where
-        F: FnOnce() -> Arc<Vec<u32>>,
-    {
-        if self.per_shard_capacity == 0 {
-            return (compute(), CacheOutcome::Miss);
-        }
-        if let Some(items) = self.get(user, k, generation) {
-            return (items, CacheOutcome::Hit);
-        }
-        let key = (user, k, generation);
-        let (flight, leader) = {
-            let mut map = self.in_flight.lock().expect("in-flight map poisoned");
-            match map.get(&key) {
-                Some(flight) => (Arc::clone(flight), false),
-                None => {
-                    let flight = Arc::new(Flight {
-                        state: Mutex::new(FlightState::Pending),
-                        done: Condvar::new(),
-                    });
-                    map.insert(key, Arc::clone(&flight));
-                    (flight, true)
-                }
-            }
-        };
-        if leader {
-            // Completion guard: if `compute` panics, followers are failed
-            // over (they recompute) instead of waiting forever, and the
-            // key is freed for the next attempt.
-            struct Abort<'a> {
-                cache: &'a TopKCache,
-                key: FlightKey,
-                flight: &'a Arc<Flight>,
-                completed: bool,
-            }
-            impl Drop for Abort<'_> {
-                fn drop(&mut self) {
-                    if !self.completed {
-                        *self.flight.state.lock().expect("flight poisoned") =
-                            FlightState::Failed;
-                        self.flight.done.notify_all();
-                        self.cache
-                            .in_flight
-                            .lock()
-                            .expect("in-flight map poisoned")
-                            .remove(&self.key);
-                    }
-                }
-            }
-            let mut guard = Abort {
-                cache: self,
-                key,
-                flight: &flight,
-                completed: false,
-            };
-            let items = compute();
-            self.put(user, k, generation, Arc::clone(&items));
-            *flight.state.lock().expect("flight poisoned") =
-                FlightState::Done(Arc::clone(&items));
-            flight.done.notify_all();
-            self.in_flight
-                .lock()
-                .expect("in-flight map poisoned")
-                .remove(&key);
-            guard.completed = true;
-            (items, CacheOutcome::Miss)
-        } else {
-            let mut state = flight.state.lock().expect("flight poisoned");
-            loop {
-                match &*state {
-                    FlightState::Done(items) => {
-                        return (Arc::clone(items), CacheOutcome::Coalesced)
-                    }
-                    FlightState::Failed => break,
-                    FlightState::Pending => {
-                        let (guard, timeout) = flight
-                            .done
-                            .wait_timeout(state, FLIGHT_WAIT)
-                            .expect("flight poisoned");
-                        state = guard;
-                        if timeout.timed_out() && matches!(*state, FlightState::Pending) {
-                            break; // leader wedged: fail over to self-compute
-                        }
-                    }
-                }
-            }
-            drop(state);
-            let items = compute();
-            self.put(user, k, generation, Arc::clone(&items));
-            (items, CacheOutcome::Miss)
-        }
     }
 
     /// Number of live entries across all shards (any generation).
@@ -375,86 +228,6 @@ mod tests {
         c.put(3, 10, g1, list(&[3]));
         assert!(c.get(2, 10, g1).is_some());
         assert!(c.get(3, 10, g1).is_some());
-    }
-
-    #[test]
-    fn stampede_coalesces_to_one_compute() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let c = Arc::new(TopKCache::new(64, 4));
-        let g = c.generation();
-        let computes = Arc::new(AtomicUsize::new(0));
-        let entered = Arc::new(std::sync::Barrier::new(8));
-        std::thread::scope(|s| {
-            let mut handles = Vec::new();
-            for _ in 0..8 {
-                let c = Arc::clone(&c);
-                let computes = Arc::clone(&computes);
-                let entered = Arc::clone(&entered);
-                handles.push(s.spawn(move || {
-                    entered.wait();
-                    c.get_or_compute(42, 10, g, || {
-                        computes.fetch_add(1, Ordering::SeqCst);
-                        // Widen the race window so every other thread is
-                        // parked on the flight before the leader finishes.
-                        std::thread::sleep(Duration::from_millis(50));
-                        list(&[1, 2, 3])
-                    })
-                }));
-            }
-            let outcomes: Vec<CacheOutcome> = handles
-                .into_iter()
-                .map(|h| {
-                    let (items, outcome) = h.join().unwrap();
-                    assert_eq!(&*items, &vec![1, 2, 3]);
-                    outcome
-                })
-                .collect();
-            // Exactly one thread scored; everyone else hit, coalesced, or
-            // (if it arrived after completion) read the cache.
-            assert_eq!(computes.load(Ordering::SeqCst), 1, "{outcomes:?}");
-            assert_eq!(
-                outcomes
-                    .iter()
-                    .filter(|o| **o == CacheOutcome::Miss)
-                    .count(),
-                1,
-                "{outcomes:?}"
-            );
-        });
-    }
-
-    #[test]
-    fn leader_panic_releases_followers() {
-        let c = Arc::new(TopKCache::new(64, 4));
-        let g = c.generation();
-        let c2 = Arc::clone(&c);
-        let leader = std::thread::spawn(move || {
-            let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                c2.get_or_compute(7, 10, g, || {
-                    std::thread::sleep(Duration::from_millis(100));
-                    panic!("injected leader failure");
-                })
-            }));
-        });
-        // Let the leader claim the flight, then follow it into the crash.
-        std::thread::sleep(Duration::from_millis(20));
-        let (items, outcome) = c.get_or_compute(7, 10, g, || list(&[9]));
-        leader.join().unwrap();
-        // The follower recovered by computing for itself.
-        assert_eq!(&*items, &vec![9]);
-        assert_eq!(outcome, CacheOutcome::Miss);
-        // And the key is not wedged for future calls.
-        assert_eq!(c.get(7, 10, g).as_deref(), Some(&vec![9]));
-    }
-
-    #[test]
-    fn get_or_compute_disabled_cache_always_computes() {
-        let c = TopKCache::new(0, 1);
-        let (items, outcome) = c.get_or_compute(1, 5, 0, || list(&[4]));
-        assert_eq!(&*items, &vec![4]);
-        assert_eq!(outcome, CacheOutcome::Miss);
-        let (_, outcome) = c.get_or_compute(1, 5, 0, || list(&[4]));
-        assert_eq!(outcome, CacheOutcome::Miss);
     }
 
     #[test]

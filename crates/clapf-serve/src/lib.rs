@@ -3,12 +3,11 @@
 //! This crate turns a saved [`ModelBundle`] into a network service without
 //! adding a single external dependency: a hand-rolled HTTP/1.1 subset over
 //! `std::net`, a sharded generation-stamped top-k cache, and atomic model
-//! hot-swap (file watcher or `POST /reload`). Two transports share every
+//! hot-swap (file watcher or `POST /reload`). One transport serves every
 //! route: an event-driven readiness loop (epoll on Linux via a std-only
 //! FFI, a portable scan poller elsewhere) that owns thousands of
 //! keep-alive connections on one thread and scores concurrent cache
-//! misses in cross-request micro-batches ([`transport`], [`batch`]), and
-//! a thread-per-connection worker pool ([`Transport::Threaded`]).
+//! misses in cross-request micro-batches ([`transport`], [`batch`]).
 //!
 //! Endpoints:
 //!
@@ -65,7 +64,7 @@ mod transport;
 mod watch;
 
 pub use bundle::{fingerprint64, BundleError, ModelBundle};
-pub use cache::{CacheOutcome, TopKCache};
+pub use cache::TopKCache;
 pub use http::{
     parse_request, parse_request_deadline, parse_request_deadline_timed, Feed, FeedParser, Method,
     ParseError, Request, Response,

@@ -18,7 +18,6 @@
 
 use crate::bundle::{BundleError, ModelBundle};
 use clapf_data::{Interactions, UserId};
-use clapf_metrics::top_k_for_user_into;
 use std::path::Path;
 use std::sync::{Arc, RwLock};
 
@@ -62,44 +61,12 @@ impl ServingModel {
     }
 
     /// Raw id for a dense item id. Panics only on ids outside the model,
-    /// which `top_k_dense` never produces.
+    /// which a top-k cut never produces.
     pub fn raw_item(&self, dense: u32) -> &str {
         self.bundle
             .ids
             .raw_item(clapf_data::ItemId(dense))
             .expect("top-k item ids are in range")
-    }
-
-    /// Top-k dense item ids for `u`, excluding trained items, reusing the
-    /// caller's scratch buffers.
-    pub fn top_k_dense(&self, u: UserId, k: usize, scores: &mut Vec<f32>) -> Vec<u32> {
-        let mut items = Vec::new();
-        top_k_for_user_into(&self.bundle.model, &self.train, u, k, scores, &mut items);
-        items.into_iter().map(|i| i.0).collect()
-    }
-
-    /// [`top_k_dense`](Self::top_k_dense), also reporting how the time
-    /// split between the dense score sweep and the top-k cut. The result is
-    /// bit-identical: this is the exact decomposition
-    /// [`top_k_for_user_into`] performs, with a clock between the halves.
-    pub fn top_k_dense_timed(
-        &self,
-        u: UserId,
-        k: usize,
-        scores: &mut Vec<f32>,
-    ) -> (Vec<u32>, std::time::Duration, std::time::Duration) {
-        use clapf_metrics::BulkScorer;
-        let t0 = std::time::Instant::now();
-        self.bundle.model.scores_into(u, scores);
-        let score_d = t0.elapsed();
-        let t1 = std::time::Instant::now();
-        let mut items = Vec::new();
-        clapf_metrics::top_k_from_scores(scores, &self.train, u, k, &mut items);
-        (
-            items.into_iter().map(|i| i.0).collect(),
-            score_d,
-            t1.elapsed(),
-        )
     }
 }
 
@@ -169,31 +136,6 @@ mod tests {
     }
 
     #[test]
-    fn top_k_dense_matches_the_shared_helper() {
-        let m = serving_model([0.1, 0.5, 0.9], 0);
-        let u = m.dense_user("u1").unwrap();
-        let mut scores = Vec::new();
-        let got = m.top_k_dense(u, 10, &mut scores);
-        let want = clapf_metrics::top_k_for_user(&m.bundle.model, &m.train, u, 10);
-        assert_eq!(got, want.items.iter().map(|i| i.0).collect::<Vec<_>>());
-        // u1 trained on {a=0, b=1}; only c=2 is recommendable.
-        assert_eq!(got, vec![2]);
-        assert_eq!(m.raw_item(2), "c");
-    }
-
-    #[test]
-    fn timed_top_k_is_bit_identical_to_untimed() {
-        let m = serving_model([0.1, 0.5, 0.9], 0);
-        for raw in ["u1", "u2"] {
-            let u = m.dense_user(raw).unwrap();
-            let (mut s1, mut s2) = (Vec::new(), Vec::new());
-            let (timed, _, _) = m.top_k_dense_timed(u, 10, &mut s2);
-            assert_eq!(m.top_k_dense(u, 10, &mut s1), timed);
-            assert_eq!(s1, s2, "score buffers must match bit for bit");
-        }
-    }
-
-    #[test]
     fn slot_swap_publishes_and_old_pins_stay_valid() {
         let slot = ModelSlot::new(serving_model([0.1, 0.5, 0.9], 0));
         let pinned = slot.current();
@@ -203,8 +145,10 @@ mod tests {
         // The pre-swap pin still reads the old model coherently.
         assert_eq!(pinned.generation, 0);
         let u = pinned.dense_user("u1").unwrap();
-        let mut scores = Vec::new();
-        assert_eq!(pinned.top_k_dense(u, 10, &mut scores), vec![2]);
+        let top = clapf_metrics::top_k_for_user(&pinned.bundle.model, &pinned.train, u, 10);
+        // u1 trained on {a=0, b=1}; only c=2 is recommendable.
+        assert_eq!(top.items, vec![ItemId(2)]);
+        assert_eq!(pinned.raw_item(2), "c");
         // New pins see the new model.
         assert_eq!(slot.current().generation, 1);
     }

@@ -1,60 +1,37 @@
-//! The server proper: transports, routing, reload, shutdown.
+//! The server proper: startup, routing, reload, shutdown.
 //!
-//! Two transports share all routing/model/cache state:
+//! One transport serves every connection: a readiness-loop thread owning
+//! every nonblocking socket (epoll on Linux, a portable scan poller
+//! elsewhere; see [`crate::poller`] and [`crate::transport`]), with
+//! `/recommend` cache misses scored by a pool of `workers` scorer threads
+//! in cross-request micro-batches (see [`crate::batch`]): concurrent misses
+//! amortize one item-table sweep across up to `batch_max` users.
 //!
-//! * [`Transport::Threaded`] — the original blocking design: one accept
-//!   thread feeding a bounded mpsc queue, `workers` threads each running a
-//!   keep-alive request loop. Simple, and the right shape for a handful of
-//!   long-lived clients.
-//! * [`Transport::EventLoop`] — one readiness-loop thread owning every
-//!   nonblocking socket (epoll on Linux, portable scan fallback elsewhere;
-//!   see [`crate::poller`]), with `/recommend` cache misses scored by a
-//!   pool of `workers` scorer threads in cross-request micro-batches (see
-//!   [`crate::batch`]). This is the shape for thousands of concurrent
-//!   keep-alive connections and for uncached throughput: concurrent misses
-//!   amortize one item-table sweep across up to `batch_max` users.
-//!
-//! Shutdown is cooperative and std-only in both: a flag flips, a loopback
-//! connection wakes the blocked `accept` (threaded) or the poller wait
-//! (event loop — the listener becoming readable is itself an event), and
-//! in-flight work drains before the threads exit.
+//! Shutdown is cooperative and std-only: a flag flips, a loopback
+//! connection wakes the poller wait (the listener becoming readable is
+//! itself an event), and in-flight work drains before the threads exit.
 
 use crate::batch::Batcher;
-use crate::cache::{CacheOutcome, TopKCache};
-use crate::http::{parse_request_deadline_timed, Method, ParseError, Request, Response};
+use crate::cache::TopKCache;
+use crate::http::{Method, Request, Response};
 use crate::model::{ModelSlot, ServingModel};
 use crate::trace::stages;
 use crate::{bundle::BundleError, transport::EventOpts};
 use clapf_telemetry::{Histogram, JsonValue, Registry, Trace, TraceId, Tracer};
-use std::io::{BufReader, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-/// Which connection-handling machinery a server runs.
+/// Which connection-handling machinery a server runs. The event loop is
+/// the only one; the type stays because callers such as the benchmark
+/// (`perfbench/src/serve.rs`) name `Transport::EventLoop` explicitly.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum Transport {
-    /// Blocking sockets, one worker thread per in-flight connection.
-    #[default]
-    Threaded,
     /// One nonblocking readiness loop plus a micro-batching scorer pool.
+    #[default]
     EventLoop,
-}
-
-impl Transport {
-    /// The transport the CLI defaults to on this platform: the event loop
-    /// where the epoll backend exists (Linux), threaded elsewhere (the
-    /// scan-poller fallback works everywhere but burns a little CPU).
-    pub fn preferred() -> Transport {
-        if cfg!(target_os = "linux") {
-            Transport::EventLoop
-        } else {
-            Transport::Threaded
-        }
-    }
 }
 
 /// How a server is sized and where it listens.
@@ -62,8 +39,7 @@ impl Transport {
 pub struct ServeConfig {
     /// Bind address; port 0 picks an ephemeral port.
     pub addr: String,
-    /// Worker threads: connection handlers (threaded) or batch scorers
-    /// (event loop).
+    /// Batch scorer threads.
     pub workers: usize,
     /// Total top-k cache entries (0 disables caching).
     pub cache_capacity: usize,
@@ -76,33 +52,25 @@ pub struct ServeConfig {
     /// Poll interval for the bundle-file watcher; `None` disables watching
     /// (reloads then only happen via `POST /reload`).
     pub watch_poll: Option<Duration>,
-    /// Most accepted connections allowed to wait for a worker; the next one
-    /// is **shed** — answered `503` with `Retry-After` and closed — instead
-    /// of queueing unboundedly (`0` resolves to `64`). Threaded transport.
-    pub queue_bound: usize,
-    /// A queued connection older than this when a worker dequeues it is
-    /// shed rather than served: under sustained overload its client has
-    /// likely timed out already, and serving it starves fresher requests.
-    pub queue_deadline: Duration,
     /// Total wall-clock budget for reading one request (line + headers +
     /// body), measured from its first byte. Defeats slow-loris clients;
     /// idle keep-alive connections are unaffected.
     pub read_cap: Duration,
-    /// Socket write timeout for responses (a peer that stops reading
-    /// cannot pin a worker forever).
+    /// How long a response may sit unflushed before its connection is
+    /// dropped (a peer that stops reading cannot hold its buffers forever).
     pub write_timeout: Duration,
     /// Which transport serves connections.
     pub transport: Transport,
-    /// Most `/recommend` requests scored in one batch (event loop).
+    /// Most `/recommend` requests scored in one batch.
     pub batch_max: usize,
     /// Longest a scorer holds an underfull batch open waiting for more
-    /// requests (event loop). Bounds the light-load latency premium.
+    /// requests. Bounds the light-load latency premium.
     pub batch_hold: Duration,
-    /// Most simultaneously open connections (event loop); beyond it new
-    /// accepts are shed with a 503.
+    /// Most simultaneously open connections; beyond it new accepts are
+    /// shed with a 503.
     pub max_conns: usize,
-    /// Most queued score jobs (event loop); beyond it misses are shed with
-    /// a 503 + `Retry-After` while the connection stays open.
+    /// Most queued score jobs; beyond it misses are shed with a 503 +
+    /// `Retry-After` while the connection stays open.
     pub pending_bound: usize,
     /// Force the portable scan poller even where epoll is available —
     /// exercises the fallback path in tests.
@@ -132,11 +100,9 @@ impl Default for ServeConfig {
             default_k: 10,
             max_k: 1000,
             watch_poll: None,
-            queue_bound: 64,
-            queue_deadline: Duration::from_secs(5),
             read_cap: Duration::from_secs(10),
             write_timeout: Duration::from_secs(10),
-            transport: Transport::Threaded,
+            transport: Transport::EventLoop,
             batch_max: 32,
             batch_hold: Duration::from_micros(100),
             max_conns: 10_000,
@@ -169,11 +135,6 @@ impl std::fmt::Display for ServeError {
 
 impl std::error::Error for ServeError {}
 
-/// How often a blocked connection read wakes to poll the shutdown flag.
-const READ_POLL: Duration = Duration::from_millis(250);
-/// Idle keep-alive connections are closed after this long without a request.
-pub(crate) const KEEP_ALIVE_IDLE: Duration = Duration::from_secs(30);
-
 /// State shared by every thread of one server.
 pub(crate) struct Shared {
     pub(crate) slot: ModelSlot,
@@ -191,7 +152,6 @@ pub(crate) struct Shared {
     pub(crate) addr: SocketAddr,
     default_k: usize,
     max_k: usize,
-    queue_deadline: Duration,
     pub(crate) read_cap: Duration,
     pub(crate) write_timeout: Duration,
     /// Head-based request sampler; finished traces feed `/debug/traces`
@@ -372,8 +332,8 @@ impl Shared {
 
     fn begin_shutdown(&self) {
         self.shutdown.store(true, Ordering::Release);
-        // Wake the transport out of its blocking accept / poller wait: a
-        // connection attempt makes the listener readable in both designs.
+        // Wake the event loop out of its poller wait: a connection attempt
+        // makes the listener readable.
         let _ = TcpStream::connect(self.addr);
     }
 }
@@ -401,8 +361,8 @@ impl ServerHandle {
         self.shared.reload()
     }
 
-    /// Initiates a graceful shutdown and blocks until every worker has
-    /// drained its in-flight connection.
+    /// Initiates a graceful shutdown and blocks until every connection and
+    /// in-flight score has drained.
     pub fn shutdown(self) {
         self.shared.begin_shutdown();
         for t in self.threads {
@@ -441,17 +401,13 @@ pub fn start(
         addr,
         default_k: config.default_k,
         max_k: config.max_k.max(1),
-        queue_deadline: config.queue_deadline,
         read_cap: config.read_cap,
         write_timeout: config.write_timeout,
         tracer: Tracer::new(config.trace_sample, 256, 8),
         fault_control: config.fault_control,
     });
 
-    let mut threads = match config.transport {
-        Transport::Threaded => start_threaded(&shared, listener, &config)?,
-        Transport::EventLoop => start_event_loop(&shared, listener, &config)?,
-    };
+    let mut threads = start_event_loop(&shared, listener, &config)?;
 
     if let Some(poll) = config.watch_poll {
         let shared = Arc::clone(&shared);
@@ -474,75 +430,6 @@ pub fn start(
     }
 
     Ok(ServerHandle { shared, threads })
-}
-
-/// The original blocking transport: accept thread + bounded queue +
-/// per-connection worker threads.
-fn start_threaded(
-    shared: &Arc<Shared>,
-    listener: TcpListener,
-    config: &ServeConfig,
-) -> Result<Vec<std::thread::JoinHandle<()>>, ServeError> {
-    // Bounded queue: `try_send` from the accept thread never blocks, so a
-    // full queue becomes an immediate load-shed 503 instead of an unbounded
-    // backlog of connections whose clients have long since given up.
-    let (tx, rx) = mpsc::sync_channel::<(TcpStream, Instant)>(config.queue_bound.max(1));
-    let rx = Arc::new(Mutex::new(rx));
-    let mut threads = Vec::new();
-
-    for n in 0..config.workers.max(1) {
-        let rx = Arc::clone(&rx);
-        let shared = Arc::clone(shared);
-        threads.push(
-            std::thread::Builder::new()
-                .name(format!("clapf-serve-worker-{n}"))
-                .spawn(move || loop {
-                    let conn = rx.lock().expect("worker receiver poisoned").recv();
-                    match conn {
-                        Ok((stream, enqueued)) => {
-                            // Admission deadline: a connection that sat in
-                            // the queue past the deadline is shed, not
-                            // served — its answer would arrive too late to
-                            // matter and would delay fresher requests more.
-                            if enqueued.elapsed() > shared.queue_deadline {
-                                shed(stream, &shared);
-                            } else {
-                                serve_connection(stream, &shared);
-                            }
-                        }
-                        Err(_) => return, // accept thread gone: drain complete
-                    }
-                })
-                .expect("spawn worker"),
-        );
-    }
-
-    {
-        let shared = Arc::clone(shared);
-        threads.push(
-            std::thread::Builder::new()
-                .name("clapf-serve-accept".into())
-                .spawn(move || {
-                    for conn in listener.incoming() {
-                        if shared.shutdown.load(Ordering::Acquire) {
-                            break; // drops tx; workers drain and exit
-                        }
-                        if let Ok(stream) = conn {
-                            match tx.try_send((stream, Instant::now())) {
-                                Ok(()) => {}
-                                Err(mpsc::TrySendError::Full((stream, _))) => {
-                                    shed(stream, &shared);
-                                }
-                                Err(mpsc::TrySendError::Disconnected(_)) => break,
-                            }
-                        }
-                    }
-                })
-                .expect("spawn accept thread"),
-        );
-    }
-
-    Ok(threads)
 }
 
 /// A connected loopback socket pair — the std-only self-pipe the scorer
@@ -622,104 +509,8 @@ impl WatchCtx {
     }
 }
 
-/// Sheds one connection: typed 503 + `Retry-After`, counted, closed.
-/// Called from the accept thread (queue full) and from workers (admission
-/// deadline exceeded); both writes are bounded by a short timeout so a
-/// hostile peer cannot turn the shed path itself into a stall.
-fn shed(stream: TcpStream, shared: &Shared) {
-    shared.registry.counter("serve.shed").inc();
-    let _ = stream.set_write_timeout(Some(Duration::from_secs(1)));
-    let _ = stream.set_nodelay(true);
-    let mut stream = stream;
-    let _ = Response::error(503, "server overloaded, retry shortly")
-        .with_header("Retry-After", "1")
-        .write_to(&mut stream, false);
-    // Closing with unread request bytes in the receive buffer makes the
-    // kernel send RST, which can destroy the 503 still in flight to the
-    // peer. Signal end-of-response, then drain briefly so the close is a
-    // clean FIN. Bounded: a hostile trickler costs at most ~600ms here.
-    let _ = stream.shutdown(std::net::Shutdown::Write);
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(100)));
-    let started = Instant::now();
-    let mut scratch = [0u8; 1024];
-    while started.elapsed() < Duration::from_millis(500) {
-        match stream.read(&mut scratch) {
-            Ok(0) | Err(_) => break,
-            Ok(_) => {}
-        }
-    }
-}
-
-/// Runs the keep-alive request loop on one connection (threaded transport).
-fn serve_connection(stream: TcpStream, shared: &Shared) {
-    // Short read timeouts turn blocked reads into shutdown-flag polls.
-    if stream.set_read_timeout(Some(READ_POLL)).is_err() {
-        return;
-    }
-    // A peer that stops reading must not pin the worker on a write.
-    if stream.set_write_timeout(Some(shared.write_timeout)).is_err() {
-        return;
-    }
-    // Responses are one small write each; Nagle + delayed ACK would add
-    // tens of milliseconds per keep-alive round trip otherwise.
-    let _ = stream.set_nodelay(true);
-    let mut writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(_) => return,
-    };
-    let mut reader = BufReader::new(stream);
-    let mut idle = Duration::ZERO;
-    loop {
-        match parse_request_deadline_timed(&mut reader, Some(shared.read_cap)) {
-            Ok((req, first_byte)) => {
-                idle = Duration::ZERO;
-                let keep_alive = req.keep_alive && !shared.shutdown.load(Ordering::Acquire);
-                // Head-based sampling (or adoption of a router-propagated
-                // id): a sampled request's trace begins at its first byte,
-                // so the parse span covers the socket read.
-                let mut trace = shared.begin_trace(req.trace_parent, first_byte);
-                if let Some(t) = trace.as_mut() {
-                    t.lap(stages().parse);
-                }
-                // Handler isolation: a panic in routing answers 500 and is
-                // counted, but the worker thread — and every other queued
-                // connection behind it — survives.
-                let response =
-                    match catch_unwind(AssertUnwindSafe(|| route(&req, shared, trace.as_mut()))) {
-                        Ok(r) => r,
-                        Err(_) => {
-                            shared.registry.counter("serve.panics").inc();
-                            Response::error(500, "internal error: handler panicked")
-                        }
-                    };
-                let write_ok = response.write_to(&mut writer, keep_alive).is_ok();
-                if let Some(mut t) = trace {
-                    t.lap(stages().write);
-                    shared.tracer.finish(t);
-                }
-                if !write_ok || !keep_alive {
-                    return;
-                }
-            }
-            Err(ParseError::Idle) => {
-                idle += READ_POLL;
-                if shared.shutdown.load(Ordering::Acquire) || idle >= KEEP_ALIVE_IDLE {
-                    return;
-                }
-            }
-            Err(ParseError::Eof) | Err(ParseError::Io(_)) => return,
-            Err(ParseError::Bad { status, reason }) => {
-                shared.registry.counter("serve.http_errors").inc();
-                let _ = Response::error(status, reason).write_to(&mut writer, false);
-                return;
-            }
-        }
-    }
-}
-
-/// A `/recommend` cache miss, split from routing so each transport can
-/// resolve it its own way: the threaded path computes synchronously (with
-/// miss coalescing), the event loop parks it on the batch scorer.
+/// A `/recommend` cache miss, split from routing so the event loop can park
+/// it on the batch scorer instead of blocking on it.
 pub(crate) struct PendingScore {
     /// The raw user id as requested (echoed in the response).
     pub raw_user: String,
@@ -735,86 +526,17 @@ pub(crate) struct PendingScore {
 pub(crate) enum Routed {
     /// The response is ready (every endpoint but a `/recommend` miss).
     Immediate(Response),
-    /// A `/recommend` cache miss: the transport must score it.
+    /// A `/recommend` cache miss: the event loop must score it.
     Score(PendingScore),
-}
-
-/// Dispatches one parsed request (threaded transport): resolves a score
-/// synchronously through the coalescing cache.
-fn route(req: &Request, shared: &Shared, mut trace: Option<&mut Trace>) -> Response {
-    let started = Instant::now();
-    match route_async(req, shared, trace.as_deref_mut()) {
-        Routed::Immediate(r) => {
-            if let Some(t) = trace {
-                t.lap(stages().route);
-            }
-            r
-        }
-        Routed::Score(p) => {
-            let st = stages();
-            if let Some(t) = trace.as_deref_mut() {
-                t.lap(st.cache_lookup);
-            }
-            let model = Arc::clone(&p.model);
-            // When this thread is the one computing, capture how the window
-            // split between the dense sweep and the top-k cut; a coalesced
-            // request spent the same window waiting on the leader instead.
-            let mut split: Option<(Duration, Duration)> = None;
-            let (items, outcome) =
-                shared
-                    .cache
-                    .get_or_compute(p.user, p.k, model.generation, || {
-                        let mut scores = Vec::new();
-                        let (items, score_d, cut_d) = model.top_k_dense_timed(
-                            clapf_data::UserId(p.user),
-                            p.k,
-                            &mut scores,
-                        );
-                        split = Some((score_d, cut_d));
-                        Arc::new(items)
-                    });
-            match outcome {
-                CacheOutcome::Hit => shared.registry.counter("serve.cache.hits").inc(),
-                CacheOutcome::Miss => shared.registry.counter("serve.cache.misses").inc(),
-                CacheOutcome::Coalesced => {
-                    shared.registry.counter("serve.cache.coalesced").inc()
-                }
-            }
-            if let Some(t) = trace.as_deref_mut() {
-                match split {
-                    Some((score_d, cut_d)) => t.lap_with(
-                        st.score_compute,
-                        &[
-                            (st.f_score_us, score_d.as_micros() as u64),
-                            (st.f_cut_us, cut_d.as_micros() as u64),
-                        ],
-                    ),
-                    None => t.lap(st.score_wait),
-                }
-            }
-            let r = render_recommend(
-                &p.model,
-                &p.raw_user,
-                p.k,
-                &items,
-                outcome == CacheOutcome::Hit,
-            );
-            if let Some(t) = trace.as_deref_mut() {
-                t.lap(st.render);
-            }
-            shared.observe_traced("recommend", started, trace.map(|t| t.id()));
-            r
-        }
-    }
 }
 
 /// Dispatches one parsed request to its endpoint handler, without blocking
 /// on scoring: a `/recommend` cache miss comes back as [`Routed::Score`]
-/// for the calling transport to resolve.
-pub(crate) fn route_async(req: &Request, shared: &Shared, mut trace: Option<&mut Trace>) -> Routed {
+/// for the event loop to resolve.
+pub(crate) fn route(req: &Request, shared: &Shared, mut trace: Option<&mut Trace>) -> Routed {
     let started = Instant::now();
     // Failpoint: tests inject handler I/O errors (typed 500) and panics
-    // (exercising the transports' catch_unwind isolation) here.
+    // (exercising the event loop's catch_unwind isolation) here.
     if let Err(e) = clapf_faults::check("serve.handler") {
         return Routed::Immediate(Response::error(500, &format!("handler fault: {e}")));
     }
@@ -850,7 +572,7 @@ pub(crate) fn route_async(req: &Request, shared: &Shared, mut trace: Option<&mut
                     shared.observe_traced("recommend", started, trace.map(|t| t.id()));
                     Routed::Immediate(r)
                 }
-                score => score, // the transport observes at completion
+                score => score, // the event loop observes at completion
             }
         }
         (Method::Get, "/bundle/fingerprint") => {
@@ -1082,7 +804,7 @@ fn metrics(shared: &Shared) -> Response {
 }
 
 /// Validates a `/recommend/{user}` request and answers it from the cache,
-/// or hands back a [`PendingScore`] for the transport to compute.
+/// or hands back a [`PendingScore`] for the event loop to compute.
 fn recommend_route(
     raw_user: &str,
     req: &Request,
@@ -1136,9 +858,9 @@ fn recommend_route(
     }
 }
 
-/// Renders the `/recommend` JSON body — the single definition both
-/// transports (and the batch scorer's fan-out) serialize through, so a
-/// batched answer is byte-identical to a single-request one.
+/// Renders the `/recommend` JSON body — the single definition cache hits
+/// and the batch scorer's fan-out both serialize through, so a batched
+/// answer is byte-identical to a cached one.
 pub(crate) fn render_recommend(
     model: &ServingModel,
     raw_user: &str,

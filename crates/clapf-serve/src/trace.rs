@@ -1,13 +1,13 @@
 //! Request tracing glue: the serve-side stage vocabulary and the
 //! `/debug/traces` + `/debug/slow` JSON endpoints.
 //!
-//! Both transports sample requests through one [`Tracer`] held in
+//! The event loop samples requests through one [`Tracer`] held in
 //! [`crate::server::Shared`]: head-based, deterministic, one in
 //! `--trace-sample` requests (0 disables tracing — the per-request cost is
 //! then a single relaxed atomic load, see `results/BENCH_trace.json`).
 //! A sampled request carries a [`clapf_telemetry::Trace`] through the
 //! request state machine; its stages **tile** the request's wall clock —
-//! parse, route/cache, score (or batch queue/score/wake), render, write —
+//! parse, route/cache, batch queue/score/wake, render, write —
 //! so summing a trace's span durations recovers the request's total time.
 //! Finished traces land in the tracer's lock-free ring (served by
 //! `GET /debug/traces?n=`) and its slowest-K log (`GET /debug/slow`), and
@@ -27,24 +27,16 @@ pub(crate) struct Stages {
     pub cache_hit: Stage,
     /// Cache probe that missed (ends where scoring begins).
     pub cache_lookup: Stage,
-    /// Threaded-transport inline scoring (fields: score vs cut µs).
-    pub score_compute: Stage,
-    /// Threaded-transport wait on another request's in-flight score.
-    pub score_wait: Stage,
-    /// Event loop: job queued until its batch formed.
+    /// Job queued until its batch formed.
     pub batch_queue: Stage,
-    /// Event loop: batch scoring (`scores_into_batch` + per-job cut).
+    /// Batch scoring (`scores_into_batch` + per-job cut).
     pub batch_score: Stage,
-    /// Event loop: completion published until the loop fanned it out.
+    /// Completion published until the loop fanned it out.
     pub batch_wake: Stage,
     /// Serializing the response body.
     pub render: Stage,
     /// Writing the response to the socket.
     pub write: Stage,
-    /// Field: microseconds of the dense score sweep inside `score.compute`.
-    pub f_score_us: Stage,
-    /// Field: microseconds of the top-k cut inside `score.compute`.
-    pub f_cut_us: Stage,
     /// Field: how many jobs shared the batch (on `batch.score`).
     pub f_batch: Stage,
 }
@@ -57,15 +49,11 @@ pub(crate) fn stages() -> &'static Stages {
         route: intern_stage("req.route"),
         cache_hit: intern_stage("cache.hit"),
         cache_lookup: intern_stage("cache.lookup"),
-        score_compute: intern_stage("score.compute"),
-        score_wait: intern_stage("score.wait"),
         batch_queue: intern_stage("batch.queue"),
         batch_score: intern_stage("batch.score"),
         batch_wake: intern_stage("batch.wake"),
         render: intern_stage("req.render"),
         write: intern_stage("req.write"),
-        f_score_us: intern_stage("score_us"),
-        f_cut_us: intern_stage("cut_us"),
         f_batch: intern_stage("batch_size"),
     })
 }

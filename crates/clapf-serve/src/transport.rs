@@ -15,12 +15,12 @@
 //! rings the waker; the loop then fans each completion out to its waiters
 //! and resumes any pipelined requests buffered behind them.
 //!
-//! Overload and abuse protections mirror the threaded transport:
-//! `max_conns` caps accepted sockets (beyond it, accept-then-503-shed),
-//! `pending_bound` caps queued score jobs (beyond it, per-request 503 with
-//! `Retry-After` — the connection survives), and a periodic sweep enforces
-//! the read budget (408 to slow-loris writers), the write timeout (peers
-//! that stop reading are dropped), and the keep-alive idle limit.
+//! Overload and abuse protections: `max_conns` caps accepted sockets
+//! (beyond it, accept-then-503-shed), `pending_bound` caps queued score
+//! jobs (beyond it, per-request 503 with `Retry-After` — the connection
+//! survives), and a periodic sweep enforces the read budget (408 to
+//! slow-loris writers), the write timeout (peers that stop reading are
+//! dropped), and the keep-alive idle limit.
 //!
 //! Graceful drain: when the shutdown flag flips (POST /shutdown, the
 //! handle, or SIGTERM plumbing upstream), the loop stops accepting, marks
@@ -34,7 +34,7 @@ use crate::conn::{Conn, FlushState};
 use crate::http::{Feed, Response};
 use crate::model::ServingModel;
 use crate::poller::{Event, Fd, Poller};
-use crate::server::{route_async, render_recommend, PendingScore, Routed, Shared, KEEP_ALIVE_IDLE};
+use crate::server::{render_recommend, route, PendingScore, Routed, Shared};
 use crate::trace::stages;
 use clapf_telemetry::Trace;
 use std::collections::HashMap;
@@ -50,6 +50,8 @@ const TOK_BASE: usize = 2;
 
 /// Upper bound on one poller wait; also the cadence of deadline sweeps.
 const WAIT_TIMEOUT: Duration = Duration::from_millis(250);
+/// Idle keep-alive connections are closed after this long without a request.
+const KEEP_ALIVE_IDLE: Duration = Duration::from_secs(30);
 
 /// Sizing knobs for the event transport.
 pub(crate) struct EventOpts {
@@ -364,10 +366,10 @@ impl EventLoop {
         if let Some(t) = trace.as_mut() {
             t.lap(stages().parse);
         }
-        // Panic isolation at request granularity, exactly as the threaded
-        // transport's worker loop does around `route`.
-        let routed =
-            catch_unwind(AssertUnwindSafe(|| route_async(&req, &shared, trace.as_mut())));
+        // Panic isolation at request granularity: a panic in routing
+        // answers 500 and is counted; the loop and every other connection
+        // keep going.
+        let routed = catch_unwind(AssertUnwindSafe(|| route(&req, &shared, trace.as_mut())));
         match routed {
             Err(_) => {
                 self.shared.registry.counter("serve.panics").inc();

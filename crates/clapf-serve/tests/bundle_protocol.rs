@@ -1,7 +1,9 @@
 //! The replica half of the fleet rollout protocol (ISSUE 9): staging a
 //! candidate bundle off to the side, fingerprint-verified commit, abort
 //! with revert to the previous bundle, and adoption of router-propagated
-//! trace ids. Failpoint tests serialize on `clapf_faults::exclusive()`.
+//! trace ids. Tests that stage or commit serialize on
+//! `clapf_faults::exclusive()`: failpoints are process-global, so the
+//! `serve.bundle.*` faults one test arms would fire in another's server.
 
 use clapf_data::loader::{load_ratings_reader, Separator};
 use clapf_data::ItemId;
@@ -170,6 +172,7 @@ fn fingerprints_flow_from_disk_to_healthz_and_probe() {
 
 #[test]
 fn stage_commit_flips_and_abort_reverts_fleet_protocol() {
+    let _guard = clapf_faults::exclusive();
     let a = bundle(1.0, "cycle-a");
     let b = bundle(-1.0, "cycle-b");
     let path = temp_bundle_file("cycle", &a);
@@ -242,6 +245,7 @@ fn stage_commit_flips_and_abort_reverts_fleet_protocol() {
 
 #[test]
 fn stage_without_next_file_rejects_and_keeps_serving() {
+    let _guard = clapf_faults::exclusive();
     let a = bundle(1.0, "nonext");
     let path = temp_bundle_file("nonext", &a);
     let server = start_server(path.clone(), ServeConfig::default());

@@ -7,13 +7,14 @@
 //! drain completes pending batches before the last socket closes; overload
 //! sheds typed 503s; and the scan-poller fallback serves identically.
 //!
-//! Tests that arm failpoints serialize on `clapf_faults::exclusive()` —
-//! failpoints are process-global.
+//! Every test serializes on `clapf_faults::exclusive()`: failpoints are
+//! process-global, so a fault one test arms would also fire in (and be
+//! consumed by) another test's server.
 
 use clapf_data::loader::{load_ratings_reader, Separator};
 use clapf_data::ItemId;
 use clapf_mf::{Init, MfModel};
-use clapf_serve::{start, ModelBundle, ServeConfig, Transport};
+use clapf_serve::{start, ModelBundle, ServeConfig};
 use clapf_telemetry::Registry;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -26,7 +27,7 @@ use std::time::{Duration, Instant};
 
 // ---------------------------------------------------------------- fixtures
 
-/// Same shape as the threaded-transport fixture: item biases order the
+/// Same shape as the integration-suite fixture: item biases order the
 /// catalog, `slope` flips so bundles A and B rank in opposite orders.
 fn bundle(slope: f32, tag: &str) -> ModelBundle {
     let csv = "\
@@ -63,7 +64,6 @@ fn offline_top_k(b: &ModelBundle, raw_user: &str, k: usize) -> Vec<String> {
 
 fn event_config() -> ServeConfig {
     ServeConfig {
-        transport: Transport::EventLoop,
         workers: 2,
         ..ServeConfig::default()
     }
@@ -138,6 +138,13 @@ impl KeepAlive {
 
     /// Reads exactly one `Content-Length`-framed response.
     fn read_response(&mut self) -> (u16, String) {
+        let (status, _, body) = self.read_response_with_head();
+        (status, body)
+    }
+
+    /// [`read_response`](Self::read_response), also returning the status
+    /// line and headers.
+    fn read_response_with_head(&mut self) -> (u16, String, String) {
         let mut head = Vec::new();
         let mut byte = [0u8; 1];
         while !head.ends_with(b"\r\n\r\n") {
@@ -160,7 +167,7 @@ impl KeepAlive {
             .unwrap_or_else(|| panic!("no Content-Length in {head_text:?}"));
         let mut body = vec![0u8; len];
         self.stream.read_exact(&mut body).expect("read body");
-        (status, String::from_utf8(body).unwrap())
+        (status, head_text, String::from_utf8(body).unwrap())
     }
 
     fn roundtrip(&mut self, method: &str, path: &str) -> (u16, String) {
@@ -223,6 +230,7 @@ fn metric_value(registry: &Registry, name: &str) -> f64 {
 
 #[test]
 fn event_loop_matches_offline_evaluator_bit_for_bit() {
+    let _guard = clapf_faults::exclusive();
     let b = bundle(1.0, "bitident");
     let path = temp_bundle_file("ev-bitident", &b);
     let (server, registry) = start_server(path.clone(), event_config());
@@ -255,6 +263,7 @@ fn event_loop_matches_offline_evaluator_bit_for_bit() {
 
 #[test]
 fn scan_poller_fallback_serves_identically() {
+    let _guard = clapf_faults::exclusive();
     let b = bundle(1.0, "scan");
     let path = temp_bundle_file("ev-scan", &b);
     let (server, registry) = start_server(
@@ -279,6 +288,7 @@ fn scan_poller_fallback_serves_identically() {
 
 #[test]
 fn pipelined_keep_alive_requests_answer_in_order() {
+    let _guard = clapf_faults::exclusive();
     let b = bundle(1.0, "pipeline");
     let path = temp_bundle_file("ev-pipeline", &b);
     let (server, _) = start_server(path.clone(), event_config());
@@ -356,6 +366,7 @@ fn concurrent_identical_misses_score_exactly_once() {
 
 #[test]
 fn hot_swap_with_batches_in_flight_stays_bit_identical() {
+    let _guard = clapf_faults::exclusive();
     let a = bundle(1.0, "ev-race-a");
     let b = bundle(-1.0, "ev-race-b");
     let path = temp_bundle_file("ev-race", &a);
@@ -458,6 +469,7 @@ fn shutdown_with_a_pending_batch_still_answers_it() {
 
 #[test]
 fn connections_past_max_conns_are_shed_with_503() {
+    let _guard = clapf_faults::exclusive();
     let b = bundle(1.0, "ev-maxconn");
     let path = temp_bundle_file("ev-maxconn", &b);
     let (server, _) = start_server(
@@ -475,7 +487,9 @@ fn connections_past_max_conns_are_shed_with_503() {
     assert_eq!(held_1.roundtrip("GET", "/healthz").0, 200);
     assert_eq!(held_2.roundtrip("GET", "/healthz").0, 200);
 
-    // The third connection is accepted only to be shed with a typed 503.
+    // The third connection is accepted only to be shed — promptly, with a
+    // typed 503 and a Retry-After hint, not a hang.
+    let started = Instant::now();
     let mut third = TcpStream::connect(addr).expect("connect");
     third
         .set_read_timeout(Some(Duration::from_secs(10)))
@@ -485,6 +499,15 @@ fn connections_past_max_conns_are_shed_with_503() {
     let (status, body) = parse_response_text(&raw);
     assert_eq!(status, 503, "{body}");
     assert!(raw.contains("Retry-After"), "{raw}");
+    assert!(
+        started.elapsed() < Duration::from_secs(5),
+        "shed response was not prompt"
+    );
+
+    // The shed is counted, and a held connection can still read it.
+    let (status, metrics) = held_2.roundtrip("GET", "/metrics");
+    assert_eq!(status, 200);
+    assert!(metrics.contains("\nserve_shed 1\n"), "{metrics}");
 
     // Freeing a slot restores service for new connections.
     drop(held_1);
@@ -535,9 +558,11 @@ fn pending_bound_sheds_the_request_but_keeps_the_connection() {
     std::thread::sleep(Duration::from_millis(100));
     // Third request: queue is at the bound — shed, but on a live socket.
     let mut third = KeepAlive::connect(addr);
-    let (status, body) = third.roundtrip("GET", "/recommend/u3?k=2");
+    third.send("GET", "/recommend/u3?k=2");
+    let (status, head, body) = third.read_response_with_head();
     clapf_faults::disarm("serve.batch.flush");
     assert_eq!(status, 503, "expected a shed, got {body}");
+    assert!(head.contains("Retry-After"), "{head}");
 
     // The shed connection survives and serves the retry.
     let (status, body) = third.roundtrip("GET", "/healthz");
@@ -576,6 +601,7 @@ fn poller_wait_faults_are_tolerated() {
 
 #[test]
 fn file_watcher_reloads_under_the_event_transport() {
+    let _guard = clapf_faults::exclusive();
     let a = bundle(1.0, "ev-watch-a");
     let b = bundle(-1.0, "ev-watch-b");
     let path = temp_bundle_file("ev-watch", &a);

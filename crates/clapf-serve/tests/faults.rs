@@ -1,4 +1,4 @@
-//! Hot-reload and overload behaviour under injected faults (ISSUE 5).
+//! Hot-reload and handler behaviour under injected faults.
 //!
 //! Every test serializes on `clapf_faults::exclusive()` — failpoints are
 //! process-global, so a concurrently armed `serve.handler` fault would
@@ -11,7 +11,7 @@ use clapf_serve::{start, ModelBundle, ServeConfig};
 use clapf_telemetry::Registry;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -95,29 +95,6 @@ fn generation_of(addr: SocketAddr) -> u64 {
         .collect::<String>()
         .parse()
         .expect("generation is a number")
-}
-
-/// Reads one full HTTP response off an already-open stream.
-fn read_response(stream: &mut TcpStream) -> (u16, String) {
-    stream
-        .set_read_timeout(Some(Duration::from_secs(10)))
-        .unwrap();
-    let mut reader = BufReader::new(stream);
-    let mut head = String::new();
-    loop {
-        let mut line = String::new();
-        reader.read_line(&mut line).expect("read header line");
-        if line == "\r\n" || line == "\n" || line.is_empty() {
-            break;
-        }
-        head.push_str(&line);
-    }
-    let status: u16 = head
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or_else(|| panic!("no status line in {head:?}"));
-    (status, head)
 }
 
 // ------------------------------------------------------------------- tests
@@ -262,76 +239,69 @@ fn handler_io_fault_is_a_typed_500() {
 }
 
 #[test]
-fn overload_sheds_with_typed_503_and_recovers() {
+fn batch_panic_fails_every_coalesced_waiter_and_frees_the_key() {
     let _guard = clapf_faults::exclusive();
-    let a = bundle(1.0, "shed");
-    let path = temp_bundle_file("shed", &a);
-    let server = start_server(
+    let b = bundle(1.0, "batch-panic");
+    let path = temp_bundle_file("batch-panic", &b);
+    let registry = Arc::new(Registry::new());
+    let server = start(
         path.clone(),
         ServeConfig {
             workers: 1,
-            queue_bound: 1,
             ..ServeConfig::default()
         },
-    );
+        Arc::clone(&registry),
+    )
+    .expect("server starts");
     let addr = server.addr();
 
-    // Occupy the single worker: a keep-alive connection that has served one
-    // request parks in the worker's idle-poll loop.
-    let mut held = TcpStream::connect(addr).unwrap();
-    write!(held, "GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n").unwrap();
-    let (status, _) = read_response(&mut held);
-    assert_eq!(status, 200);
-
-    // Fill the queue (capacity 1) with a second idle connection.
-    let queued = TcpStream::connect(addr).unwrap();
-
-    // The third connection must be shed immediately: typed 503 with a
-    // Retry-After hint, not a hang.
-    let mut shed_conn = TcpStream::connect(addr).unwrap();
-    let started = Instant::now();
-    let (status, head) = read_response(&mut shed_conn);
-    assert_eq!(status, 503, "{head}");
-    assert!(head.contains("Retry-After"), "{head}");
-    assert!(
-        started.elapsed() < Duration::from_secs(5),
-        "shed response was not prompt"
+    // Occupy the single scorer with a delayed batch for u1, so the u2
+    // requests below all park on one queued key.
+    clapf_faults::arm_nth(
+        "serve.batch.flush",
+        clapf_faults::Fault::Delay { ms: 400 },
+        0,
+        Some(1),
     );
+    let wait_for = |what: &str, ready: &dyn Fn() -> bool| {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !ready() {
+            assert!(Instant::now() < deadline, "timed out waiting for {what}");
+            std::thread::sleep(Duration::from_millis(2));
+        }
+    };
+    let first = std::thread::spawn(move || get(addr, "/recommend/u1?k=2"));
+    wait_for("the u1 batch", &|| clapf_faults::hits("serve.batch.flush") == 1);
+    let waiters: Vec<_> = (0..4)
+        .map(|_| std::thread::spawn(move || get(addr, "/recommend/u2?k=3")))
+        .collect();
+    wait_for("the u2 requests to park", &|| {
+        registry.counter("serve.cache.coalesced").get() == 3
+    });
+    // The u2 batch is next through the failpoint: it panics.
+    clapf_faults::arm_nth("serve.batch.flush", clapf_faults::Fault::Panic, 0, Some(1));
 
-    // Release the worker; the queued connection gets served.
-    drop(held);
-    let mut queued = queued;
-    write!(queued, "GET /healthz HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n").unwrap();
-    let (status, _) = read_response(&mut queued);
-    assert_eq!(status, 200);
-    drop(queued);
+    assert_eq!(first.join().unwrap().0, 200);
+    for w in waiters {
+        let (status, body) = w.join().unwrap();
+        assert_eq!(status, 500, "{body}");
+        assert!(body.contains("panicked"), "{body}");
+    }
+    assert_eq!(registry.counter("serve.panics").get(), 1);
+    assert_eq!(registry.counter("serve.cache.misses").get(), 2);
+    assert_eq!(registry.counter("serve.cache.coalesced").get(), 3);
 
-    let (_, metrics) = get(addr, "/metrics");
-    assert!(metrics.contains("serve_shed 1"), "{metrics}");
-
-    server.shutdown();
-    std::fs::remove_dir_all(path.parent().unwrap()).ok();
-}
-
-#[test]
-fn expired_queue_deadline_sheds_instead_of_serving() {
-    let _guard = clapf_faults::exclusive();
-    let a = bundle(1.0, "deadline");
-    let path = temp_bundle_file("deadline", &a);
-    let server = start_server(
-        path.clone(),
-        ServeConfig {
-            // Zero admission budget: every dequeued connection is already
-            // "too old", so the shed path runs deterministically.
-            queue_deadline: Duration::ZERO,
-            ..ServeConfig::default()
-        },
-    );
-    let addr = server.addr();
-
-    let (status, body) = get(addr, "/healthz");
-    assert_eq!(status, 503, "{body}");
-    assert!(body.contains("overloaded"), "{body}");
+    // The scorer survived and the key was released: a retry recomputes.
+    let (status, body) = get(addr, "/recommend/u2?k=3");
+    assert_eq!(status, 200, "{body}");
+    let want: Vec<String> = b
+        .recommend_raw("u2", 3)
+        .unwrap()
+        .iter()
+        .map(|i| format!("{i:?}"))
+        .collect();
+    assert!(body.contains(&format!("\"items\":[{}]", want.join(","))), "{body}");
+    assert_eq!(registry.counter("serve.cache.misses").get(), 3);
 
     server.shutdown();
     std::fs::remove_dir_all(path.parent().unwrap()).ok();

@@ -2,14 +2,14 @@
 //!
 //! * With 1-in-1 sampling, a `/recommend` cache miss shows up at
 //!   `GET /debug/traces` with a per-stage breakdown whose durations sum to
-//!   within 10% of the trace's measured wall time — on **both** transports.
+//!   within 10% of the trace's measured wall time.
 //! * `GET /debug/slow` surfaces the slowest traces.
 //! * Responses are bit-identical with tracing off vs. 1-in-1 sampling.
 
 use clapf_data::loader::{load_ratings_reader, Separator};
 use clapf_data::ItemId;
 use clapf_mf::{Init, MfModel};
-use clapf_serve::{start, ModelBundle, ServeConfig, Transport};
+use clapf_serve::{start, ModelBundle, ServeConfig};
 use clapf_telemetry::Registry;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -123,24 +123,33 @@ fn trace_with_stage(body: &str, stage: &str) -> Option<Value> {
 /// clock — summing to within 10% of `total_us` (with a 100µs absolute
 /// floor: on a toy fixture the whole request takes tens of microseconds,
 /// where scheduling noise dwarfs any percentage).
-fn assert_spans_tile(trace: &Value, transport: &str) {
+fn assert_spans_tile(trace: &Value) {
     let total = uint(field(trace, "total_us"));
     let spans = seq(field(trace, "spans"));
-    assert!(!spans.is_empty(), "[{transport}] trace has no spans");
+    assert!(!spans.is_empty(), "trace has no spans");
     let sum: u64 = spans.iter().map(|s| uint(field(s, "dur_us"))).sum();
     let slack = (total / 10).max(100);
     assert!(
         sum + slack >= total && sum <= total + slack,
-        "[{transport}] span durations ({sum}µs) do not tile the trace ({total}µs): {trace:?}"
+        "span durations ({sum}µs) do not tile the trace ({total}µs): {trace:?}"
     );
 }
 
-fn run_miss_trace_test(transport: Transport, stages_expected: &[&str], tag: &str) {
-    let path = temp_bundle_file(tag);
+#[test]
+fn event_loop_miss_trace_breaks_down_per_stage() {
+    let stages_expected = [
+        "batch.score",
+        "req.parse",
+        "cache.lookup",
+        "batch.queue",
+        "batch.wake",
+        "req.render",
+        "req.write",
+    ];
+    let path = temp_bundle_file("miss");
     let server = start(
         path,
         ServeConfig {
-            transport,
             trace_sample: 1,
             ..ServeConfig::default()
         },
@@ -158,97 +167,58 @@ fn run_miss_trace_test(transport: Transport, stages_expected: &[&str], tag: &str
     assert_eq!(status, 200);
     let marker = stages_expected[0];
     let trace = trace_with_stage(&body, marker)
-        .unwrap_or_else(|| panic!("[{tag}] no trace with stage {marker:?} in {body}"));
+        .unwrap_or_else(|| panic!("no trace with stage {marker:?} in {body}"));
     let spans = seq(field(&trace, "spans"));
     let names: Vec<&str> = spans.iter().map(|s| str_of(field(s, "stage"))).collect();
     for want in stages_expected {
-        assert!(
-            names.contains(want),
-            "[{tag}] missing stage {want:?} in {names:?}"
-        );
+        assert!(names.contains(&want), "missing stage {want:?} in {names:?}");
     }
-    assert_spans_tile(&trace, tag);
+    assert_spans_tile(&trace);
 
     // The slow log has seen the same request.
     let (status, body) = get(addr, "/debug/slow");
     assert_eq!(status, 200);
     assert!(
         trace_with_stage(&body, marker).is_some(),
-        "[{tag}] slow log misses the request: {body}"
+        "slow log misses the request: {body}"
     );
 
     server.shutdown();
-}
-
-#[test]
-fn threaded_miss_trace_breaks_down_per_stage() {
-    run_miss_trace_test(
-        Transport::Threaded,
-        &[
-            "score.compute",
-            "req.parse",
-            "cache.lookup",
-            "req.render",
-            "req.write",
-        ],
-        "threaded",
-    );
-}
-
-#[test]
-fn event_loop_miss_trace_breaks_down_per_stage() {
-    run_miss_trace_test(
-        Transport::EventLoop,
-        &[
-            "batch.score",
-            "req.parse",
-            "cache.lookup",
-            "batch.queue",
-            "batch.wake",
-            "req.render",
-            "req.write",
-        ],
-        "event-loop",
-    );
 }
 
 /// Tracing must not perturb answers: the same request sequence against the
 /// same bundle yields byte-identical bodies with sampling off and 1-in-1.
 #[test]
 fn responses_are_bit_identical_with_tracing_on() {
-    for transport in [Transport::Threaded, Transport::EventLoop] {
-        let tag = format!("bitid-{transport:?}");
-        let path = temp_bundle_file(&tag);
-        let mut bodies: Vec<Vec<String>> = Vec::new();
-        for trace_sample in [0u64, 1u64] {
-            let server = start(
-                path.clone(),
-                ServeConfig {
-                    transport,
-                    trace_sample,
-                    ..ServeConfig::default()
-                },
-                Arc::new(Registry::new()),
-            )
-            .expect("server starts");
-            let addr = server.addr();
-            let mut run = Vec::new();
-            for req in [
-                "/recommend/u1?k=3",
-                "/recommend/u1?k=3", // cache hit second time
-                "/recommend/u2?k=2",
-                "/recommend/u3",
-                "/healthz",
-            ] {
-                let (status, body) = get(addr, req);
-                assert_eq!(status, 200, "{req}");
-                run.push(body);
-            }
-            server.shutdown();
-            bodies.push(run);
+    let path = temp_bundle_file("bitid");
+    let mut bodies: Vec<Vec<String>> = Vec::new();
+    for trace_sample in [0u64, 1u64] {
+        let server = start(
+            path.clone(),
+            ServeConfig {
+                trace_sample,
+                ..ServeConfig::default()
+            },
+            Arc::new(Registry::new()),
+        )
+        .expect("server starts");
+        let addr = server.addr();
+        let mut run = Vec::new();
+        for req in [
+            "/recommend/u1?k=3",
+            "/recommend/u1?k=3", // cache hit second time
+            "/recommend/u2?k=2",
+            "/recommend/u3",
+            "/healthz",
+        ] {
+            let (status, body) = get(addr, req);
+            assert_eq!(status, 200, "{req}");
+            run.push(body);
         }
-        assert_eq!(bodies[0], bodies[1], "tracing changed a response body");
+        server.shutdown();
+        bodies.push(run);
     }
+    assert_eq!(bodies[0], bodies[1], "tracing changed a response body");
 }
 
 /// `/metrics` latency buckets carry OpenMetrics exemplars referencing the

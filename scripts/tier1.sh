@@ -51,7 +51,8 @@ echo "==> serve smoke: fit --save + clapf serve end-to-end over HTTP"
 serve_pid=$!
 addr=""
 for _ in $(seq 1 100); do
-  addr="$(sed -n 's#^listening on http://##p' "$smoke_dir/serve.log")"
+  # The backgrounded server may not have created its log yet.
+  addr="$(sed -n 's#^listening on http://##p' "$smoke_dir/serve.log" 2>/dev/null || true)"
   [ -n "$addr" ] && break
   sleep 0.1
 done
@@ -82,7 +83,7 @@ echo "==> trace smoke: --trace-sample 1 surfaces per-stage request traces"
 serve_pid=$!
 addr=""
 for _ in $(seq 1 100); do
-  addr="$(sed -n 's#^listening on http://##p' "$smoke_dir/traced.log")"
+  addr="$(sed -n 's#^listening on http://##p' "$smoke_dir/traced.log" 2>/dev/null || true)"
   [ -n "$addr" ] && break
   sleep 0.1
 done
@@ -144,46 +145,6 @@ resume_line="$(grep 'held-out metrics' "$smoke_dir/resume.log")"
   || { echo "crash smoke: resumed metrics diverged:" >&2; \
        echo "  ref:    $ref_line" >&2; echo "  resume: $resume_line" >&2; exit 1; }
 
-echo "==> overload smoke: burst past the queue sheds 503s, server stays up"
-# Pinned to the threaded transport: this smoke exercises the worker-queue
-# admission path (--queue), which the event loop replaces with a pending
-# bound. The event transport's shed paths are covered by serve_conns below
-# and the clapf-serve integration tests.
-"$clapf" serve --load "$smoke_dir/model.json" --addr 127.0.0.1:0 \
-  --workers 1 --queue 1 --event-loop off > "$smoke_dir/overload.log" 2>&1 &
-serve_pid=$!
-addr=""
-for _ in $(seq 1 100); do
-  addr="$(sed -n 's#^listening on http://##p' "$smoke_dir/overload.log")"
-  [ -n "$addr" ] && break
-  sleep 0.1
-done
-[ -n "$addr" ] || { echo "overload smoke: no port announced" >&2; exit 1; }
-# Pin the single worker with an idle keep-alive connection, fill the
-# 1-deep queue with a second, then a third must be shed promptly.
-exec 4<>"/dev/tcp/${addr%:*}/${addr##*:}"
-sleep 0.3
-exec 5<>"/dev/tcp/${addr%:*}/${addr##*:}"
-sleep 0.1
-shed_response="$(serve_get /healthz)"
-echo "$shed_response" | grep -q '503' \
-  || { echo "overload smoke: expected 503, got: $shed_response" >&2; exit 1; }
-echo "$shed_response" | grep -qi 'retry-after' \
-  || { echo "overload smoke: 503 missing Retry-After" >&2; exit 1; }
-exec 4>&-
-exec 5>&-
-sleep 0.3
-serve_get /healthz | grep -q '"status":"ok"' \
-  || { echo "overload smoke: server did not recover after shed" >&2; exit 1; }
-serve_get /metrics | grep -q 'serve_shed' \
-  || { echo "overload smoke: shed counter missing from /metrics" >&2; exit 1; }
-exec 3<>"/dev/tcp/${addr%:*}/${addr##*:}"
-printf 'POST /shutdown HTTP/1.1\r\nHost: s\r\nConnection: close\r\n\r\n' >&3
-cat <&3 >/dev/null
-exec 3>&-
-wait "$serve_pid" \
-  || { echo "overload smoke: server exited non-zero" >&2; exit 1; }
-
 echo "==> serve_conns smoke: ~2k concurrent conns on the event loop"
 # The binary asserts the gates itself: every response bit-identical to the
 # offline evaluator across keep-alive rounds, the serve.conns gauge reaches
@@ -208,7 +169,7 @@ echo "==> fleet smoke: router + 2 replicas, rollout under load, failover, drain"
 fleet_pid=$!
 addr=""
 for _ in $(seq 1 100); do
-  addr="$(sed -n 's#^listening on http://##p' "$smoke_dir/fleet.log")"
+  addr="$(sed -n 's#^listening on http://##p' "$smoke_dir/fleet.log" 2>/dev/null || true)"
   [ -n "$addr" ] && break
   sleep 0.1
 done
@@ -300,5 +261,10 @@ cargo build -p clapf-mf --no-default-features
 echo "==> cargo build -p clapf-serve --no-default-features"
 # The serve crate must build without the epoll FFI (scan-poller fallback).
 cargo build -p clapf-serve --no-default-features
+
+echo "==> cargo test -q -p clapf-serve --no-default-features"
+# Without the epoll FFI the scan poller is the only transport: the whole
+# serve suite must pass on it too.
+cargo test -q -p clapf-serve --no-default-features
 
 echo "tier-1: OK"
