@@ -65,7 +65,7 @@ mod tests {
     use clapf_core::{Clapf, ClapfConfig, FitOptions, FitReport, ParallelConfig};
     use clapf_data::synthetic::{generate, WorldConfig};
     use clapf_mf::SgdConfig;
-    use clapf_sampling::UniformSampler;
+    use clapf_sampling::{DssMode, DssSampler, UniformSampler};
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
@@ -140,9 +140,11 @@ mod tests {
 
     #[test]
     fn every_sgd_trainer_stops_at_the_first_epoch_edge_after_diverging() {
-        // One divergence rule on every path, observed or not: an exploding
-        // learning rate goes non-finite within the first epoch, and the
-        // driver stops right at that epoch's edge.
+        // One divergence rule on every path, observed or not, whatever the
+        // sampler: an exploding learning rate goes non-finite within the
+        // first epoch, and the driver stops right at that epoch's edge. The
+        // DSS draws rank live factor values, so they must keep drawing (not
+        // panic) once those values are NaN.
         let data = generate(&WorldConfig::tiny(), &mut SmallRng::seed_from_u64(5)).unwrap();
         let sgd = SgdConfig {
             learning_rate: 1e5,
@@ -154,28 +156,45 @@ mod tests {
             threads,
             chunk_size: 64,
         };
-        let clapf = |threads| {
+        let clapf = |threads, base| {
             Clapf::new(ClapfConfig {
                 dim: 6,
                 sgd,
                 iterations,
                 parallel: parallel(threads),
-                ..ClapfConfig::map(0.4)
+                ..base
             })
         };
-        let cases: [(&str, FitReport); 4] = [
+        let serial_dss = |base, mode| {
+            clapf(1, base)
+                .fit(
+                    &data,
+                    &mut DssSampler::dss(mode),
+                    &mut SmallRng::seed_from_u64(1),
+                )
+                .1
+        };
+        let cases: [(&str, FitReport); 6] = [
             (
                 "serial CLAPF",
-                clapf(1)
+                clapf(1, ClapfConfig::map(0.4))
                     .fit(&data, &mut UniformSampler, &mut SmallRng::seed_from_u64(1))
                     .1,
             ),
             (
                 "2-thread CLAPF",
-                clapf(2)
+                clapf(2, ClapfConfig::map(0.4))
                     .fit_with(&data, &mut UniformSampler, 1, FitOptions::default())
                     .unwrap()
                     .1,
+            ),
+            (
+                "serial CLAPF-MAP with DSS",
+                serial_dss(ClapfConfig::map(0.4), DssMode::Map),
+            ),
+            (
+                "serial CLAPF-MRR with DSS",
+                serial_dss(ClapfConfig::mrr(0.4), DssMode::Mrr),
             ),
             (
                 "BPR",

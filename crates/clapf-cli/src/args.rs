@@ -347,6 +347,26 @@ impl Command {
                 }))
             }
             "fit" | "train" => {
+                reject_unknown_flags(
+                    sub,
+                    &rest,
+                    &[
+                        "--data",
+                        "--model",
+                        "--lambda",
+                        "--dim",
+                        "--iterations",
+                        "--holdout",
+                        "--seed",
+                        "--threads",
+                        "--save",
+                        "--metrics-out",
+                        "--log-level",
+                        "--checkpoint-dir",
+                        "--checkpoint-every",
+                    ],
+                    &["--dss", "--resume"],
+                )?;
                 let data = PathBuf::from(required("--data")?);
                 let model = match value("--model")? {
                     Some(v) => ModelKind::parse(v)?,
@@ -764,6 +784,54 @@ mod tests {
             }
             other => panic!("{other:?}"),
         }
+    }
+
+    #[test]
+    fn fit_rejects_unknown_flags_by_name() {
+        for sub in ["fit", "train"] {
+            for (extra, named) in [
+                (&["--iterationz", "10", "--dimm", "4"][..], "--iterationz"),
+                (&["--iterations", "10", "--dimm", "4"], "--dimm"),
+                (&["--dss", "--threds", "2"], "--threds"),
+                (&["stray"], "stray"),
+            ] {
+                let mut argv = vec![sub, "--data", "d.csv"];
+                argv.extend_from_slice(extra);
+                let err = Command::parse(&args(&argv)).unwrap_err();
+                assert!(err.contains(&format!("{named:?}")), "{sub} {extra:?}: {err}");
+            }
+        }
+    }
+
+    #[test]
+    fn every_fit_flag_still_parses() {
+        let c = Command::parse(&args(&[
+            "train", "--data", "r.csv", "--model", "bpr", "--lambda", "0.1", "--dss", "--dim",
+            "3", "--iterations", "900", "--holdout", "0.2", "--seed", "5", "--threads", "2",
+            "--save", "m.json", "--metrics-out", "t.jsonl", "--log-level", "quiet",
+            "--checkpoint-dir", "ck", "--checkpoint-every", "3", "--resume",
+        ]))
+        .unwrap();
+        assert_eq!(
+            c,
+            Command::Fit(FitArgs {
+                data: PathBuf::from("r.csv"),
+                model: ModelKind::Bpr,
+                lambda: 0.1,
+                dss: true,
+                dim: 3,
+                iterations: 900,
+                holdout: 0.2,
+                seed: 5,
+                threads: 2,
+                save: Some(PathBuf::from("m.json")),
+                metrics_out: Some(PathBuf::from("t.jsonl")),
+                log_level: LogLevel::Quiet,
+                checkpoint_dir: Some(PathBuf::from("ck")),
+                checkpoint_every: 3,
+                resume: true,
+            })
+        );
     }
 
     #[test]

@@ -80,6 +80,10 @@ pub struct DssSampler {
     /// (`σ_q`) — the AoBPR scheme DSS builds on.
     factor_stds: Vec<f32>,
     dim: usize,
+    /// Scratch for the positive draw's rank keys; reused across draws, so a
+    /// warmed-up sampler draws without allocating. Each clone (one per
+    /// Hogwild worker) owns its own copy.
+    scratch: Vec<u64>,
     /// Optional introspection sink. `Clone` shares the `Arc`, so every
     /// Hogwild worker's sampler clone records into the same counters.
     /// Recording never touches the RNG stream — an instrumented run draws
@@ -97,6 +101,7 @@ impl DssSampler {
             factor_lists: Vec::new(),
             factor_stds: Vec::new(),
             dim: 0,
+            scratch: Vec::new(),
             stats: None,
         }
     }
@@ -191,12 +196,19 @@ impl DssSampler {
     }
 
     /// Draws the second observed item `k` by geometric sampling over the
-    /// user's observed items ranked by the factor-`q` value (the restriction
-    /// of the global ranking to `I_u⁺`). MAP reads from the bottom, MRR from
-    /// the top; a negative user sign flips the reading direction.
+    /// user's observed items `I_u⁺`, ranked by their **live** factor-`q`
+    /// values (not by the refreshed global list, which may be stale by up to
+    /// one refresh interval). MAP reads from the bottom, MRR from the top; a
+    /// negative user sign flips the reading direction. Ties break by
+    /// ascending item id. If the drawn rank holds the anchor `i`, the next
+    /// rank is taken instead (wrapping to rank 0).
+    ///
+    /// Costs one O(|I_u⁺|) selection over [`rank_key`]s in the sampler's
+    /// scratch buffer: no sort, and no allocation once the buffer has grown
+    /// to the largest user seen.
     #[allow(clippy::too_many_arguments)]
     fn draw_positive(
-        &self,
+        &mut self,
         data: &Interactions,
         model: &MfModel,
         u: UserId,
@@ -212,34 +224,50 @@ impl DssSampler {
             1 => return Some(items[0]),
             _ => {}
         }
-        // Signed key: larger key ⇔ larger contribution to f_u·.
-        let mut keyed: Vec<(f32, ItemId)> = items
-            .iter()
-            .map(|&t| {
-                let v = model.item(t)[q];
-                (if positive_sign { v } else { -v }, t)
-            })
-            .collect();
-        // MAP wants ascending (bottom first), MRR descending (top first).
-        keyed.sort_unstable_by(|a, b| {
-            let ord = a.0.partial_cmp(&b.0).expect("factors are finite");
-            match self.config.mode {
-                DssMode::Map => ord.then(a.1.cmp(&b.1)),
-                DssMode::Mrr => ord.reverse().then(a.1.cmp(&b.1)),
-            }
-        });
         let geom = Geometric::with_tail_fraction(n, self.config.positive_tail_fraction);
         let r = geom.draw(n, rng);
         if let Some(s) = &self.stats {
             s.positive_depth.record(r as f64);
         }
-        let k = keyed[r].1;
+        let descending = self.config.mode == DssMode::Mrr;
+        let keys = &mut self.scratch;
+        keys.clear();
+        keys.extend(items.iter().map(|&t| {
+            let v = model.item(t)[q];
+            rank_key(if positive_sign { v } else { -v }, descending, t)
+        }));
+        let (below, &mut at, above) = keys.select_nth_unstable(r);
+        let k = key_item(at);
         if k != i {
             return Some(k);
         }
-        // Prefer a distinct second item: take the next rank.
-        Some(keyed[(r + 1) % n].1)
+        // Prefer a distinct second item: take the next rank — the smallest
+        // key above `r`, or rank 0 (the smallest below) when `r` is last.
+        let next = above.iter().min().or_else(|| below.iter().min());
+        Some(key_item(*next.expect("n ≥ 2 leaves a second rank")))
     }
+}
+
+/// Packs an observed item into a `u64` whose integer order is the positive
+/// draw's rank order. The high 32 bits hold the signed factor value as
+/// order-preserving bits (inverted when `descending`); the low 32 bits hold
+/// the item id, so equal values tie-break by ascending id. A NaN sorts
+/// beyond the infinity of its sign instead of failing a comparison.
+fn rank_key(value: f32, descending: bool, item: ItemId) -> u64 {
+    // `+ 0.0` folds -0.0 into 0.0: the two compare equal as floats.
+    let bits = (value + 0.0).to_bits();
+    let ordered = if bits >> 31 == 1 {
+        !bits
+    } else {
+        bits | 0x8000_0000
+    };
+    let high = if descending { !ordered } else { ordered };
+    (u64::from(high) << 32) | u64::from(item.0)
+}
+
+/// The item a [`rank_key`] was built from.
+fn key_item(key: u64) -> ItemId {
+    ItemId(key as u32)
 }
 
 /// Re-sorts one factor's item list in place and recomputes that factor's
@@ -394,6 +422,7 @@ mod tests {
     use clapf_data::InteractionsBuilder;
     use clapf_mf::Init;
     use rand::rngs::SmallRng;
+    use rand::seq::SliceRandom;
     use rand::SeedableRng;
 
     /// 1 user observing items 0..5 of 100; model where item factor value
@@ -656,5 +685,138 @@ mod tests {
         assert_eq!(t.i, ItemId(3));
         assert_eq!(t.k, ItemId(3));
         assert_ne!(t.j, ItemId(3));
+    }
+
+    /// The user's observed items in the order the positive draw ranks them,
+    /// by a full sort: signed factor value (MAP ascending, MRR descending),
+    /// ties by ascending id. The reference the selection must reproduce.
+    fn sorted_by_reference(
+        mode: DssMode,
+        data: &Interactions,
+        model: &MfModel,
+        u: UserId,
+        q: usize,
+        positive_sign: bool,
+    ) -> Vec<ItemId> {
+        let mut keyed: Vec<(f32, ItemId)> = data
+            .items_of(u)
+            .iter()
+            .map(|&t| {
+                let v = model.item(t)[q];
+                (if positive_sign { v } else { -v }, t)
+            })
+            .collect();
+        keyed.sort_unstable_by(|a, b| {
+            let ord = a.0.partial_cmp(&b.0).expect("factors are finite");
+            match mode {
+                DssMode::Map => ord.then(a.1.cmp(&b.1)),
+                DssMode::Mrr => ord.reverse().then(a.1.cmp(&b.1)),
+            }
+        });
+        keyed.into_iter().map(|(_, t)| t).collect()
+    }
+
+    #[test]
+    fn selection_matches_the_full_sort_draw() {
+        // 300 random worlds, one user each, whose factor values come mostly
+        // from a small tie-heavy pool that holds both 0.0 and -0.0. Every
+        // (mode, sign, factor, anchor) draw must pick the same item as the
+        // full sort and leave the RNG at the same position.
+        const POOL: [f32; 7] = [-1.5, -0.25, -0.0, 0.0, 0.25, 1.5, 3.0];
+        let (mut worlds_of_two, mut signed_zero_ties, mut wraps, mut draws) = (0, 0, 0, 0);
+        for world in 0..300u64 {
+            let mut g = SmallRng::seed_from_u64(world);
+            let n: usize = if world % 10 == 0 {
+                2
+            } else {
+                g.gen_range(2..40)
+            };
+            let m = n as u32 + g.gen_range(1..20u32);
+            let mut ids: Vec<u32> = (0..m).collect();
+            ids.shuffle(&mut g);
+            let mut b = InteractionsBuilder::new(1, m);
+            for &t in &ids[..n] {
+                b.push(UserId(0), ItemId(t)).unwrap();
+            }
+            let data = b.build().unwrap();
+            let mut model = MfModel::new(1, m, 2, Init::Zeros, &mut g);
+            for t in 0..m {
+                for v in model.item_mut(ItemId(t)) {
+                    *v = if g.gen_bool(0.8) {
+                        POOL[g.gen_range(0..POOL.len())]
+                    } else {
+                        g.gen_range(-2.0f32..2.0)
+                    };
+                }
+            }
+            worlds_of_two += usize::from(n == 2);
+            let items = data.items_of(UserId(0));
+            for q in 0..2 {
+                let has = |z: f32| {
+                    items
+                        .iter()
+                        .any(|&t| model.item(t)[q].to_bits() == z.to_bits())
+                };
+                signed_zero_ties += usize::from(has(0.0) && has(-0.0));
+                for mode in [DssMode::Map, DssMode::Mrr] {
+                    let mut s = DssSampler::dss(mode);
+                    let geom = Geometric::with_tail_fraction(n, s.config.positive_tail_fraction);
+                    for positive_sign in [true, false] {
+                        let order =
+                            sorted_by_reference(mode, &data, &model, UserId(0), q, positive_sign);
+                        for &anchor in items {
+                            let mut rng = SmallRng::seed_from_u64(g.gen());
+                            for _ in 0..6 {
+                                let mut reference = rng.clone();
+                                let r = geom.draw(n, &mut reference);
+                                let want = if order[r] != anchor {
+                                    order[r]
+                                } else {
+                                    wraps += usize::from(r + 1 == n);
+                                    order[(r + 1) % n]
+                                };
+                                let got = s.draw_positive(
+                                    &data,
+                                    &model,
+                                    UserId(0),
+                                    anchor,
+                                    q,
+                                    positive_sign,
+                                    &mut rng,
+                                );
+                                let case = format!(
+                                    "world {world} {mode:?} q={q} sign={positive_sign} \
+                                     anchor={anchor:?} r={r}"
+                                );
+                                assert_eq!(got, Some(want), "{case}");
+                                assert_eq!(rng, reference, "{case}: RNG positions differ");
+                                draws += 1;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        // The edge cases the property exists for were actually exercised.
+        assert!(worlds_of_two >= 30, "{worlds_of_two} worlds with n = 2");
+        assert!(signed_zero_ties > 0, "no world held both 0.0 and -0.0");
+        assert!(wraps > 0, "the anchor never sat at the drawn last rank");
+        assert!(draws > 100_000, "{draws} draws");
+    }
+
+    #[test]
+    fn positive_draws_reuse_the_scratch_buffer_after_warmup() {
+        let (data, model) = fixture();
+        let mut s = DssSampler::dss(DssMode::Map);
+        s.refresh(&model);
+        let mut rng = SmallRng::seed_from_u64(12);
+        s.sample(&data, &model, UserId(0), &mut rng).unwrap(); // warm-up grows the buffer
+        let ptr = s.scratch.as_ptr();
+        let cap = s.scratch.capacity();
+        for _ in 0..200 {
+            s.sample(&data, &model, UserId(0), &mut rng).unwrap();
+            assert_eq!(s.scratch.as_ptr(), ptr, "scratch reallocated");
+            assert_eq!(s.scratch.capacity(), cap, "scratch capacity changed");
+        }
     }
 }

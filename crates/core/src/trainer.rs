@@ -523,6 +523,43 @@ mod tests {
         assert!(!model.mf.has_non_finite());
     }
 
+    /// 64-bit FNV-1a over the bit pattern of every parameter: user factors,
+    /// item factors, item biases.
+    fn model_bits_hash(mf: &MfModel) -> u64 {
+        let users = (0..mf.n_users()).flat_map(|u| mf.user(UserId(u)));
+        let items = (0..mf.n_items()).flat_map(|i| mf.item(ItemId(i)));
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for v in users.chain(items).chain(mf.biases()) {
+            for b in v.to_bits().to_le_bytes() {
+                h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+        h
+    }
+
+    #[test]
+    fn dss_fits_match_pinned_fingerprints() {
+        // Every DSS draw — factor, rank, tie-break, fallback — feeds the
+        // trained parameters, so these hashes pin the sampler's draw order.
+        // They were recorded with the original full-sort positive draw.
+        let data = generate(&WorldConfig::tiny(), &mut SmallRng::seed_from_u64(3)).unwrap();
+        for (mode, base, want) in [
+            (DssMode::Map, ClapfConfig::map(0.4), 0x9197_b5aa_bda4_798f),
+            (DssMode::Mrr, ClapfConfig::mrr(0.4), 0xe4ba_237f_767b_a8d1),
+        ] {
+            let trainer = Clapf::new(ClapfConfig {
+                dim: 6,
+                iterations: 6_000,
+                ..base
+            });
+            let mut rng = SmallRng::seed_from_u64(11);
+            let (model, report) = trainer.fit(&data, &mut DssSampler::dss(mode), &mut rng);
+            assert!(!report.diverged, "{mode:?}");
+            let got = model_bits_hash(&model.mf);
+            assert_eq!(got, want, "{mode:?} fit: {got:#018x}");
+        }
+    }
+
     #[test]
     fn lambda_zero_ignores_k_entirely() {
         // With λ = 0 the k coefficient is 0, so CLAPF must coincide with a
