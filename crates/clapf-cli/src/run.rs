@@ -563,7 +563,6 @@ fn serve<W: Write>(a: ServeArgs, out: &mut W) -> Result<(), CliError> {
         cache_capacity: a.cache,
         watch_poll: a.watch_secs.map(std::time::Duration::from_secs_f64),
         batch_max: a.batch_max,
-        batch_hold: std::time::Duration::from_micros(a.batch_hold_us),
         trace_sample: a.trace_sample,
         register,
         fault_control: a.fault_control,
@@ -574,12 +573,11 @@ fn serve<W: Write>(a: ServeArgs, out: &mut W) -> Result<(), CliError> {
         .map_err(|e| CliError::Io(e.to_string()))?;
     writeln!(
         out,
-        "serving {} (cache {} entries, {} workers, event loop, batches of {} held {}us{})",
+        "serving {} (cache {} entries, {} workers, event loop, batches of up to {}{})",
         a.load.display(),
         a.cache,
         a.workers,
         a.batch_max,
-        a.batch_hold_us,
         match a.watch_secs {
             Some(s) => format!(", watching every {s}s"),
             None => String::new(),

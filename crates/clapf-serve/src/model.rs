@@ -102,7 +102,7 @@ impl ModelSlot {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use clapf_data::loader::{load_ratings_reader, Separator};
     use clapf_data::ItemId;
@@ -110,7 +110,8 @@ mod tests {
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
-    fn serving_model(bias: [f32; 3], generation: u64) -> ServingModel {
+    /// A two-user, three-item model whose item biases are `bias`.
+    pub(crate) fn serving_model(bias: [f32; 3], generation: u64) -> ServingModel {
         let csv = "u1,a,5\nu1,b,5\nu2,b,4\nu2,c,5\n";
         let loaded =
             load_ratings_reader(std::io::Cursor::new(csv), Separator::Comma, 3.0).unwrap();

@@ -63,9 +63,6 @@ pub struct ServeConfig {
     pub transport: Transport,
     /// Most `/recommend` requests scored in one batch.
     pub batch_max: usize,
-    /// Longest a scorer holds an underfull batch open waiting for more
-    /// requests. Bounds the light-load latency premium.
-    pub batch_hold: Duration,
     /// Most simultaneously open connections; beyond it new accepts are
     /// shed with a 503.
     pub max_conns: usize,
@@ -104,7 +101,6 @@ impl Default for ServeConfig {
             write_timeout: Duration::from_secs(10),
             transport: Transport::EventLoop,
             batch_max: 32,
-            batch_hold: Duration::from_micros(100),
             max_conns: 10_000,
             pending_bound: 4096,
             force_scan_poller: false,
@@ -452,7 +448,7 @@ fn start_event_loop(
     config: &ServeConfig,
 ) -> Result<Vec<std::thread::JoinHandle<()>>, ServeError> {
     let (waker_tx, waker_rx) = loopback_pair().map_err(ServeError::Io)?;
-    let batcher = Arc::new(Batcher::new(waker_tx, config.batch_max, config.batch_hold));
+    let batcher = Arc::new(Batcher::new(waker_tx, config.batch_max));
     shared.registry.gauge("serve.conns").set(0.0);
     let mut threads = Vec::new();
     for n in 0..config.workers.max(1) {

@@ -365,6 +365,70 @@ fn concurrent_identical_misses_score_exactly_once() {
 }
 
 #[test]
+fn misses_queued_behind_a_busy_scorer_share_a_batch() {
+    let _guard = clapf_faults::exclusive();
+    // Eight users, so eight concurrent misses are eight distinct keys.
+    let csv: String = (0..8).map(|u| format!("u{u},i{u},5\n")).collect();
+    let loaded = load_ratings_reader(std::io::Cursor::new(csv), Separator::Comma, 3.0).unwrap();
+    let mut rng = SmallRng::seed_from_u64(7);
+    let mut model = MfModel::new(
+        loaded.interactions.n_users(),
+        loaded.interactions.n_items(),
+        2,
+        Init::Zeros,
+        &mut rng,
+    );
+    for i in 0..loaded.interactions.n_items() {
+        *model.bias_mut(ItemId(i)) = i as f32 + 1.0;
+    }
+    let b = ModelBundle::new("event-natural".into(), model, loaded.ids, &loaded.interactions);
+    let path = temp_bundle_file("ev-natural", &b);
+    // One scorer: while the delayed first batch occupies it, every other
+    // miss can only queue.
+    let (server, registry) = start_server(
+        path.clone(),
+        ServeConfig {
+            workers: 1,
+            ..event_config()
+        },
+    );
+    let addr = server.addr();
+
+    clapf_faults::arm_nth(
+        "serve.batch.flush",
+        clapf_faults::Fault::Delay { ms: 300 },
+        0,
+        Some(1),
+    );
+    let clients: Vec<_> = (0..8)
+        .map(|u| {
+            let user = format!("u{u}");
+            let want = offline_top_k(&b, &user, 3);
+            std::thread::spawn(move || {
+                let (status, body) = get(addr, &format!("/recommend/{user}?k=3"));
+                assert_eq!(status, 200, "{body}");
+                assert_eq!(items_of(&body), want, "{user}: batched list diverged");
+            })
+        })
+        .collect();
+    for c in clients {
+        c.join().unwrap();
+    }
+    clapf_faults::disarm("serve.batch.flush");
+
+    assert_eq!(metric_value(&registry, "serve.cache.misses"), 8.0);
+    assert_eq!(metric_value(&registry, "serve.batch.size_sum"), 8.0);
+    let batches = metric_value(&registry, "serve.batch.size_count");
+    assert!(
+        (1.0..8.0).contains(&batches),
+        "8 misses behind a busy scorer formed {batches} batches"
+    );
+
+    server.shutdown();
+    std::fs::remove_dir_all(path.parent().unwrap()).ok();
+}
+
+#[test]
 fn hot_swap_with_batches_in_flight_stays_bit_identical() {
     let _guard = clapf_faults::exclusive();
     let a = bundle(1.0, "ev-race-a");
