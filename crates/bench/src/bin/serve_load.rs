@@ -269,6 +269,7 @@ struct FleetSection {
 
 #[derive(Serialize)]
 struct ServeLoadReport {
+    provenance: bench::Provenance,
     n_users: u32,
     n_items: u32,
     dim: usize,
@@ -276,7 +277,6 @@ struct ServeLoadReport {
     clients: usize,
     zipf_s: f64,
     duration_secs: f64,
-    available_cores: usize,
     /// Headline: cached QPS / uncached QPS at
     /// saturating concurrency, where micro-batches fill. Target ≤ 2.0.
     cached_over_uncached: f64,
@@ -1015,6 +1015,7 @@ fn main() {
     );
 
     let out = ServeLoadReport {
+        provenance: bench::provenance(cli.scale_name),
         n_users,
         n_items,
         dim,
@@ -1022,9 +1023,6 @@ fn main() {
         clients,
         zipf_s,
         duration_secs: secs,
-        available_cores: std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1),
         cached_over_uncached,
         batch_speedup,
         runs,

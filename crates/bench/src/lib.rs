@@ -5,9 +5,55 @@
 //! JSON artifacts (default `results/`).
 
 use clapf_eval::RunScale;
-use std::path::PathBuf;
+use serde::Serialize;
+use std::path::{Path, PathBuf};
+use std::process::Command;
 
 pub mod chaos;
+
+/// Where a benchmark result came from, written into its JSON report.
+#[derive(Debug, Serialize)]
+pub struct Provenance {
+    /// `git rev-parse HEAD`, or a note when not run inside a git checkout.
+    pub commit: String,
+    /// `rustc -V` of the toolchain on `PATH`.
+    pub rustc: String,
+    /// Cores available to this process.
+    pub nproc: usize,
+    /// Whether the SIMD scoring kernels were selected at run time.
+    pub arch_dispatch_active: bool,
+    /// The run scale (`fast`, `medium` or `paper`).
+    pub scale: String,
+}
+
+/// The trimmed stdout of a successful command, or `"unknown"`.
+fn command_output(cmd: &str, args: &[&str]) -> String {
+    Command::new(cmd)
+        .args(args)
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
+        .unwrap_or_else(|| "unknown".into())
+}
+
+/// Provenance of a run at `scale`, taken from the working directory.
+pub fn provenance(scale: &str) -> Provenance {
+    // Only ask git inside a git checkout: elsewhere git would walk up and
+    // report an unrelated repository's commit.
+    let commit = if Path::new(".git").exists() {
+        command_output("git", &["rev-parse", "HEAD"])
+    } else {
+        "unknown (not a git checkout)".into()
+    };
+    Provenance {
+        commit,
+        rustc: command_output("rustc", &["-V"]),
+        nproc: std::thread::available_parallelism().map_or(0, |n| n.get()),
+        arch_dispatch_active: clapf_mf::arch_dispatch_active(),
+        scale: scale.into(),
+    }
+}
 
 /// Parsed command line shared by all binaries.
 pub struct Cli {
@@ -110,6 +156,15 @@ mod tests {
             cli.json_path("table2"),
             PathBuf::from("/tmp/x/table2-paper.json")
         );
+    }
+
+    #[test]
+    fn provenance_names_toolchain_cores_and_scale() {
+        let p = provenance("fast");
+        assert!(p.rustc.starts_with("rustc ") || p.rustc == "unknown", "{p:?}");
+        assert!(p.nproc >= 1);
+        assert_eq!(p.scale, "fast");
+        assert!(!p.commit.is_empty());
     }
 
     #[test]

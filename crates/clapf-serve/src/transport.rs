@@ -507,7 +507,7 @@ impl EventLoop {
             let keep_alive = w.keep_alive && !self.draining;
             if let Some(t) = w.trace.as_mut() {
                 // The batch's shared phase clock lands on every member
-                // request: queue wait (including the bounded hold), the
+                // request: queue wait until the batch formed, the
                 // sweep + cut, and the waker round trip back to this loop.
                 let st = stages();
                 if let Some(bt) = completion.timing {

@@ -43,41 +43,19 @@ grep -q 'per-stage latency' "$smoke_dir/trace.out" \
 grep -q 'train.sweep' "$smoke_dir/trace.out" \
   || { echo "telemetry smoke: clapf trace missing train.sweep stage" >&2; exit 1; }
 
-echo "==> serve smoke: fit --save + clapf serve end-to-end over HTTP"
-"$clapf" fit --data "$smoke_dir/data.csv" --dim 8 --iterations 20000 \
-  --save "$smoke_dir/model.json" >/dev/null
-"$clapf" serve --load "$smoke_dir/model.json" --addr 127.0.0.1:0 \
-  > "$smoke_dir/serve.log" 2>&1 &
-serve_pid=$!
-addr=""
-for _ in $(seq 1 100); do
-  # The backgrounded server may not have created its log yet.
-  addr="$(sed -n 's#^listening on http://##p' "$smoke_dir/serve.log" 2>/dev/null || true)"
-  [ -n "$addr" ] && break
-  sleep 0.1
-done
-[ -n "$addr" ] || { echo "serve smoke: server never announced its port" >&2; exit 1; }
+# The plain serve smoke (fit --save, serve, /healthz, /recommend, /metrics,
+# POST /shutdown) is crates/clapf-cli/tests/serve_smoke.rs, run by cargo test.
 serve_get() {  # bare-TCP GET via bash /dev/tcp: no curl dependency
   exec 3<>"/dev/tcp/${addr%:*}/${addr##*:}"
   printf 'GET %s HTTP/1.1\r\nHost: s\r\nConnection: close\r\n\r\n' "$1" >&3
   cat <&3
   exec 3>&-
 }
-serve_get /healthz | grep -q '"status":"ok"' \
-  || { echo "serve smoke: /healthz failed" >&2; exit 1; }
-user="$(sed -n '2p' "$smoke_dir/data.csv" | cut -d, -f1)"
-serve_get "/recommend/$user?k=5" | grep -q '"items":\[' \
-  || { echo "serve smoke: /recommend failed" >&2; exit 1; }
-serve_get /metrics | grep -q 'serve_recommend_requests' \
-  || { echo "serve smoke: /metrics missing request counter" >&2; exit 1; }
-exec 3<>"/dev/tcp/${addr%:*}/${addr##*:}"
-printf 'POST /shutdown HTTP/1.1\r\nHost: s\r\nConnection: close\r\n\r\n' >&3
-cat <&3 >/dev/null
-exec 3>&-
-wait "$serve_pid" \
-  || { echo "serve smoke: server exited non-zero" >&2; exit 1; }
 
 echo "==> trace smoke: --trace-sample 1 surfaces per-stage request traces"
+"$clapf" fit --data "$smoke_dir/data.csv" --dim 8 --iterations 20000 \
+  --save "$smoke_dir/model.json" >/dev/null
+user="$(sed -n '2p' "$smoke_dir/data.csv" | cut -d, -f1)"
 "$clapf" serve --load "$smoke_dir/model.json" --addr 127.0.0.1:0 \
   --trace-sample 1 > "$smoke_dir/traced.log" 2>&1 &
 serve_pid=$!
