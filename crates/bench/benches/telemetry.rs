@@ -2,8 +2,8 @@
 //! hammer (counter/histogram updates) and the end-to-end observer overhead
 //! on a real CLAPF fit (noop vs. disabled vs. enabled-full-stats).
 //!
-//! The fit triad backs the < 2% enabled / ≈ 0% disabled acceptance bound;
-//! `telemetry_overhead` (the binary) reports the same triad as JSON.
+//! The `overhead` binary's `observer` leg reports the same fit triad as
+//! JSON (`results/BENCH_overhead.json`).
 
 use clapf_core::{Clapf, ClapfConfig};
 use clapf_data::synthetic::{generate, WorldConfig};
@@ -65,7 +65,7 @@ impl TrainObserver for FullObserver {
 }
 
 /// The same CLAPF-over-DSS fit (the paper's pipeline, as in the
-/// `telemetry_overhead` harness) with no observer, a disabled observer,
+/// `overhead` binary's observer leg) with no observer, a disabled observer,
 /// and an enabled one — the three points of the overhead acceptance bound.
 fn bench_observed_fit(c: &mut Criterion) {
     let data = world();

@@ -6,8 +6,6 @@
 
 use clapf_baselines::{Bpr, BprConfig, Climf, ClimfConfig, Mpr, MprConfig, Wmf, WmfConfig};
 use clapf_core::{Clapf, ClapfConfig, FitOptions, ParallelConfig};
-use clapf_data::synthetic::{generate, WorldConfig};
-use clapf_data::Interactions;
 use clapf_mf::SgdConfig;
 use clapf_sampling::{DssMode, DssSampler, UniformSampler};
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -15,19 +13,9 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::hint::black_box;
 
-fn world() -> Interactions {
-    let cfg = WorldConfig {
-        n_users: 400,
-        n_items: 700,
-        target_pairs: 20_000,
-        ..WorldConfig::default()
-    };
-    generate(&cfg, &mut SmallRng::seed_from_u64(1)).unwrap()
-}
-
 /// One "epoch" = |P| SGD steps for the sampling methods.
 fn bench_train(c: &mut Criterion) {
-    let data = world();
+    let data = bench::fixture::ml100k_standin();
     let steps = data.n_pairs();
     let mut group = c.benchmark_group("train_epoch");
     group.sample_size(10);

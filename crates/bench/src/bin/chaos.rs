@@ -17,31 +17,15 @@
 
 use bench::chaos::{locate_clapf, run_chaos, ChaosOptions};
 use bench::Cli;
-use clapf_eval::report;
 use std::path::PathBuf;
 
 fn main() {
-    let mut raw: Vec<String> = std::env::args().skip(1).collect();
-    let mut smoke = false;
-    if let Some(i) = raw.iter().position(|a| a == "--smoke") {
-        smoke = true;
-        raw.remove(i);
-    }
-    let mut clapf: Option<PathBuf> = None;
-    if let Some(i) = raw.iter().position(|a| a == "--clapf") {
-        clapf = Some(PathBuf::from(
-            raw.get(i + 1).expect("--clapf requires a path").clone(),
-        ));
-        raw.drain(i..=i + 1);
-    }
-    let cli = Cli::from_args(&raw);
-    let exe = match locate_clapf(clapf) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("chaos: {e}");
-            std::process::exit(2);
-        }
-    };
+    let cli = Cli::parse_with(&["--smoke"], &["--clapf"]);
+    let smoke = cli.has("--smoke");
+    // A missing binary or a fleet that never boots is an environment
+    // problem (exit 2), not an invariant failure (exit 1).
+    let exe = locate_clapf(cli.value("--clapf").map(PathBuf::from))
+        .unwrap_or_else(|e| bench::usage_error(&format!("chaos: {e}")));
 
     let opts = if smoke {
         ChaosOptions::smoke(exe, cli.scale.seed)
@@ -55,13 +39,7 @@ fn main() {
         opts.replicas,
         opts.exe.display()
     );
-    let chaos = match run_chaos(&opts) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("chaos: {e}");
-            std::process::exit(2);
-        }
-    };
+    let chaos = run_chaos(&opts).unwrap_or_else(|e| bench::usage_error(&format!("chaos: {e}")));
 
     for ev in &chaos.events {
         eprintln!(
@@ -100,10 +78,7 @@ fn main() {
         chaos.readmissions,
     );
 
-    std::fs::create_dir_all(&cli.out_dir).expect("create output directory");
-    let path = cli.out_dir.join("BENCH_fleet_chaos.json");
-    report::write_json(&path, &chaos).expect("write report");
-    eprintln!("chaos: report written to {}", path.display());
+    cli.write_report("fleet_chaos", &chaos);
 
     if !chaos.pass {
         for f in &chaos.failures {

@@ -4,17 +4,17 @@
 //! emits `results/BENCH_eval.json` so the perf trajectory is
 //! machine-readable across PRs.
 //!
-//! Speedup is hardware-bound; the JSON records the machine's core count so
-//! numbers from a small container are not mistaken for a regression.
+//! Speedup is hardware-bound; the report's provenance records the core
+//! count so numbers from a small container are not mistaken for a
+//! regression.
 
+use bench::timing::interleave;
 use bench::Cli;
 use clapf_data::{Interactions, InteractionsBuilder, ItemId, UserId};
-use clapf_eval::report;
 use clapf_metrics::{evaluate_serial, evaluate_serial_naive, EvalConfig};
 use clapf_mf::{Init, MfModel};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use clapf_telemetry::{per_sec, timed};
 use serde::Serialize;
 use std::hint::black_box;
 
@@ -31,7 +31,6 @@ struct EvalRow {
 #[derive(Serialize)]
 struct EvalSpeedReport {
     dim: usize,
-    available_cores: usize,
     rows: Vec<EvalRow>,
 }
 
@@ -49,16 +48,6 @@ fn interactions(n_users: u32, n_items: u32) -> (Interactions, Interactions) {
         }
     }
     (tr.build().unwrap(), te.build().unwrap())
-}
-
-fn time_runs<F: FnMut()>(mut f: F, runs: usize) -> std::time::Duration {
-    // Best-of-N wall time: robust to one-off scheduler noise.
-    let mut best = std::time::Duration::MAX;
-    for _ in 0..runs {
-        let ((), wall) = timed(&mut f);
-        best = best.min(wall);
-    }
-    best
 }
 
 fn main() {
@@ -79,22 +68,19 @@ fn main() {
         let naive = evaluate_serial_naive(&model, &train, &test, &cfg);
         assert_eq!(fast, naive, "engines disagree at {n_users}×{n_items}");
 
-        let naive_wall = time_runs(
-            || {
-                black_box(evaluate_serial_naive(&model, &train, &test, &cfg));
-            },
+        // Best-of-N wall time per engine, the runs interleaved so drift
+        // hits both engines alike.
+        let secs = interleave(
             runs,
+            &mut [
+                &mut || drop(black_box(evaluate_serial_naive(&model, &train, &test, &cfg))),
+                &mut || drop(black_box(evaluate_serial(&model, &train, &test, &cfg))),
+            ],
         );
-        let sortfree_wall = time_runs(
-            || {
-                black_box(evaluate_serial(&model, &train, &test, &cfg));
-            },
-            runs,
-        );
-        let naive_secs = naive_wall.as_secs_f64();
-        let sortfree_secs = sortfree_wall.as_secs_f64();
+        let best = |lane: &[f64]| lane.iter().copied().fold(f64::INFINITY, f64::min);
+        let (naive_secs, sortfree_secs) = (best(&secs[0]), best(&secs[1]));
         let speedup = naive_secs / sortfree_secs;
-        let users_per_sec = per_sec(fast.n_users, sortfree_wall);
+        let users_per_sec = fast.n_users as f64 / sortfree_secs;
         eprintln!(
             "{n_users} users × {n_items} items: naive {naive_secs:.3}s, \
              sortfree {sortfree_secs:.3}s ({speedup:.2}×, {users_per_sec:.0} users/sec)"
@@ -109,14 +95,5 @@ fn main() {
         });
     }
 
-    let out = EvalSpeedReport {
-        dim,
-        available_cores: std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1),
-        rows,
-    };
-    let path = cli.out_dir.join("BENCH_eval.json");
-    report::write_json(&path, &out).expect("write eval speed results");
-    eprintln!("wrote {}", path.display());
+    cli.write_report("eval", &EvalSpeedReport { dim, rows });
 }

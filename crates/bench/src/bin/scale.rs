@@ -17,10 +17,10 @@
 //!
 //! Usage: `scale [--smoke] [--out DIR]`.
 
+use bench::Cli;
 use clapf_core::{Clapf, ClapfConfig, FitOptions, ParallelConfig};
 use clapf_data::stream::{StreamConfig, StreamWorld};
 use clapf_data::{Interactions, UserId};
-use clapf_eval::report;
 use clapf_mf::{Init, MfModel};
 use clapf_sampling::UniformSampler;
 use rand::rngs::SmallRng;
@@ -45,21 +45,7 @@ fn world_config(tag: &str) -> StreamConfig {
 /// `VmHWM` (peak resident set) of this process, in bytes; 0 where
 /// `/proc/self/status` is unavailable.
 fn peak_rss_bytes() -> u64 {
-    let Ok(status) = std::fs::read_to_string("/proc/self/status") else {
-        return 0;
-    };
-    for line in status.lines() {
-        if let Some(rest) = line.strip_prefix("VmHWM:") {
-            let kb: u64 = rest
-                .trim()
-                .trim_end_matches("kB")
-                .trim()
-                .parse()
-                .unwrap_or(0);
-            return kb * 1024;
-        }
-    }
-    0
+    bench::proc_status("VmHWM").map_or(0, |kb| kb * 1024)
 }
 
 /// What one child leg reports back to the parent over stdout. One flat
@@ -313,8 +299,6 @@ struct WorldRow {
 
 #[derive(Serialize)]
 struct ScaleReport {
-    available_cores: usize,
-    simd_arch_dispatch: bool,
     smoke: bool,
     worlds: Vec<WorldRow>,
 }
@@ -426,53 +410,37 @@ fn bench_world(tag: &str, scratch: &Path) -> WorldRow {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-
-    // Child-leg mode: --leg NAME --world TAG --file PATH.
-    if let Some(pos) = args.iter().position(|a| a == "--leg") {
-        let get = |flag: &str| {
-            args.iter()
-                .position(|a| a == flag)
-                .and_then(|i| args.get(i + 1))
-                .unwrap_or_else(|| panic!("{flag} requires a value"))
+    // `--leg NAME --world TAG --file PATH` is the child-leg mode the parent
+    // re-execs itself in.
+    let cli = Cli::parse_with(&["--smoke"], &["--leg", "--world", "--file"]);
+    if let Some(leg) = cli.value("--leg") {
+        let need = |flag: &str| {
+            cli.value(flag)
+                .unwrap_or_else(|| bench::usage_error(&format!("--leg requires {flag}")))
         };
-        let leg = args[pos + 1].as_str();
-        let tag = get("--world").as_str();
-        let file = PathBuf::from(get("--file"));
+        let tag = need("--world");
+        let file = PathBuf::from(need("--file"));
         match leg {
             "build" => leg_build(tag),
             "write" => leg_write(tag, &file),
             "open" => leg_open(&file),
             "train" => leg_train(&file),
             "eval" => leg_eval(tag),
-            other => panic!("unknown leg {other:?}"),
+            other => bench::usage_error(&format!("unknown leg {other:?}")),
         }
         return;
     }
 
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let out_dir = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from("results"));
+    let smoke = cli.has("--smoke");
     let tags: &[&str] = if smoke { &["smoke"] } else { &["1M", "10M"] };
 
     let scratch = std::env::temp_dir().join("clapf_scale_bench");
     std::fs::create_dir_all(&scratch).expect("create scratch dir");
 
     let worlds: Vec<WorldRow> = tags.iter().map(|t| bench_world(t, &scratch)).collect();
-
-    let out = ScaleReport {
-        available_cores: std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1),
-        simd_arch_dispatch: clapf_mf::arch_dispatch_active(),
-        smoke,
-        worlds,
-    };
-    let path = out_dir.join("BENCH_scale.json");
-    report::write_json(&path, &out).expect("write scale results");
-    eprintln!("wrote {}", path.display());
+    bench::write_report(
+        &cli.out_dir.join("BENCH_scale.json"),
+        if smoke { "smoke" } else { "full" },
+        &ScaleReport { smoke, worlds },
+    );
 }

@@ -3,14 +3,13 @@
 //! stand-in world. Emits `results/BENCH_train_scaling.json` so the perf
 //! trajectory is machine-readable across PRs.
 //!
-//! Speedup is hardware-bound: the JSON records the machine's core count so
-//! a ratio measured on a small container is not mistaken for a regression.
+//! Speedup is hardware-bound: the report's provenance records the core
+//! count so a ratio measured on a small container is not mistaken for a
+//! regression.
 
+use bench::fixture::ml100k_standin;
 use bench::Cli;
 use clapf_core::{Clapf, ClapfConfig, FitOptions, ParallelConfig};
-use clapf_data::synthetic::{generate, WorldConfig};
-use clapf_data::Interactions;
-use clapf_eval::report;
 use clapf_sampling::UniformSampler;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -33,24 +32,13 @@ struct ScalingReport {
     n_items: u32,
     n_pairs: usize,
     dim: usize,
-    available_cores: usize,
     serial_steps_per_sec: f64,
     rows: Vec<ScalingRow>,
 }
 
-fn world() -> Interactions {
-    let cfg = WorldConfig {
-        n_users: 400,
-        n_items: 700,
-        target_pairs: 20_000,
-        ..WorldConfig::default()
-    };
-    generate(&cfg, &mut SmallRng::seed_from_u64(1)).unwrap()
-}
-
 fn main() {
     let cli = Cli::parse();
-    let data = world();
+    let data = ml100k_standin();
     let dim = 20;
     // Enough epochs that thread startup/barrier cost is amortized but a
     // full sweep still takes seconds, not minutes.
@@ -114,13 +102,8 @@ fn main() {
         n_items: data.n_items(),
         n_pairs: data.n_pairs(),
         dim,
-        available_cores: std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1),
         serial_steps_per_sec: serial_sps,
         rows,
     };
-    let path = cli.out_dir.join("BENCH_train_scaling.json");
-    report::write_json(&path, &out).expect("write scaling results");
-    eprintln!("wrote {}", path.display());
+    cli.write_report("train_scaling", &out);
 }

@@ -3,31 +3,15 @@
 //! (5k items, dim 32, k 10), across batch sizes. This is the ceiling on
 //! uncached QPS before any transport overhead — useful for telling "the
 //! kernel is slow" apart from "the server is slow" when serve_load moves.
-use clapf_data::loader::{load_ratings_reader, Separator};
+use bench::fixture::Fixture;
 use clapf_metrics::BulkScorer;
-use clapf_mf::{Init, MfModel};
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
 use std::time::Instant;
 
 fn main() {
-    let (n_users, n_items, dim) = (2000u32, 5000u32, 32usize);
-    let mut csv = String::new();
-    for u in 0..n_users {
-        for t in 0..8u32 {
-            let i = (u * 13 + t * 97) % n_items;
-            csv.push_str(&format!("u{u},i{i},5\n"));
-        }
-    }
-    let loaded = load_ratings_reader(std::io::Cursor::new(csv), Separator::Comma, 3.0).unwrap();
-    let mut rng = SmallRng::seed_from_u64(7);
-    let model = MfModel::new(
-        loaded.interactions.n_users(),
-        loaded.interactions.n_items(),
-        dim,
-        Init::default(),
-        &mut rng,
-    );
+    bench::expect_no_args();
+    let fixture = Fixture::new(2000, 5000, 32);
+    let loaded = fixture.ratings();
+    let model = fixture.model(&loaded, 7);
     for batch in [1usize, 4, 16, 32] {
         let users: Vec<clapf_data::UserId> =
             (0..batch as u32).map(clapf_data::UserId).collect();

@@ -10,8 +10,8 @@ use clapf_data::split::{Protocol, SplitStrategy};
 use clapf_eval::{report, table2, tune};
 
 fn main() {
-    let tune_flag = std::env::args().any(|a| a == "--tune");
-    let cli = Cli::parse_ignoring(&["--tune"]);
+    let cli = Cli::parse_with(&["--tune"], &[]);
+    let tune_flag = cli.has("--tune");
     let results = if tune_flag {
         run_tuned(&cli)
     } else {

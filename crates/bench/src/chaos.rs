@@ -31,22 +31,20 @@
 //! 5. after full recovery the router's responses are byte-identical to a
 //!    direct replica's.
 //!
-//! Used by the `chaos` bin (soak + `--smoke` for the tier-1 leg) and by
-//! `serve_load --chaos`; both write `results/BENCH_fleet_chaos.json`.
+//! Used by the `chaos` bin (soak, or `--smoke` for the tier-1 leg), which
+//! writes `results/BENCH_fleet_chaos.json`.
 
-use clapf_data::loader::{load_ratings_reader, Separator};
+use crate::fixture::{scratch_dir, Fixture};
+use crate::http::{call, Conn, Response};
 use clapf_fleet::{
     rollout, start_router, FleetSpec, HedgePolicy, Replica, ReplicaConfig, ReplicaSpec,
     RouterConfig, RouterHandle,
 };
-use clapf_mf::{Init, MfModel};
-use clapf_serve::ModelBundle;
 use clapf_telemetry::Registry;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde::Serialize;
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -198,7 +196,7 @@ impl EventClass {
 }
 
 /// One chaos event as measured.
-#[derive(Serialize)]
+#[derive(Default, Serialize)]
 pub struct EventReport {
     /// Event class name (`kill`, `hang`, …).
     pub class: String,
@@ -308,9 +306,14 @@ pub fn run_chaos(opts: &ChaosOptions) -> Result<ChaosReport, String> {
     let mut rng = SmallRng::seed_from_u64(opts.seed);
     let mut failures: Vec<String> = Vec::new();
 
-    let dir = std::env::temp_dir().join(format!("clapf-chaos-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).map_err(|e| format!("temp dir {}: {e}", dir.display()))?;
-    let (bundle_path, candidate_path) = build_bundles(opts, &dir)?;
+    let dir = scratch_dir("chaos");
+    // The live bundle and a rollout candidate with a different fingerprint
+    // (fresh factor init over the same data).
+    let fixture = Fixture::new(opts.users, opts.items, opts.dim);
+    let bundle_path = dir.join("bundle.json");
+    fixture.save("chaos", opts.seed, &bundle_path)?;
+    let candidate_path = dir.join("candidate.json");
+    fixture.save("chaos candidate", opts.seed ^ 0xC4A05, &candidate_path)?;
 
     // Router first (in-process), replicas register themselves as they boot.
     let registry = Arc::new(Registry::new());
@@ -602,17 +605,8 @@ fn run_event(
     let mut report = EventReport {
         class: class.name().into(),
         replica: target,
-        at_secs: 0.0,
-        window_secs: 0.0,
-        requests: 0,
-        errors: 0,
-        error_rate: 0.0,
         error_bound: class.error_bound(),
-        untyped_errors: 0,
-        degraded: 0,
-        time_to_recover_ms: 0,
-        converged_within_lease: None,
-        note: String::new(),
+        ..EventReport::default()
     };
     let t0 = Instant::now();
     match class {
@@ -770,45 +764,44 @@ fn client_loop(
 ) -> Vec<Rec> {
     let mut rng = SmallRng::seed_from_u64(seed);
     let mut recs = Vec::new();
-    let mut conn = connect(addr).ok();
+    let mut conn = Conn::open(addr).ok();
     while !stop.load(Ordering::Relaxed) {
         let u = rng.gen_range(0..users as u64) as u32;
         let path = format!("/recommend/u{u}?k={K}");
         let at = t0.elapsed().as_secs_f64();
         // One transparent reconnect: a keep-alive the server closed between
         // requests is not an error. A failure on a fresh connection is.
-        let out = match conn.as_mut().map(|c| roundtrip(c, &path)) {
+        let out = match conn.as_mut().map(|c| c.get(&path)) {
             Some(Ok(r)) => Ok(r),
-            _ => match connect(addr) {
-                Ok(mut fresh) => {
-                    let r = roundtrip(&mut fresh, &path);
-                    conn = Some(fresh);
-                    r.map_err(|e| e.to_string())
-                }
-                Err(e) => Err(e.to_string()),
-            },
+            _ => Conn::open(addr).and_then(|mut fresh| {
+                let r = fresh.get(&path);
+                conn = Some(fresh);
+                r
+            }),
         };
-        match out {
-            Ok((status, degraded, body)) => {
-                let content_ok = status != 200
-                    || items_part(&body).map(str::as_bytes) == Some(baselines[u as usize].as_bytes());
-                recs.push(Rec {
-                    at,
-                    status,
-                    degraded,
-                    content_ok,
-                });
-            }
+        recs.push(match out {
+            Ok(Response {
+                status,
+                degraded,
+                body,
+            }) => Rec {
+                at,
+                status,
+                degraded,
+                content_ok: status != 200
+                    || items_part(&body).map(str::as_bytes)
+                        == Some(baselines[u as usize].as_bytes()),
+            },
             Err(_) => {
-                recs.push(Rec {
+                conn = None;
+                Rec {
                     at,
                     status: 0,
                     degraded: false,
                     content_ok: true,
-                });
-                conn = None;
+                }
             }
-        }
+        });
     }
     recs
 }
@@ -877,128 +870,8 @@ fn check_fingerprints(
     }
 }
 
-/// Builds the synthetic live bundle and a rollout candidate with a
-/// different fingerprint (fresh factor init).
-fn build_bundles(opts: &ChaosOptions, dir: &std::path::Path) -> Result<(PathBuf, PathBuf), String> {
-    let mut csv = String::new();
-    for u in 0..opts.users {
-        for t in 0..8u32 {
-            let i = (u * 13 + t * 97) % opts.items;
-            csv.push_str(&format!("u{u},i{i},5\n"));
-        }
-    }
-    let mut paths = Vec::new();
-    for (tag, seed) in [("bundle", opts.seed), ("candidate", opts.seed ^ 0xC4A05)] {
-        let loaded = load_ratings_reader(std::io::Cursor::new(csv.as_bytes()), Separator::Comma, 3.0)
-            .map_err(|e| format!("synthetic ratings: {e}"))?;
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let model = MfModel::new(
-            loaded.interactions.n_users(),
-            loaded.interactions.n_items(),
-            opts.dim,
-            Init::default(),
-            &mut rng,
-        );
-        let bundle = ModelBundle::new(
-            format!("chaos fixture {tag} d={}", opts.dim),
-            model,
-            loaded.ids,
-            &loaded.interactions,
-        );
-        let path = dir.join(format!("{tag}.json"));
-        bundle
-            .save(&path)
-            .map_err(|e| format!("save {tag}: {e}"))?;
-        paths.push(path);
-    }
-    Ok((paths.remove(0), paths.remove(0)))
-}
-
 // ---------------------------------------------------------------------------
-// Small HTTP + parsing helpers (std-only, mirroring the integration tests).
-
-/// A keep-alive connection to the router.
-struct Conn {
-    writer: TcpStream,
-    reader: BufReader<TcpStream>,
-}
-
-fn connect(addr: SocketAddr) -> std::io::Result<Conn> {
-    let stream = TcpStream::connect_timeout(&addr, Duration::from_secs(2))?;
-    stream.set_read_timeout(Some(Duration::from_secs(10)))?;
-    stream.set_write_timeout(Some(Duration::from_secs(10)))?;
-    let reader = BufReader::new(stream.try_clone()?);
-    Ok(Conn {
-        writer: stream,
-        reader,
-    })
-}
-
-/// One keep-alive GET; returns (status, degraded, body).
-fn roundtrip(conn: &mut Conn, path: &str) -> std::io::Result<(u16, bool, String)> {
-    write!(conn.writer, "GET {path} HTTP/1.1\r\nHost: c\r\n\r\n")?;
-    let mut line = String::new();
-    if conn.reader.read_line(&mut line)? == 0 {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::UnexpectedEof,
-            "connection closed",
-        ));
-    }
-    let status: u16 = line
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| {
-            std::io::Error::new(std::io::ErrorKind::InvalidData, format!("bad status {line:?}"))
-        })?;
-    let mut degraded = false;
-    let mut content_length = 0usize;
-    loop {
-        line.clear();
-        conn.reader.read_line(&mut line)?;
-        let h = line.trim_end().to_ascii_lowercase();
-        if h.is_empty() {
-            break;
-        }
-        if h.starts_with("x-clapf-degraded:") {
-            degraded = true;
-        }
-        if let Some(v) = h.strip_prefix("content-length:") {
-            content_length = v.trim().parse().map_err(|_| {
-                std::io::Error::new(std::io::ErrorKind::InvalidData, "bad content-length")
-            })?;
-        }
-    }
-    let mut body = vec![0u8; content_length];
-    conn.reader.read_exact(&mut body)?;
-    Ok((status, degraded, String::from_utf8_lossy(&body).into_owned()))
-}
-
-/// One-shot control-plane call (`Connection: close`); returns (status, body).
-fn call(addr: SocketAddr, method: &str, path: &str) -> Result<(u16, String), String> {
-    let mut stream =
-        TcpStream::connect_timeout(&addr, Duration::from_secs(2)).map_err(|e| e.to_string())?;
-    stream
-        .set_read_timeout(Some(Duration::from_secs(15)))
-        .map_err(|e| e.to_string())?;
-    write!(
-        stream,
-        "{method} {path} HTTP/1.1\r\nHost: c\r\nContent-Length: 0\r\nConnection: close\r\n\r\n"
-    )
-    .map_err(|e| e.to_string())?;
-    let mut raw = String::new();
-    stream.read_to_string(&mut raw).map_err(|e| e.to_string())?;
-    let status: u16 = raw
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| format!("bad response {raw:?}"))?;
-    let body = raw
-        .split_once("\r\n\r\n")
-        .map(|(_, b)| b.to_string())
-        .unwrap_or_default();
-    Ok((status, body))
-}
+// Control-plane and parsing helpers.
 
 fn expect_200(addr: SocketAddr, method: &str, path: &str) -> Result<String, String> {
     match call(addr, method, path)? {

@@ -1,15 +1,25 @@
-//! Shared plumbing for the table/figure regeneration binaries.
+//! Shared plumbing for the table/figure regeneration and perf binaries.
 //!
 //! Each binary accepts `--fast` (seconds, CI-sized), `--medium` (minutes)
 //! or `--paper` (full fidelity; hours for Table 2) plus `--out DIR` for the
-//! JSON artifacts (default `results/`).
+//! JSON artifacts (default `results/`) and `--seed N`. A binary declares
+//! any flags of its own in [`Cli::parse_with`]; anything else is an error
+//! (exit 2), never silently ignored.
+//!
+//! The perf binaries share one synthetic bundle ([`fixture`]), one HTTP
+//! client ([`http`]), one interleaved timing loop ([`timing`]) and one
+//! report writer ([`write_report`]).
 
-use clapf_eval::RunScale;
-use serde::Serialize;
+use clapf_eval::{report, RunScale};
+use serde::{Serialize, Value};
 use std::path::{Path, PathBuf};
 use std::process::Command;
+use std::str::FromStr;
 
 pub mod chaos;
+pub mod fixture;
+pub mod http;
+pub mod timing;
 
 /// Where a benchmark result came from, written into its JSON report.
 #[derive(Debug, Serialize)]
@@ -37,6 +47,19 @@ fn command_output(cmd: &str, args: &[&str]) -> String {
         .unwrap_or_else(|| "unknown".into())
 }
 
+/// Cores available to this process (0 when unknown).
+pub fn nproc() -> usize {
+    std::thread::available_parallelism().map_or(0, |n| n.get())
+}
+
+/// The leading number of a `/proc/self/status` field (`VmHWM` in kB,
+/// `Threads`, …); `None` where the file or field is missing (non-Linux).
+pub fn proc_status(field: &str) -> Option<u64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let rest = status.lines().find_map(|l| l.strip_prefix(field)?.strip_prefix(':'))?;
+    rest.split_whitespace().next()?.parse().ok()
+}
+
 /// Provenance of a run at `scale`, taken from the working directory.
 pub fn provenance(scale: &str) -> Provenance {
     // Only ask git inside a git checkout: elsewhere git would walk up and
@@ -49,10 +72,48 @@ pub fn provenance(scale: &str) -> Provenance {
     Provenance {
         commit,
         rustc: command_output("rustc", &["-V"]),
-        nproc: std::thread::available_parallelism().map_or(0, |n| n.get()),
+        nproc: nproc(),
         arch_dispatch_active: clapf_mf::arch_dispatch_active(),
         scale: scale.into(),
     }
+}
+
+/// `body` as a JSON object whose first field is `provenance(scale)`.
+fn with_provenance(scale: &str, body: &impl Serialize) -> Value {
+    let mut fields = vec![("provenance".to_string(), provenance(scale).to_value())];
+    match body.to_value() {
+        Value::Map(rest) => fields.extend(rest),
+        other => fields.push(("report".to_string(), other)),
+    }
+    Value::Map(fields)
+}
+
+/// Writes a `BENCH_*` report to `path`: `body`'s fields, headed by the
+/// run's [`provenance`]. Every perf binary's ledger goes through here.
+pub fn write_report(path: &Path, scale: &str, body: &impl Serialize) {
+    report::write_json(path, &with_provenance(scale, body))
+        .unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
+    eprintln!("wrote {}", path.display());
+}
+
+/// Prints a usage (or environment) error and exits with status 2.
+pub fn usage_error(msg: &str) -> ! {
+    eprintln!("error: {msg}");
+    std::process::exit(2)
+}
+
+/// For binaries that take no arguments: exits 2 naming the first one.
+pub fn expect_no_args() {
+    if let Some(a) = std::env::args().nth(1) {
+        usage_error(&format!("unknown argument {a:?} (this binary takes none)"));
+    }
+}
+
+/// Parses a count or seed: an integer of `T`'s range, nothing else (no
+/// sign the type cannot hold, no fraction, no float rounding).
+pub fn parse_int<T: FromStr>(flag: &str, v: &str) -> Result<T, String> {
+    v.parse()
+        .map_err(|_| format!("{flag} expects a non-negative integer, got {v:?}"))
 }
 
 /// Parsed command line shared by all binaries.
@@ -63,65 +124,90 @@ pub struct Cli {
     pub out_dir: PathBuf,
     /// Human label of the scale, for file names and logs.
     pub scale_name: &'static str,
+    /// The binary's own switches that were given.
+    switches: Vec<String>,
+    /// The binary's own valued flags that were given, last one wins.
+    values: Vec<(String, String)>,
 }
 
 impl Cli {
-    /// Parses `std::env::args`, defaulting to `--fast`.
+    /// Parses `std::env::args` with no binary-specific flags.
     pub fn parse() -> Cli {
+        Self::parse_with(&[], &[])
+    }
+
+    /// Parses `std::env::args`, accepting the binary's own `switches`
+    /// (e.g. `--tune`) and `valued` flags (e.g. `--fleet N`) besides the
+    /// shared ones. Exits 2 naming the first argument it does not know.
+    pub fn parse_with(switches: &[&str], valued: &[&str]) -> Cli {
         let args: Vec<String> = std::env::args().skip(1).collect();
-        Self::from_args(&args)
+        Self::from_args_with(&args, switches, valued).unwrap_or_else(|e| usage_error(&e))
     }
 
-    /// Like [`parse`](Cli::parse) but silently skips the listed
-    /// binary-specific flags (e.g. `--tune`).
-    pub fn parse_ignoring(extra_flags: &[&str]) -> Cli {
-        let args: Vec<String> = std::env::args()
-            .skip(1)
-            .filter(|a| !extra_flags.contains(&a.as_str()))
-            .collect();
-        Self::from_args(&args)
-    }
-
-    /// Parses an explicit argument list (testable).
-    pub fn from_args(args: &[String]) -> Cli {
-        let mut scale = RunScale::fast();
-        let mut scale_name = "fast";
-        let mut out_dir = PathBuf::from("results");
+    /// Parses an explicit argument list (testable form of
+    /// [`parse_with`](Cli::parse_with)).
+    pub fn from_args_with(
+        args: &[String],
+        switches: &[&str],
+        valued: &[&str],
+    ) -> Result<Cli, String> {
+        let mut cli = Cli {
+            scale: RunScale::fast(),
+            out_dir: PathBuf::from("results"),
+            scale_name: "fast",
+            switches: Vec::new(),
+            values: Vec::new(),
+        };
+        let mut seed = None;
         let mut it = args.iter();
         while let Some(a) = it.next() {
-            match a.as_str() {
-                "--fast" => {
-                    scale = RunScale::fast();
-                    scale_name = "fast";
+            let a = a.as_str();
+            let mut value = || {
+                it.next()
+                    .cloned()
+                    .ok_or_else(|| format!("{a} requires a value"))
+            };
+            match a {
+                "--fast" => (cli.scale, cli.scale_name) = (RunScale::fast(), "fast"),
+                "--medium" => (cli.scale, cli.scale_name) = (RunScale::medium(), "medium"),
+                "--paper" => (cli.scale, cli.scale_name) = (RunScale::paper(), "paper"),
+                "--out" => cli.out_dir = PathBuf::from(value()?),
+                "--seed" => seed = Some(parse_int::<u64>(a, &value()?)?),
+                _ if switches.contains(&a) => cli.switches.push(a.to_string()),
+                _ if valued.contains(&a) => {
+                    let v = value()?;
+                    cli.values.push((a.to_string(), v));
                 }
-                "--medium" => {
-                    scale = RunScale::medium();
-                    scale_name = "medium";
-                }
-                "--paper" => {
-                    scale = RunScale::paper();
-                    scale_name = "paper";
-                }
-                "--out" => {
-                    out_dir =
-                        PathBuf::from(it.next().expect("--out requires a directory argument"));
-                }
-                "--seed" => {
-                    scale.seed = it
-                        .next()
-                        .expect("--seed requires a value")
-                        .parse()
-                        .expect("--seed must be an integer");
-                }
-                other => {
-                    eprintln!("warning: ignoring unknown argument {other:?}");
-                }
+                other => return Err(format!("unknown argument {other:?}")),
             }
         }
-        Cli {
-            scale,
-            out_dir,
-            scale_name,
+        // Applied last so `--seed` survives a later scale flag.
+        if let Some(seed) = seed {
+            cli.scale.seed = seed;
+        }
+        Ok(cli)
+    }
+
+    /// Whether the binary-specific `switch` was given.
+    pub fn has(&self, switch: &str) -> bool {
+        self.switches.iter().any(|s| s == switch)
+    }
+
+    /// The value of the binary-specific `flag`, if given.
+    pub fn value(&self, flag: &str) -> Option<&str> {
+        self.values
+            .iter()
+            .rev()
+            .find(|(f, _)| f == flag)
+            .map(|(_, v)| v.as_str())
+    }
+
+    /// The integer value of `flag`, or `default`; a malformed value is a
+    /// usage error (exit 2).
+    pub fn int<T: FromStr>(&self, flag: &str, default: T) -> T {
+        match self.value(flag) {
+            None => default,
+            Some(v) => parse_int(flag, v).unwrap_or_else(|e| usage_error(&e)),
         }
     }
 
@@ -129,6 +215,16 @@ impl Cli {
     pub fn json_path(&self, experiment: &str) -> PathBuf {
         self.out_dir
             .join(format!("{experiment}-{}.json", self.scale_name))
+    }
+
+    /// Writes the `BENCH_{name}.json` report into the output directory
+    /// through [`write_report`].
+    pub fn write_report(&self, name: &str, body: &impl Serialize) {
+        write_report(
+            &self.out_dir.join(format!("BENCH_{name}.json")),
+            self.scale_name,
+            body,
+        );
     }
 }
 
@@ -142,14 +238,14 @@ mod tests {
 
     #[test]
     fn default_is_fast() {
-        let cli = Cli::from_args(&[]);
+        let cli = Cli::from_args_with(&[], &[], &[]).unwrap();
         assert_eq!(cli.scale_name, "fast");
         assert_eq!(cli.out_dir, PathBuf::from("results"));
     }
 
     #[test]
     fn paper_flag_selects_full_scale() {
-        let cli = Cli::from_args(&args(&["--paper", "--out", "/tmp/x"]));
+        let cli = Cli::from_args_with(&args(&["--paper", "--out", "/tmp/x"]), &[], &[]).unwrap();
         assert_eq!(cli.scale_name, "paper");
         assert_eq!(cli.scale.dataset_shrink, 1);
         assert_eq!(
@@ -169,7 +265,62 @@ mod tests {
 
     #[test]
     fn seed_override() {
-        let cli = Cli::from_args(&args(&["--seed", "99"]));
+        let cli = Cli::from_args_with(&args(&["--seed", "99"]), &[], &[]).unwrap();
         assert_eq!(cli.scale.seed, 99);
+        let cli = Cli::from_args_with(&args(&["--seed", "9007199254740993", "--medium"]), &[], &[]).unwrap();
+        assert_eq!(cli.scale.seed, 9_007_199_254_740_993, "no float rounding");
+        assert_eq!(cli.scale_name, "medium");
+    }
+
+    #[test]
+    fn unknown_and_malformed_arguments_are_named() {
+        for (argv, named) in [
+            (&["--chaos"][..], "--chaos"),
+            (&["--fast", "--clapf", "x"], "--clapf"),
+            (&["stray"], "stray"),
+            (&["--seed", "-3"], "-3"),
+            (&["--seed", "2.7"], "2.7"),
+            (&["--out"], "--out requires a value"),
+        ] {
+            let err = Cli::from_args_with(&args(argv), &[], &[]).err().expect("must fail");
+            assert!(err.contains(named), "{argv:?}: {err}");
+        }
+    }
+
+    #[test]
+    fn binaries_declare_their_own_flags() {
+        let cli = Cli::from_args_with(
+            &args(&["--tune", "--fleet", "4", "--fast"]),
+            &["--tune", "--smoke"],
+            &["--fleet"],
+        )
+        .unwrap();
+        assert!(cli.has("--tune") && !cli.has("--smoke"));
+        assert_eq!(cli.value("--fleet"), Some("4"));
+        assert_eq!(cli.int("--fleet", 3usize), 4);
+        assert_eq!(cli.int("--other", 3usize), 3);
+        assert!(parse_int::<usize>("--fleet", "-1").is_err());
+        assert!(parse_int::<usize>("--fleet", "1.5").is_err());
+    }
+
+    #[test]
+    #[cfg(target_os = "linux")]
+    fn proc_status_reads_leading_numbers() {
+        assert!(proc_status("Threads").is_some_and(|n| n >= 1));
+        assert!(proc_status("VmHWM").is_some_and(|kb| kb > 0));
+        assert_eq!(proc_status("NoSuchField"), None);
+    }
+
+    #[test]
+    fn reports_lead_with_provenance() {
+        #[derive(Serialize)]
+        struct Body {
+            qps: f64,
+        }
+        let Value::Map(fields) = with_provenance("fast", &Body { qps: 1.5 }) else {
+            panic!("a report is an object")
+        };
+        let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys, ["provenance", "qps"]);
     }
 }

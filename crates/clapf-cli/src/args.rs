@@ -323,16 +323,20 @@ impl Command {
         let num_or = |flagname: &str, default: f64| -> Result<f64, String> {
             value(flagname)?.map_or(Ok(default), |v| parse_num(flagname, v))
         };
-        let at_least = |flagname: &str, min: f64, default: f64| -> Result<f64, String> {
-            let n = num_or(flagname, default)?;
-            if n.is_nan() || n < min {
+        // Counts and seeds parse as integers of their own type: no float
+        // rounding, truncation or silent clamping of a negative value.
+        let int_or = |flagname: &str, default: u64| -> Result<u64, String> {
+            value(flagname)?.map_or(Ok(default), |v| parse_int(flagname, v))
+        };
+        let at_least = |flagname: &str, min: u64, default: u64| -> Result<u64, String> {
+            let n = int_or(flagname, default)?;
+            if n < min {
                 return Err(format!("{flagname} must be at least {min}, got {n}"));
             }
             Ok(n)
         };
-        let parse_count = |flagname: &str, v: &str| -> Result<usize, String> {
-            v.parse::<usize>()
-                .map_err(|_| format!("{flagname} expects a non-negative integer, got {v:?}"))
+        let count_or = |flagname: &str, default: usize| -> Result<usize, String> {
+            value(flagname)?.map_or(Ok(default), |v| parse_int(flagname, v))
         };
 
         match sub {
@@ -345,8 +349,9 @@ impl Command {
                     &[],
                 )?;
                 let dataset = required("--dataset")?.to_lowercase();
-                let shrink = num_or("--shrink", 1.0)? as u32;
-                let seed = num_or("--seed", 42.0)? as u64;
+                let shrink: u32 = value("--shrink")?
+                    .map_or(Ok(1), |v| parse_int("--shrink", v))?;
+                let seed = int_or("--seed", 42)?;
                 let out = PathBuf::from(required("--out")?);
                 Ok(Command::Generate(GenerateArgs {
                     dataset,
@@ -385,20 +390,20 @@ impl Command {
                 if !(0.0..=1.0).contains(&lambda) {
                     return Err(format!("--lambda must be in [0, 1], got {lambda}"));
                 }
-                let dim = num_or("--dim", 20.0)? as usize;
-                let iterations = num_or("--iterations", 0.0)? as usize;
+                let dim = count_or("--dim", 20)?;
+                let iterations = count_or("--iterations", 0)?;
                 let holdout = num_or("--holdout", 0.5)?;
                 if !(0.0..1.0).contains(&holdout) {
                     return Err(format!("--holdout must be in [0, 1), got {holdout}"));
                 }
-                let seed = num_or("--seed", 42.0)? as u64;
-                let threads = num_or("--threads", 1.0)? as usize;
+                let seed = int_or("--seed", 42)?;
+                let threads = count_or("--threads", 1)?;
                 let log_level = match value("--log-level")? {
                     Some(v) => LogLevel::parse(v)?,
                     None => LogLevel::Info,
                 };
                 let checkpoint_dir = value("--checkpoint-dir")?.map(PathBuf::from);
-                let checkpoint_every = at_least("--checkpoint-every", 1.0, 1.0)? as usize;
+                let checkpoint_every = at_least("--checkpoint-every", 1, 1)? as usize;
                 let resume = flag("--resume");
                 if checkpoint_dir.is_none() && (resume || value("--checkpoint-every")?.is_some()) {
                     return Err(
@@ -432,7 +437,7 @@ impl Command {
                 reject_unknown_flags(sub, &rest, &["--load", "--user", "-k"], &[])?;
                 let load = PathBuf::from(required("--load")?);
                 let user = required("--user")?.clone();
-                let k = num_or("-k", 10.0)? as usize;
+                let k = count_or("-k", 10)?;
                 Ok(Command::Recommend(RecommendArgs {
                     load,
                     user,
@@ -461,14 +466,8 @@ impl Command {
                 let addr = value("--addr")?
                     .cloned()
                     .unwrap_or_else(|| "127.0.0.1:7878".to_string());
-                let workers = match value("--workers")? {
-                    Some(v) => parse_count("--workers", v)?,
-                    None => 4,
-                };
-                let cache = match value("--cache")? {
-                    Some(v) => parse_count("--cache", v)?,
-                    None => 4096,
-                };
+                let workers = count_or("--workers", 4)?;
+                let cache = count_or("--cache", 4096)?;
                 let watch_secs = match value("--watch")? {
                     Some(v) => {
                         let secs = parse_num("--watch", v)?;
@@ -479,8 +478,8 @@ impl Command {
                     }
                     None => None,
                 };
-                let batch_max = at_least("--batch-max", 1.0, 32.0)? as usize;
-                let trace_sample = at_least("--trace-sample", 0.0, 0.0)? as u64;
+                let batch_max = at_least("--batch-max", 1, 32)? as usize;
+                let trace_sample = int_or("--trace-sample", 0)?;
                 let register = value("--register")?.cloned();
                 let name = value("--name")?.cloned();
                 if let Some(n) = &name {
@@ -490,7 +489,7 @@ impl Command {
                         ));
                     }
                 }
-                let heartbeat_ms = at_least("--heartbeat-ms", 1.0, 1000.0)? as u64;
+                let heartbeat_ms = at_least("--heartbeat-ms", 1, 1000)?;
                 let fault_control = flag("--fault-control");
                 Ok(Command::Serve(ServeArgs {
                     load,
@@ -523,16 +522,16 @@ impl Command {
                         &["--fault-control"],
                     )?;
                     let load = PathBuf::from(required("--load")?);
-                    let replicas = at_least("--replicas", 1.0, 2.0)? as usize;
+                    let replicas = at_least("--replicas", 1, 2)? as usize;
                     let addr = value("--addr")?
                         .cloned()
                         .unwrap_or_else(|| "127.0.0.1:7900".to_string());
                     let dir = value("--dir")?
                         .map(PathBuf::from)
                         .unwrap_or_else(|| PathBuf::from("clapf-fleet"));
-                    let workers = num_or("--workers", 4.0)? as usize;
-                    let trace_sample = at_least("--trace-sample", 0.0, 0.0)? as u64;
-                    let lease_ttl_ms = at_least("--lease-ttl-ms", 100.0, 3000.0)? as u64;
+                    let workers = count_or("--workers", 4)?;
+                    let trace_sample = int_or("--trace-sample", 0)?;
+                    let lease_ttl_ms = at_least("--lease-ttl-ms", 100, 3000)?;
                     let fault_control = flag("--fault-control");
                     Ok(Command::FleetServe(FleetServeArgs {
                         load,
@@ -565,6 +564,12 @@ impl Command {
             other => Err(format!("unknown subcommand {other:?}\n{USAGE}")),
         }
     }
+}
+
+/// Parses an integer flag value of `T`'s range, naming the flag on error.
+fn parse_int<T: std::str::FromStr>(flagname: &str, v: &str) -> Result<T, String> {
+    v.parse()
+        .map_err(|_| format!("{flagname} expects a non-negative integer, got {v:?}"))
 }
 
 /// Fails on the first argument that is neither one of the subcommand's
@@ -1068,6 +1073,71 @@ mod tests {
                 assert!(err.contains(&format!("{misspelt:?}")), "{argv:?}: {err}");
             }
         }
+    }
+
+    /// Every count and seed flag, with the argv prefix that accepts it.
+    const INTEGER_FLAGS: &[(&[&str], &str)] = &[
+        (&["generate", "--dataset", "ml100k", "--out", "x.csv"], "--shrink"),
+        (&["generate", "--dataset", "ml100k", "--out", "x.csv"], "--seed"),
+        (&["fit", "--data", "d.csv"], "--dim"),
+        (&["fit", "--data", "d.csv"], "--iterations"),
+        (&["fit", "--data", "d.csv"], "--seed"),
+        (&["fit", "--data", "d.csv"], "--threads"),
+        (&["fit", "--data", "d.csv", "--checkpoint-dir", "ck"], "--checkpoint-every"),
+        (&["recommend", "--load", "m.json", "--user", "7"], "-k"),
+        (&["serve", "--load", "m.json"], "--workers"),
+        (&["serve", "--load", "m.json"], "--cache"),
+        (&["serve", "--load", "m.json"], "--batch-max"),
+        (&["serve", "--load", "m.json"], "--trace-sample"),
+        (&["serve", "--load", "m.json"], "--heartbeat-ms"),
+        (&["fleet", "serve", "--load", "m.json"], "--replicas"),
+        (&["fleet", "serve", "--load", "m.json"], "--workers"),
+        (&["fleet", "serve", "--load", "m.json"], "--trace-sample"),
+        (&["fleet", "serve", "--load", "m.json"], "--lease-ttl-ms"),
+    ];
+
+    #[test]
+    fn every_count_and_seed_rejects_negative_fractional_and_float_values() {
+        for &(base, flag) in INTEGER_FLAGS {
+            for bad in ["-3", "2.7", "1000.9", "1e3", "-5", "x"] {
+                let argv = [base, &[flag, bad]].concat();
+                let err = Command::parse(&args(&argv)).unwrap_err();
+                assert!(err.contains(flag) && err.contains(bad), "{argv:?}: {err}");
+            }
+            let argv = [base, &[flag, "500"]].concat();
+            assert!(Command::parse(&args(&argv)).is_ok(), "{argv:?}");
+        }
+    }
+
+    #[test]
+    fn seeds_keep_every_bit_and_counts_keep_their_clamps() {
+        let parse = |argv: &[&str]| Command::parse(&args(argv)).unwrap();
+        let seed = |s: &str| match parse(&["fit", "--data", "d.csv", "--seed", s]) {
+            Command::Fit(f) => f.seed,
+            other => panic!("{other:?}"),
+        };
+        assert_eq!(seed("9007199254740993"), 9_007_199_254_740_993);
+        assert_ne!(seed("9007199254740993"), seed("9007199254740992"));
+        assert_eq!(seed("18446744073709551615"), u64::MAX);
+        match parse(&["generate", "--dataset", "ml1m", "--out", "x", "--seed", "9007199254740993"]) {
+            Command::Generate(g) => assert_eq!(g.seed, 9_007_199_254_740_993),
+            other => panic!("{other:?}"),
+        }
+        // Zero stays a valid value with its old meaning.
+        match parse(&["recommend", "--load", "m", "--user", "u", "-k", "0"]) {
+            Command::Recommend(r) => assert_eq!(r.k, 1),
+            other => panic!("{other:?}"),
+        }
+        match parse(&["fit", "--data", "d.csv", "--dim", "0", "--iterations", "1000"]) {
+            Command::Fit(f) => assert_eq!((f.dim, f.iterations), (1, 1000)),
+            other => panic!("{other:?}"),
+        }
+        match parse(&["generate", "--dataset", "ml1m", "--out", "x", "--shrink", "0"]) {
+            Command::Generate(g) => assert_eq!(g.shrink, 1),
+            other => panic!("{other:?}"),
+        }
+        let err = Command::parse(&args(&["generate", "--dataset", "ml1m", "--out", "x", "--shrink", "4294967296"])).unwrap_err();
+        assert!(err.contains("--shrink"), "{err}");
     }
 
     #[test]

@@ -3,30 +3,15 @@
 //! HTTP and drain it with `POST /shutdown`. Responses are parsed (JSON,
 //! Prometheus text), not pattern-matched.
 
+mod common;
+
+use common::{clapf_ok, field, scratch_dir, tiny_dataset, CLAPF};
 use serde::Value;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
 use std::time::Duration;
-
-const CLAPF: &str = env!("CARGO_BIN_EXE_clapf");
-
-fn scratch_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("clapf-smoke-{tag}-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
-/// Runs `clapf` to completion and asserts it succeeded.
-fn clapf_ok(args: &[&str]) {
-    let out = Command::new(CLAPF).args(args).output().expect("run clapf");
-    assert!(
-        out.status.success(),
-        "clapf {args:?} failed: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-}
 
 /// One `Connection: close` request; returns (status, body).
 fn http(addr: &str, method: &str, path: &str) -> (u16, String) {
@@ -44,17 +29,6 @@ fn http(addr: &str, method: &str, path: &str) -> (u16, String) {
     (status, body)
 }
 
-fn field<'a>(v: &'a Value, key: &str) -> &'a Value {
-    match v {
-        Value::Map(fields) => fields
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v)
-            .unwrap_or_else(|| panic!("no field {key:?} in {v:?}")),
-        other => panic!("expected an object, got {other:?}"),
-    }
-}
-
 /// The value of one unlabelled sample in a Prometheus text dump.
 fn prometheus_value(text: &str, name: &str) -> Option<f64> {
     text.lines().find_map(|l| {
@@ -64,11 +38,8 @@ fn prometheus_value(text: &str, name: &str) -> Option<f64> {
 }
 
 fn fit_tiny_model(dir: &Path) -> (PathBuf, String) {
-    let data = dir.join("data.csv");
+    let data = tiny_dataset(dir);
     let model = dir.join("model.json");
-    clapf_ok(&[
-        "generate", "--dataset", "ml100k", "--shrink", "24", "--out", data.to_str().unwrap(),
-    ]);
     clapf_ok(&[
         "fit", "--data", data.to_str().unwrap(), "--dim", "8", "--iterations", "20000",
         "--save", model.to_str().unwrap(),

@@ -177,7 +177,7 @@ mod tests {
             iterations: 4_000,
             ..RunScale::fast()
         };
-        let methods = vec![
+        let methods = [
             Method::PopRank,
             Method::Bpr,
             Method::Clapf {

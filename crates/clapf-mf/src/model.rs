@@ -431,7 +431,7 @@ mod tests {
         m.user_mut(UserId(1)).copy_from_slice(&[1.0, 2.0, 3.0]);
         m.item_mut(ItemId(2)).copy_from_slice(&[0.5, -1.0, 2.0]);
         *m.bias_mut(ItemId(2)) = 0.25;
-        let expected = 1.0 * 0.5 + 2.0 * -1.0 + 3.0 * 2.0 + 0.25;
+        let expected = 1.0 * 0.5 - 2.0 + 3.0 * 2.0 + 0.25;
         assert!((m.score(UserId(1), ItemId(2)) - expected).abs() < 1e-6);
     }
 
@@ -441,8 +441,8 @@ mod tests {
         let mut out = Vec::new();
         m.scores_for_user(UserId(2), &mut out);
         assert_eq!(out.len(), 6);
-        for i in 0..6 {
-            assert!((out[i] - m.score(UserId(2), ItemId(i as u32))).abs() < 1e-6);
+        for (i, &s) in out.iter().enumerate() {
+            assert!((s - m.score(UserId(2), ItemId(i as u32))).abs() < 1e-6);
         }
     }
 

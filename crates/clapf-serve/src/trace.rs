@@ -4,7 +4,8 @@
 //! The event loop samples requests through one [`Tracer`] held in
 //! [`crate::server::Shared`]: head-based, deterministic, one in
 //! `--trace-sample` requests (0 disables tracing — the per-request cost is
-//! then a single relaxed atomic load, see `results/BENCH_trace.json`).
+//! then a single relaxed atomic load, see the `trace` leg of
+//! `results/BENCH_overhead.json`).
 //! A sampled request carries a [`clapf_telemetry::Trace`] through the
 //! request state machine; its stages **tile** the request's wall clock —
 //! parse, route/cache, batch queue/score/wake, render, write —

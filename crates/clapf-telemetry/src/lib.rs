@@ -21,7 +21,7 @@
 //!
 //! Everything is hand-rolled on `std` — no external dependencies, matching
 //! the offline build — and the disabled path compiles down to a dead branch
-//! per SGD step (see `results/BENCH_telemetry.json`).
+//! per SGD step (see the `observer` leg of `results/BENCH_overhead.json`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

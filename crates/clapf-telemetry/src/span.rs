@@ -25,7 +25,8 @@
 //! Cost discipline: when sampling is off, [`Tracer::sample`] is a single
 //! relaxed atomic load. When on, unsampled requests pay one extra relaxed
 //! `fetch_add`. Only sampled requests allocate (one `Vec` of at most
-//! [`MAX_SPANS`] records) — see `results/BENCH_trace.json`.
+//! [`MAX_SPANS`] records) — see the `trace` leg of
+//! `results/BENCH_overhead.json`.
 
 use std::sync::atomic::{fence, AtomicU64, Ordering};
 use std::sync::Mutex;

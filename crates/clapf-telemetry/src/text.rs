@@ -209,8 +209,8 @@ mod tests {
             }
         }
         assert_eq!(buckets, 3, "{text}"); // 2 bounds + +Inf
-        assert!(lines.iter().any(|l| *l == "shape_sum 11.6"), "{text}");
-        assert!(lines.iter().any(|l| *l == "shape_count 4"), "{text}");
+        assert!(lines.contains(&"shape_sum 11.6"), "{text}");
+        assert!(lines.contains(&"shape_count 4"), "{text}");
     }
 
     #[test]

@@ -15,7 +15,7 @@ proptest! {
     #[test]
     fn sigmoid_in_open_unit_interval(x in -100.0f32..100.0) {
         let s = sigmoid(x);
-        prop_assert!(s >= 0.0 && s <= 1.0);
+        prop_assert!((0.0..=1.0).contains(&s));
         prop_assert!(s.is_finite());
     }
 
