@@ -17,10 +17,14 @@
 
 use bench::chaos::{locate_clapf, run_chaos, ChaosOptions};
 use bench::Cli;
+use clapf_cli::flags::{Flag, Kind};
 use std::path::PathBuf;
 
 fn main() {
-    let cli = Cli::parse_with(&["--smoke"], &["--clapf"]);
+    let cli = Cli::parse_with(&[
+        Flag::switch("--smoke", "2 replicas, short windows"),
+        Flag::optional("--clapf", "PATH", Kind::Path, "clapf binary to spawn"),
+    ]);
     let smoke = cli.has("--smoke");
     // A missing binary or a fleet that never boots is an environment
     // problem (exit 2), not an invariant failure (exit 1).

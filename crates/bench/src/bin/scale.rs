@@ -15,9 +15,11 @@
 //!   where page-granular sampling dominates);
 //! * at full scale the SIMD bulk scorer is ≥ 2× the scalar one.
 //!
-//! Usage: `scale [--smoke] [--out DIR]`.
+//! Usage: `scale [--smoke] [--out DIR]`. The shared bench flags
+//! (`--fast/--medium/--paper/--seed`) are rejected with exit 2: the worlds
+//! are sized by `--smoke` and seeded by the pinned `SEED`.
 
-use bench::Cli;
+use clapf_cli::flags::{Arg, Flag, Kind};
 use clapf_core::{Clapf, ClapfConfig, FitOptions, ParallelConfig};
 use clapf_data::stream::{StreamConfig, StreamWorld};
 use clapf_data::{Interactions, UserId};
@@ -409,29 +411,41 @@ fn bench_world(tag: &str, scratch: &Path) -> WorldRow {
     }
 }
 
+/// `scale`'s flags. It sizes its worlds by `--smoke` and pins its own
+/// seed, so the shared bench scale and seed flags are not among them: they
+/// exit 2 rather than be ignored.
+#[rustfmt::skip]
+const FLAGS: [Flag; 5] = [
+    Flag::defaulted("--out", "DIR", Kind::Path, "results", "directory for BENCH_scale.json"),
+    Flag::switch("--smoke", "the small world only, in seconds"),
+    Flag::optional("--leg", "NAME", Kind::Text, "child mode: run one measured stage"),
+    Flag::optional("--world", "TAG", Kind::Text, "the child leg's world"),
+    Flag::optional("--file", "PATH", Kind::Path, "the child leg's CSR file"),
+];
+
 fn main() {
     // `--leg NAME --world TAG --file PATH` is the child-leg mode the parent
     // re-execs itself in.
-    let cli = Cli::parse_with(&["--smoke"], &["--leg", "--world", "--file"]);
-    if let Some(leg) = cli.value("--leg") {
-        let need = |flag: &str| {
-            cli.value(flag)
-                .unwrap_or_else(|| bench::usage_error(&format!("--leg requires {flag}")))
+    let [out, smoke, leg, world, file] = bench::parse_own(&FLAGS);
+    if let Some(name) = leg.opt_text() {
+        let need = |a: &Arg| {
+            a.opt_text()
+                .unwrap_or_else(|| bench::usage_error(&format!("{} requires {}", leg.name, a.name)))
         };
-        let tag = need("--world");
-        let file = PathBuf::from(need("--file"));
-        match leg {
-            "build" => leg_build(tag),
-            "write" => leg_write(tag, &file),
+        let tag = need(&world);
+        let file = PathBuf::from(need(&file));
+        match name.as_str() {
+            "build" => leg_build(&tag),
+            "write" => leg_write(&tag, &file),
             "open" => leg_open(&file),
             "train" => leg_train(&file),
-            "eval" => leg_eval(tag),
+            "eval" => leg_eval(&tag),
             other => bench::usage_error(&format!("unknown leg {other:?}")),
         }
         return;
     }
 
-    let smoke = cli.has("--smoke");
+    let smoke = smoke.on();
     let tags: &[&str] = if smoke { &["smoke"] } else { &["1M", "10M"] };
 
     let scratch = std::env::temp_dir().join("clapf_scale_bench");
@@ -439,7 +453,7 @@ fn main() {
 
     let worlds: Vec<WorldRow> = tags.iter().map(|t| bench_world(t, &scratch)).collect();
     bench::write_report(
-        &cli.out_dir.join("BENCH_scale.json"),
+        &out.path().join("BENCH_scale.json"),
         if smoke { "smoke" } else { "full" },
         &ScaleReport { smoke, worlds },
     );

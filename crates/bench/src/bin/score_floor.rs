@@ -8,7 +8,7 @@ use clapf_metrics::BulkScorer;
 use std::time::Instant;
 
 fn main() {
-    bench::expect_no_args();
+    let [] = bench::parse_own(&[]);
     let fixture = Fixture::new(2000, 5000, 32);
     let loaded = fixture.ratings();
     let model = fixture.model(&loaded, 7);

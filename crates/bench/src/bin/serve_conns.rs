@@ -27,7 +27,7 @@ use std::time::Duration;
 const CONNS: usize = 2000;
 
 fn main() {
-    bench::expect_no_args();
+    let [] = bench::parse_own(&[]);
     let n_conns = CONNS;
     let rounds = 3usize;
     let k = 10usize;

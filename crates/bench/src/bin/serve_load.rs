@@ -28,6 +28,7 @@
 use bench::fixture::{scratch_dir, Fixture};
 use bench::http::{call, Conn};
 use bench::Cli;
+use clapf_cli::flags::{Flag, Kind};
 use clapf_fleet::{rollout, FleetSpec, ReplicaSpec, RouterConfig, RouterHandle};
 use clapf_serve::{start, ServeConfig, ServerHandle};
 use clapf_telemetry::{Histogram, Registry};
@@ -587,7 +588,12 @@ fn run_fleet_leg(
 fn main() {
     // `--fleet N` sizes the fleet section (replica count for the N-replica
     // legs); every other flag is the shared bench CLI.
-    let cli = Cli::parse_with(&[], &["--fleet"]);
+    let cli = Cli::parse_with(&[Flag::optional(
+        "--fleet",
+        "N",
+        Kind::COUNT,
+        "replicas in the N-replica legs (default 3)",
+    )]);
     let fleet_n = cli.int("--fleet", 3usize).max(1);
     // Scale knobs: users/items size the scoring cost per uncached request,
     // duration bounds the wall clock.

@@ -6,11 +6,12 @@
 //! transcribed per-dataset values.
 
 use bench::Cli;
+use clapf_cli::flags::Flag;
 use clapf_data::split::{Protocol, SplitStrategy};
 use clapf_eval::{report, table2, tune};
 
 fn main() {
-    let cli = Cli::parse_with(&["--tune"], &[]);
+    let cli = Cli::parse_with(&[Flag::switch("--tune", "pick λ by validation NDCG@5")]);
     let tune_flag = cli.has("--tune");
     let results = if tune_flag {
         run_tuned(&cli)

@@ -3,18 +3,19 @@
 //! Each binary accepts `--fast` (seconds, CI-sized), `--medium` (minutes)
 //! or `--paper` (full fidelity; hours for Table 2) plus `--out DIR` for the
 //! JSON artifacts (default `results/`) and `--seed N`. A binary declares
-//! any flags of its own in [`Cli::parse_with`]; anything else is an error
-//! (exit 2), never silently ignored.
+//! any flags of its own as rows of the same flag table `clapf` uses
+//! ([`clapf_cli::flags`]) in [`Cli::parse_with`]; anything else is an
+//! error (exit 2), never silently ignored.
 //!
 //! The perf binaries share one synthetic bundle ([`fixture`]), one HTTP
 //! client ([`http`]), one interleaved timing loop ([`timing`]) and one
 //! report writer ([`write_report`]).
 
+use clapf_cli::flags::{self, Arg, Flag, Kind};
 use clapf_eval::{report, RunScale};
 use serde::{Serialize, Value};
 use std::path::{Path, PathBuf};
 use std::process::Command;
-use std::str::FromStr;
 
 pub mod chaos;
 pub mod fixture;
@@ -102,19 +103,30 @@ pub fn usage_error(msg: &str) -> ! {
     std::process::exit(2)
 }
 
-/// For binaries that take no arguments: exits 2 naming the first one.
-pub fn expect_no_args() {
-    if let Some(a) = std::env::args().nth(1) {
-        usage_error(&format!("unknown argument {a:?} (this binary takes none)"));
-    }
+/// This binary's name, for argument errors.
+fn program() -> String {
+    let argv0 = std::env::args().next().unwrap_or_default();
+    let name = Path::new(&argv0).file_name().unwrap_or_default();
+    name.to_string_lossy().into_owned()
 }
 
-/// Parses a count or seed: an integer of `T`'s range, nothing else (no
-/// sign the type cannot hold, no fraction, no float rounding).
-pub fn parse_int<T: FromStr>(flag: &str, v: &str) -> Result<T, String> {
-    v.parse()
-        .map_err(|_| format!("{flag} expects a non-negative integer, got {v:?}"))
+/// Parses `std::env::args` against a binary's own flag `table` (empty
+/// for a binary that takes no arguments), exiting 2 with the error. For
+/// the binaries that do not take the [`Cli`] flags.
+pub fn parse_own<const N: usize>(table: &[Flag; N]) -> [Arg; N] {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    flags::parse_all(&program(), table, &args).unwrap_or_else(|e| usage_error(&e))
 }
+
+/// The flags every [`Cli`] binary accepts, ahead of its own.
+#[rustfmt::skip]
+const SHARED: [Flag; 5] = [
+    Flag::switch("--fast", "seconds, CI-sized (the default)"),
+    Flag::switch("--medium", "minutes"),
+    Flag::switch("--paper", "full fidelity; hours for Table 2"),
+    Flag::defaulted("--out", "DIR", Kind::Path, "results", "directory for the JSON artifacts"),
+    Flag::optional("--seed", "N", Kind::Seed, "seed; the scale's own if unset"),
+];
 
 /// Parsed command line shared by all binaries.
 pub struct Cli {
@@ -124,90 +136,76 @@ pub struct Cli {
     pub out_dir: PathBuf,
     /// Human label of the scale, for file names and logs.
     pub scale_name: &'static str,
-    /// The binary's own switches that were given.
-    switches: Vec<String>,
-    /// The binary's own valued flags that were given, last one wins.
-    values: Vec<(String, String)>,
+    /// The binary's own flags, one per row of its table.
+    own: Vec<Arg>,
 }
 
 impl Cli {
     /// Parses `std::env::args` with no binary-specific flags.
     pub fn parse() -> Cli {
-        Self::parse_with(&[], &[])
+        Self::parse_with(&[])
     }
 
-    /// Parses `std::env::args`, accepting the binary's own `switches`
-    /// (e.g. `--tune`) and `valued` flags (e.g. `--fleet N`) besides the
-    /// shared ones. Exits 2 naming the first argument it does not know.
-    pub fn parse_with(switches: &[&str], valued: &[&str]) -> Cli {
+    /// Parses `std::env::args`, accepting the binary's `own` flags (e.g.
+    /// `--tune`, `--fleet N`) besides the shared ones. Exits 2 naming the
+    /// first argument it does not know.
+    pub fn parse_with(own: &[Flag]) -> Cli {
         let args: Vec<String> = std::env::args().skip(1).collect();
-        Self::from_args_with(&args, switches, valued).unwrap_or_else(|e| usage_error(&e))
+        Self::from_args_with(&args, own).unwrap_or_else(|e| usage_error(&e))
     }
 
     /// Parses an explicit argument list (testable form of
     /// [`parse_with`](Cli::parse_with)).
-    pub fn from_args_with(
-        args: &[String],
-        switches: &[&str],
-        valued: &[&str],
-    ) -> Result<Cli, String> {
-        let mut cli = Cli {
-            scale: RunScale::fast(),
-            out_dir: PathBuf::from("results"),
-            scale_name: "fast",
-            switches: Vec::new(),
-            values: Vec::new(),
+    pub fn from_args_with(args: &[String], own: &[Flag]) -> Result<Cli, String> {
+        let table: Vec<Flag> = SHARED.iter().chain(own).copied().collect();
+        let mut parsed = flags::parse(&program(), &table, args)?;
+        let own = parsed.split_off(SHARED.len());
+        let [fast, medium, paper, out, seed]: [Arg; 5] = parsed
+            .try_into()
+            .unwrap_or_else(|_| unreachable!("one Arg per shared row"));
+        // The last scale flag given wins; none means fast.
+        let scale_name = [(fast, "fast"), (medium, "medium"), (paper, "paper")]
+            .into_iter()
+            .filter_map(|(a, name)| Some((a.at?, name)))
+            .max()
+            .map_or("fast", |(_, name)| name);
+        let mut scale = match scale_name {
+            "medium" => RunScale::medium(),
+            "paper" => RunScale::paper(),
+            _ => RunScale::fast(),
         };
-        let mut seed = None;
-        let mut it = args.iter();
-        while let Some(a) = it.next() {
-            let a = a.as_str();
-            let mut value = || {
-                it.next()
-                    .cloned()
-                    .ok_or_else(|| format!("{a} requires a value"))
-            };
-            match a {
-                "--fast" => (cli.scale, cli.scale_name) = (RunScale::fast(), "fast"),
-                "--medium" => (cli.scale, cli.scale_name) = (RunScale::medium(), "medium"),
-                "--paper" => (cli.scale, cli.scale_name) = (RunScale::paper(), "paper"),
-                "--out" => cli.out_dir = PathBuf::from(value()?),
-                "--seed" => seed = Some(parse_int::<u64>(a, &value()?)?),
-                _ if switches.contains(&a) => cli.switches.push(a.to_string()),
-                _ if valued.contains(&a) => {
-                    let v = value()?;
-                    cli.values.push((a.to_string(), v));
-                }
-                other => return Err(format!("unknown argument {other:?}")),
-            }
+        if let Some(seed) = seed.opt_int() {
+            scale.seed = seed;
         }
-        // Applied last so `--seed` survives a later scale flag.
-        if let Some(seed) = seed {
-            cli.scale.seed = seed;
-        }
-        Ok(cli)
+        Ok(Cli {
+            scale,
+            out_dir: out.path(),
+            scale_name,
+            own,
+        })
+    }
+
+    fn own(&self, flag: &str) -> Option<&Arg> {
+        self.own.iter().find(|a| a.name == flag)
     }
 
     /// Whether the binary-specific `switch` was given.
     pub fn has(&self, switch: &str) -> bool {
-        self.switches.iter().any(|s| s == switch)
+        self.own(switch).is_some_and(Arg::on)
     }
 
-    /// The value of the binary-specific `flag`, if given.
+    /// The value of the binary-specific `flag`, as given.
     pub fn value(&self, flag: &str) -> Option<&str> {
-        self.values
-            .iter()
-            .rev()
-            .find(|(f, _)| f == flag)
-            .map(|(_, v)| v.as_str())
+        self.own(flag)?.raw.as_deref()
     }
 
-    /// The integer value of `flag`, or `default`; a malformed value is a
-    /// usage error (exit 2).
-    pub fn int<T: FromStr>(&self, flag: &str, default: T) -> T {
-        match self.value(flag) {
+    /// The checked integer value of `flag`, or `default`; a value that
+    /// does not fit `T` is a usage error (exit 2).
+    pub fn int<T: TryFrom<u64>>(&self, flag: &str, default: T) -> T {
+        match self.own(flag).and_then(Arg::opt_int) {
             None => default,
-            Some(v) => parse_int(flag, v).unwrap_or_else(|e| usage_error(&e)),
+            Some(n) => T::try_from(n)
+                .unwrap_or_else(|_| usage_error(&format!("{flag} {n} is out of range"))),
         }
     }
 
@@ -231,6 +229,7 @@ impl Cli {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use clapf_cli::flags::parse_int;
 
     fn args(v: &[&str]) -> Vec<String> {
         v.iter().map(|s| s.to_string()).collect()
@@ -238,14 +237,14 @@ mod tests {
 
     #[test]
     fn default_is_fast() {
-        let cli = Cli::from_args_with(&[], &[], &[]).unwrap();
+        let cli = Cli::from_args_with(&[], &[]).unwrap();
         assert_eq!(cli.scale_name, "fast");
         assert_eq!(cli.out_dir, PathBuf::from("results"));
     }
 
     #[test]
     fn paper_flag_selects_full_scale() {
-        let cli = Cli::from_args_with(&args(&["--paper", "--out", "/tmp/x"]), &[], &[]).unwrap();
+        let cli = Cli::from_args_with(&args(&["--paper", "--out", "/tmp/x"]), &[]).unwrap();
         assert_eq!(cli.scale_name, "paper");
         assert_eq!(cli.scale.dataset_shrink, 1);
         assert_eq!(
@@ -265,11 +264,26 @@ mod tests {
 
     #[test]
     fn seed_override() {
-        let cli = Cli::from_args_with(&args(&["--seed", "99"]), &[], &[]).unwrap();
+        let cli = Cli::from_args_with(&args(&["--seed", "99"]), &[]).unwrap();
         assert_eq!(cli.scale.seed, 99);
-        let cli = Cli::from_args_with(&args(&["--seed", "9007199254740993", "--medium"]), &[], &[]).unwrap();
+        let cli =
+            Cli::from_args_with(&args(&["--seed", "9007199254740993", "--medium"]), &[]).unwrap();
         assert_eq!(cli.scale.seed, 9_007_199_254_740_993, "no float rounding");
         assert_eq!(cli.scale_name, "medium");
+    }
+
+    #[test]
+    fn the_last_scale_flag_wins() {
+        for (argv, name) in [
+            (&["--paper", "--fast"][..], "fast"),
+            (&["--fast", "--medium"], "medium"),
+        ] {
+            assert_eq!(
+                Cli::from_args_with(&args(argv), &[]).unwrap().scale_name,
+                name,
+                "{argv:?}"
+            );
+        }
     }
 
     #[test]
@@ -282,7 +296,9 @@ mod tests {
             (&["--seed", "2.7"], "2.7"),
             (&["--out"], "--out requires a value"),
         ] {
-            let err = Cli::from_args_with(&args(argv), &[], &[]).err().expect("must fail");
+            let err = Cli::from_args_with(&args(argv), &[])
+                .err()
+                .expect("must fail");
             assert!(err.contains(named), "{argv:?}: {err}");
         }
     }
@@ -291,8 +307,11 @@ mod tests {
     fn binaries_declare_their_own_flags() {
         let cli = Cli::from_args_with(
             &args(&["--tune", "--fleet", "4", "--fast"]),
-            &["--tune", "--smoke"],
-            &["--fleet"],
+            &[
+                Flag::switch("--tune", ""),
+                Flag::switch("--smoke", ""),
+                Flag::optional("--fleet", "N", Kind::COUNT, ""),
+            ],
         )
         .unwrap();
         assert!(cli.has("--tune") && !cli.has("--smoke"));

@@ -1,5 +1,8 @@
-//! Hand-rolled, fully-tested argument parsing for the `clapf` binary.
+//! The `clapf` subcommands: one flag table each, parsed, checked and
+//! documented through [`crate::flags`], plus the rules that span flags.
 
+use crate::flags::{self, Flag, Kind, Value};
+use std::ops::Bound::{Excluded, Included, Unbounded};
 use std::path::PathBuf;
 
 /// Which model family `fit` trains.
@@ -15,16 +18,9 @@ pub enum ModelKind {
 }
 
 impl ModelKind {
-    fn parse(s: &str) -> Result<Self, String> {
-        match s {
-            "bpr" => Ok(ModelKind::Bpr),
-            "clapf-map" => Ok(ModelKind::ClapfMap),
-            "clapf-mrr" => Ok(ModelKind::ClapfMrr),
-            other => Err(format!(
-                "unknown model {other:?} (expected bpr | clapf-map | clapf-mrr)"
-            )),
-        }
-    }
+    /// `--model`'s words, in the order of [`ModelKind::ALL`].
+    const NAMES: &'static [&'static str] = &["bpr", "clapf-map", "clapf-mrr"];
+    const ALL: [ModelKind; 3] = [ModelKind::Bpr, ModelKind::ClapfMap, ModelKind::ClapfMrr];
 }
 
 /// `clapf generate` arguments.
@@ -53,16 +49,9 @@ pub enum LogLevel {
 }
 
 impl LogLevel {
-    fn parse(s: &str) -> Result<Self, String> {
-        match s {
-            "quiet" => Ok(LogLevel::Quiet),
-            "info" => Ok(LogLevel::Info),
-            "debug" => Ok(LogLevel::Debug),
-            other => Err(format!(
-                "unknown log level {other:?} (expected quiet | info | debug)"
-            )),
-        }
-    }
+    /// `--log-level`'s words, in the order of [`LogLevel::ALL`].
+    const NAMES: &'static [&'static str] = &["quiet", "info", "debug"];
+    const ALL: [LogLevel; 3] = [LogLevel::Quiet, LogLevel::Info, LogLevel::Debug];
 }
 
 /// `clapf fit` arguments.
@@ -204,19 +193,77 @@ pub enum Command {
     Help,
 }
 
-/// Usage text shown by `clapf help` and on parse errors.
-pub const USAGE: &str = "\
-clapf — Collaborative List-and-Pairwise Filtering
+#[rustfmt::skip]
+const GENERATE: [Flag; 4] = [
+    Flag::required("--dataset", "NAME", Kind::Text, "ml100k, ml1m, usertag, ml20m, flixter or netflix"),
+    Flag::defaulted("--shrink", "N", Kind::Count { min: 1, max: u32::MAX as u64, clamp: true }, "1", "divide users and pairs by N, items by √N"),
+    Flag::defaulted("--seed", "N", Kind::Seed, "42", "generation seed"),
+    Flag::required("--out", "data.csv", Kind::Path, "CSV to write"),
+];
 
-USAGE:
-  clapf generate --dataset ml100k [--shrink N] [--seed N] --out data.csv
-  clapf fit --data FILE [--model bpr|clapf-map|clapf-mrr] [--lambda F]
-            [--dss] [--dim N] [--iterations N] [--holdout F] [--seed N]
-            [--threads N] [--save model.json] [--metrics-out run.jsonl]
-            [--log-level quiet|info|debug]
-            [--checkpoint-dir DIR] [--checkpoint-every N] [--resume]
-  (clapf train is an alias for clapf fit)
+#[rustfmt::skip]
+const FIT: [Flag; 15] = [
+    Flag::required("--data", "FILE", Kind::Path, "CSV, u.data or ratings.dat; rating > 3 is a positive"),
+    Flag::defaulted("--model", "", Kind::Choice(ModelKind::NAMES), "clapf-map", "model family"),
+    Flag::defaulted("--lambda", "F", Kind::Float(Included(0.0), Included(1.0)), "0.3", "CLAPF's tradeoff λ"),
+    Flag::switch("--dss", "draw with the Double Sampling Strategy"),
+    Flag::defaulted("--dim", "N", Kind::COUNT_OR_ONE, "20", "latent dimension"),
+    Flag::defaulted("--iterations", "N", Kind::COUNT, "0", "SGD steps, 0 = auto"),
+    Flag::defaulted("--holdout", "F", Kind::Float(Included(0.0), Excluded(1.0)), "0.5", "held-out share of pairs, 0 skips eval"),
+    Flag::defaulted("--seed", "N", Kind::Seed, "42", "seed for the split and training"),
+    Flag::defaulted("--threads", "N", Kind::COUNT, "1", "training threads, 0 = all cores"),
+    Flag::optional("--save", "model.json", Kind::Path, "save the model bundle"),
+    Flag::optional("--metrics-out", "run.jsonl", Kind::Path, "stream the JSONL run trace"),
+    Flag::defaulted("--log-level", "", Kind::Choice(LogLevel::NAMES), "info", "output verbosity"),
+    Flag::optional("--checkpoint-dir", "DIR", Kind::Path, "write crash-safe checkpoints here"),
+    Flag::defaulted("--checkpoint-every", "N", Kind::at_least(1), "1", "checkpoint cadence in epochs"),
+    Flag::switch("--resume", "resume from the newest matching checkpoint"),
+];
 
+#[rustfmt::skip]
+const RECOMMEND: [Flag; 3] = [
+    Flag::required("--load", "model.json", Kind::Path, "saved model bundle"),
+    Flag::required("--user", "RAW_ID", Kind::Text, "user id as it appears in the ratings file"),
+    Flag::defaulted("-k", "N", Kind::COUNT_OR_ONE, "10", "list length"),
+];
+
+#[rustfmt::skip]
+const SERVE: [Flag; 11] = [
+    Flag::required("--load", "model.json", Kind::Path, "bundle to serve and hot-swap"),
+    Flag::defaulted("--addr", "HOST:PORT", Kind::Text, "127.0.0.1:7878", "bind address; port 0 picks one"),
+    Flag::defaulted("--workers", "N", Kind::COUNT_OR_ONE, "4", "scorer threads"),
+    Flag::defaulted("--cache", "N", Kind::COUNT, "4096", "top-k cache entries, 0 disables it"),
+    Flag::optional("--watch", "SECS", Kind::Float(Excluded(0.0), Unbounded), "poll the bundle and hot-swap on change"),
+    Flag::defaulted("--batch-max", "N", Kind::at_least(1), "32", "most misses scored in one batch"),
+    Flag::defaulted("--trace-sample", "N", Kind::COUNT, "0", "trace one in N requests, 0 = off"),
+    Flag::optional("--register", "HOST:PORT", Kind::Text, "fleet router to join"),
+    Flag::optional("--name", "NAME", Kind::Text, "member name; replica-{pid} if unset"),
+    Flag::defaulted("--heartbeat-ms", "N", Kind::at_least(1), "1000", "lease heartbeat period"),
+    Flag::switch("--fault-control", "expose POST /fault/arm and /fault/reset"),
+];
+
+#[rustfmt::skip]
+const FLEET_SERVE: [Flag; 8] = [
+    Flag::required("--load", "model.json", Kind::Path, "bundle every replica starts from"),
+    Flag::defaulted("--replicas", "N", Kind::at_least(1), "2", "replica processes"),
+    Flag::defaulted("--addr", "HOST:PORT", Kind::Text, "127.0.0.1:7900", "router bind address"),
+    Flag::defaulted("--dir", "DIR", Kind::Path, "clapf-fleet", "replica bundles and fleet.json"),
+    Flag::defaulted("--workers", "N", Kind::COUNT_OR_ONE, "4", "router worker threads"),
+    Flag::defaulted("--trace-sample", "N", Kind::COUNT, "0", "trace one in N requests, 0 = off"),
+    Flag::defaulted("--lease-ttl-ms", "N", Kind::at_least(100), "3000", "membership lease TTL"),
+    Flag::switch("--fault-control", "start replicas with --fault-control"),
+];
+
+#[rustfmt::skip]
+const FLEET_ROLLOUT: [Flag; 2] = [
+    Flag::required("--bundle", "new.json", Kind::Path, "candidate bundle"),
+    Flag::defaulted("--fleet", "FILE", Kind::Path, "clapf-fleet/fleet.json", "written by fleet serve"),
+];
+
+#[rustfmt::skip]
+const TRACE: [Flag; 1] = [Flag::required("--file", "run.jsonl", Kind::Path, "JSONL run trace to check")];
+
+const FIT_NOTES: &str = "  (clapf train is an alias for clapf fit)
   --threads N trains with N lock-free (Hogwild) workers; 1 (the default)
   is the exactly-reproducible serial path, 0 uses all cores.
   --metrics-out streams a structured JSONL run trace (fit_start, epoch,
@@ -229,13 +276,9 @@ USAGE:
   to the uninterrupted run. Requires --threads 1 (the replayable path).
   Divergence rolls back to the last checkpoint with a shrunk learning
   rate instead of aborting.
-  clapf recommend --load model.json --user RAW_ID [-k N]
-  clapf serve --load model.json [--addr 127.0.0.1:7878] [--workers N]
-              [--cache N] [--watch SECS] [--batch-max N]
-              [--trace-sample N] [--register HOST:PORT] [--name NAME]
-              [--heartbeat-ms N] [--fault-control]
+";
 
-  serve answers GET /recommend/{user}?k=N, /healthz and /metrics, and
+const SERVE_NOTES: &str = "  serve answers GET /recommend/{user}?k=N, /healthz and /metrics, and
   hot-swaps the bundle on POST /reload (or automatically with --watch).
   --cache sizes the top-k result cache (0 disables it); POST /shutdown
   drains in-flight requests and stops. Every connection is served from
@@ -256,12 +299,10 @@ USAGE:
   (default 1000). --fault-control exposes POST /fault/arm and
   POST /fault/reset so a chaos driver can inject failures over HTTP —
   test harnesses only.
-  clapf fleet serve --load model.json [--replicas N] [--addr 127.0.0.1:7900]
-                    [--dir clapf-fleet] [--workers N] [--trace-sample N]
-                    [--lease-ttl-ms N] [--fault-control]
-  clapf fleet rollout --bundle new.json [--fleet clapf-fleet/fleet.json]
+";
 
-  fleet serve spawns --replicas (default 2) `clapf serve` child processes
+const FLEET_SERVE_NOTES: &str =
+    "  fleet serve spawns --replicas (default 2) `clapf serve` child processes
   on ephemeral ports, each with its own copy of the bundle under --dir,
   and fronts them with a consistent-hash router: users map to replicas by
   bounded-load ring hashing, dead replicas fail over within one health
@@ -274,325 +315,207 @@ USAGE:
   HTTP fault endpoints armed-able (chaos harnesses only). The fleet
   layout is written to --dir/fleet.json. POST /shutdown on the router
   drains the whole fleet.
-  fleet rollout reads fleet.json and flips every replica to --bundle in
+";
+
+const FLEET_ROLLOUT_NOTES: &str =
+    "  fleet rollout reads fleet.json and flips every replica to --bundle in
   two phases: stage + fingerprint-verify everywhere first, then a paused
   atomic commit — clients never see two model generations, and a failed
   commit aborts with the old generation restored fleet-wide.
-  clapf trace --file run.jsonl
-  clapf help
+";
+
+/// Every subcommand as `clapf help` lists it: its words, flag table and
+/// notes.
+const COMMANDS: [(&str, &[Flag], &str); 7] = [
+    ("generate", &GENERATE, ""),
+    ("fit", &FIT, FIT_NOTES),
+    ("recommend", &RECOMMEND, ""),
+    ("serve", &SERVE, SERVE_NOTES),
+    ("fleet serve", &FLEET_SERVE, FLEET_SERVE_NOTES),
+    ("fleet rollout", &FLEET_ROLLOUT, FLEET_ROLLOUT_NOTES),
+    ("trace", &TRACE, ""),
+];
+
+/// Usage text shown by `clapf help` and on parse errors: each
+/// subcommand's synopsis and flags, rendered from its table, then its
+/// notes.
+pub fn usage() -> String {
+    let mut s = String::from("clapf — Collaborative List-and-Pairwise Filtering\n\nUSAGE:\n");
+    for (words, table, notes) in COMMANDS {
+        s += &flags::synopsis(&format!("clapf {words}"), table);
+        s += &flags::describe(table);
+        s += notes;
+        s += "\n";
+    }
+    s += "  clapf help
 
 Every subcommand rejects a flag it does not list above (exit 2).
 
 EXIT CODES:
   0 success   2 configuration/usage error   3 I/O error   4 training abort
 ";
+    s
+}
+
+impl GenerateArgs {
+    fn parse(argv: &[String]) -> Result<Self, String> {
+        let [dataset, shrink, seed, out] = flags::parse_all("clapf generate", &GENERATE, argv)?;
+        Ok(GenerateArgs {
+            dataset: dataset.text().to_lowercase(),
+            shrink: u32::try_from(shrink.int()).expect("its kind caps it at u32::MAX"),
+            out: out.path(),
+            seed: seed.int(),
+        })
+    }
+}
+
+impl FitArgs {
+    fn parse(sub: &str, argv: &[String]) -> Result<Self, String> {
+        let [data, model, lambda, dss, dim, iterations, holdout, seed, threads, save, metrics_out, log_level, checkpoint_dir, checkpoint_every, resume] =
+            flags::parse_all(&format!("clapf {sub}"), &FIT, argv)?;
+        if checkpoint_dir.at.is_none() && (resume.on() || checkpoint_every.at.is_some()) {
+            return Err(format!(
+                "{}/{} require {}",
+                resume.name, checkpoint_every.name, checkpoint_dir.name
+            ));
+        }
+        Ok(FitArgs {
+            data: data.path(),
+            model: ModelKind::ALL[model.choice()],
+            lambda: lambda.float() as f32,
+            dss: dss.on(),
+            dim: dim.count(),
+            iterations: iterations.count(),
+            holdout: holdout.float(),
+            seed: seed.int(),
+            threads: threads.count(),
+            save: save.opt_path(),
+            metrics_out: metrics_out.opt_path(),
+            log_level: LogLevel::ALL[log_level.choice()],
+            checkpoint_dir: checkpoint_dir.opt_path(),
+            checkpoint_every: checkpoint_every.count(),
+            resume: resume.on(),
+        })
+    }
+}
+
+impl ServeArgs {
+    /// `clapf serve --load {load}` with every other flag at its default.
+    pub fn new(load: PathBuf) -> ServeArgs {
+        let argv = [SERVE[0].name.to_string(), load.display().to_string()];
+        Self::parse(&argv).expect("a bundle path is all serve requires")
+    }
+
+    fn parse(argv: &[String]) -> Result<Self, String> {
+        let [load, addr, workers, cache, watch, batch_max, trace_sample, register, name, heartbeat_ms, fault_control] =
+            flags::parse_all("clapf serve", &SERVE, argv)?;
+        let member = name.opt_text();
+        if let Some(n) = &member {
+            if n.is_empty()
+                || !n
+                    .chars()
+                    .all(|c| c.is_ascii_alphanumeric() || "-_.".contains(c))
+            {
+                return Err(format!(
+                    "{} must be non-empty and use only letters, digits, '-', '_', '.', got {n:?}",
+                    name.name
+                ));
+            }
+        }
+        Ok(ServeArgs {
+            load: load.path(),
+            addr: addr.text(),
+            workers: workers.count(),
+            cache: cache.count(),
+            watch_secs: watch.opt_float(),
+            batch_max: batch_max.count(),
+            trace_sample: trace_sample.int(),
+            register: register.opt_text(),
+            name: member,
+            heartbeat_ms: heartbeat_ms.int(),
+            fault_control: fault_control.on(),
+        })
+    }
+
+    /// The `clapf serve …` argv that parses back to these arguments: how
+    /// `fleet serve` starts a replica. Flags at their default are left out.
+    pub fn to_argv(&self) -> Vec<String> {
+        let text = |s: &str| Value::Text(s.to_string());
+        let opt = |s: &Option<String>| s.as_deref().map_or(Value::Absent, text);
+        let values = [
+            text(&self.load.display().to_string()),
+            text(&self.addr),
+            Value::Int(self.workers as u64),
+            Value::Int(self.cache as u64),
+            self.watch_secs.map_or(Value::Absent, Value::Float),
+            Value::Int(self.batch_max as u64),
+            Value::Int(self.trace_sample),
+            opt(&self.register),
+            opt(&self.name),
+            Value::Int(self.heartbeat_ms),
+            Value::Switch(self.fault_control),
+        ];
+        let mut argv = vec!["serve".to_string()];
+        argv.extend(flags::render(&SERVE, &values));
+        argv
+    }
+}
 
 impl Command {
     /// Parses an argument list (without the program name).
     pub fn parse(args: &[String]) -> Result<Command, String> {
-        let mut it = args.iter();
-        let sub = match it.next() {
-            None => return Ok(Command::Help),
-            Some(s) => s.as_str(),
+        let Some((sub, rest)) = args.split_first() else {
+            return Ok(Command::Help);
         };
-        let rest: Vec<&String> = it.collect();
-        let value = |flag: &str| -> Result<Option<&String>, String> {
-            let mut found = None;
-            let mut i = 0;
-            while i < rest.len() {
-                if rest[i] == flag {
-                    let v = rest
-                        .get(i + 1)
-                        .ok_or_else(|| format!("{flag} requires a value"))?;
-                    found = Some(*v);
-                    i += 2;
-                } else {
-                    i += 1;
-                }
-            }
-            Ok(found)
-        };
-        let flag = |name: &str| rest.iter().any(|a| a.as_str() == name);
-        let required = |flagname: &str| -> Result<&String, String> {
-            value(flagname)?.ok_or_else(|| format!("missing required {flagname}"))
-        };
-        let parse_num = |flagname: &str, v: &str| -> Result<f64, String> {
-            v.parse::<f64>()
-                .map_err(|_| format!("{flagname} expects a number, got {v:?}"))
-        };
-        let num_or = |flagname: &str, default: f64| -> Result<f64, String> {
-            value(flagname)?.map_or(Ok(default), |v| parse_num(flagname, v))
-        };
-        // Counts and seeds parse as integers of their own type: no float
-        // rounding, truncation or silent clamping of a negative value.
-        let int_or = |flagname: &str, default: u64| -> Result<u64, String> {
-            value(flagname)?.map_or(Ok(default), |v| parse_int(flagname, v))
-        };
-        let at_least = |flagname: &str, min: u64, default: u64| -> Result<u64, String> {
-            let n = int_or(flagname, default)?;
-            if n < min {
-                return Err(format!("{flagname} must be at least {min}, got {n}"));
-            }
-            Ok(n)
-        };
-        let count_or = |flagname: &str, default: usize| -> Result<usize, String> {
-            value(flagname)?.map_or(Ok(default), |v| parse_int(flagname, v))
-        };
-
-        match sub {
+        match sub.as_str() {
             "help" | "--help" | "-h" => Ok(Command::Help),
-            "generate" => {
-                reject_unknown_flags(
-                    sub,
-                    &rest,
-                    &["--dataset", "--shrink", "--seed", "--out"],
-                    &[],
-                )?;
-                let dataset = required("--dataset")?.to_lowercase();
-                let shrink: u32 = value("--shrink")?
-                    .map_or(Ok(1), |v| parse_int("--shrink", v))?;
-                let seed = int_or("--seed", 42)?;
-                let out = PathBuf::from(required("--out")?);
-                Ok(Command::Generate(GenerateArgs {
-                    dataset,
-                    shrink: shrink.max(1),
-                    out,
-                    seed,
-                }))
-            }
-            "fit" | "train" => {
-                reject_unknown_flags(
-                    sub,
-                    &rest,
-                    &[
-                        "--data",
-                        "--model",
-                        "--lambda",
-                        "--dim",
-                        "--iterations",
-                        "--holdout",
-                        "--seed",
-                        "--threads",
-                        "--save",
-                        "--metrics-out",
-                        "--log-level",
-                        "--checkpoint-dir",
-                        "--checkpoint-every",
-                    ],
-                    &["--dss", "--resume"],
-                )?;
-                let data = PathBuf::from(required("--data")?);
-                let model = match value("--model")? {
-                    Some(v) => ModelKind::parse(v)?,
-                    None => ModelKind::ClapfMap,
-                };
-                let lambda = num_or("--lambda", 0.3)? as f32;
-                if !(0.0..=1.0).contains(&lambda) {
-                    return Err(format!("--lambda must be in [0, 1], got {lambda}"));
-                }
-                let dim = count_or("--dim", 20)?;
-                let iterations = count_or("--iterations", 0)?;
-                let holdout = num_or("--holdout", 0.5)?;
-                if !(0.0..1.0).contains(&holdout) {
-                    return Err(format!("--holdout must be in [0, 1), got {holdout}"));
-                }
-                let seed = int_or("--seed", 42)?;
-                let threads = count_or("--threads", 1)?;
-                let log_level = match value("--log-level")? {
-                    Some(v) => LogLevel::parse(v)?,
-                    None => LogLevel::Info,
-                };
-                let checkpoint_dir = value("--checkpoint-dir")?.map(PathBuf::from);
-                let checkpoint_every = at_least("--checkpoint-every", 1, 1)? as usize;
-                let resume = flag("--resume");
-                if checkpoint_dir.is_none() && (resume || value("--checkpoint-every")?.is_some()) {
-                    return Err(
-                        "--resume/--checkpoint-every require --checkpoint-dir".to_string()
-                    );
-                }
-                Ok(Command::Fit(FitArgs {
-                    data,
-                    model,
-                    lambda,
-                    dss: flag("--dss"),
-                    dim: dim.max(1),
-                    iterations,
-                    holdout,
-                    seed,
-                    threads,
-                    save: value("--save")?.map(PathBuf::from),
-                    metrics_out: value("--metrics-out")?.map(PathBuf::from),
-                    log_level,
-                    checkpoint_dir,
-                    checkpoint_every,
-                    resume,
-                }))
-            }
+            "generate" => GenerateArgs::parse(rest).map(Command::Generate),
+            "fit" | "train" => FitArgs::parse(sub, rest).map(Command::Fit),
             "trace" => {
-                reject_unknown_flags(sub, &rest, &["--file"], &[])?;
-                let file = PathBuf::from(required("--file")?);
-                Ok(Command::Trace(TraceArgs { file }))
+                let [file] = flags::parse_all("clapf trace", &TRACE, rest)?;
+                Ok(Command::Trace(TraceArgs { file: file.path() }))
             }
             "recommend" => {
-                reject_unknown_flags(sub, &rest, &["--load", "--user", "-k"], &[])?;
-                let load = PathBuf::from(required("--load")?);
-                let user = required("--user")?.clone();
-                let k = count_or("-k", 10)?;
+                let [load, user, k] = flags::parse_all("clapf recommend", &RECOMMEND, rest)?;
                 Ok(Command::Recommend(RecommendArgs {
-                    load,
-                    user,
-                    k: k.max(1),
+                    load: load.path(),
+                    user: user.text(),
+                    k: k.count(),
                 }))
             }
-            "serve" => {
-                reject_unknown_flags(
-                    "serve",
-                    &rest,
-                    &[
-                        "--load",
-                        "--addr",
-                        "--workers",
-                        "--cache",
-                        "--watch",
-                        "--batch-max",
-                        "--trace-sample",
-                        "--register",
-                        "--name",
-                        "--heartbeat-ms",
-                    ],
-                    &["--fault-control"],
-                )?;
-                let load = PathBuf::from(required("--load")?);
-                let addr = value("--addr")?
-                    .cloned()
-                    .unwrap_or_else(|| "127.0.0.1:7878".to_string());
-                let workers = count_or("--workers", 4)?;
-                let cache = count_or("--cache", 4096)?;
-                let watch_secs = match value("--watch")? {
-                    Some(v) => {
-                        let secs = parse_num("--watch", v)?;
-                        if secs.is_nan() || secs <= 0.0 {
-                            return Err(format!("--watch must be positive, got {secs}"));
-                        }
-                        Some(secs)
-                    }
-                    None => None,
-                };
-                let batch_max = at_least("--batch-max", 1, 32)? as usize;
-                let trace_sample = int_or("--trace-sample", 0)?;
-                let register = value("--register")?.cloned();
-                let name = value("--name")?.cloned();
-                if let Some(n) = &name {
-                    if n.is_empty() || !n.chars().all(|c| c.is_ascii_alphanumeric() || "-_.".contains(c)) {
-                        return Err(format!(
-                            "--name must be non-empty and use only letters, digits, '-', '_', '.', got {n:?}"
-                        ));
-                    }
-                }
-                let heartbeat_ms = at_least("--heartbeat-ms", 1, 1000)?;
-                let fault_control = flag("--fault-control");
-                Ok(Command::Serve(ServeArgs {
-                    load,
-                    addr,
-                    workers: workers.max(1),
-                    cache,
-                    watch_secs,
-                    batch_max,
-                    trace_sample,
-                    register,
-                    name,
-                    heartbeat_ms,
-                    fault_control,
-                }))
-            }
-            "fleet" => match rest.first().map(|s| s.as_str()) {
-                Some("serve") => {
-                    reject_unknown_flags(
-                        "fleet serve",
-                        &rest[1..],
-                        &[
-                            "--load",
-                            "--replicas",
-                            "--addr",
-                            "--dir",
-                            "--workers",
-                            "--trace-sample",
-                            "--lease-ttl-ms",
-                        ],
-                        &["--fault-control"],
-                    )?;
-                    let load = PathBuf::from(required("--load")?);
-                    let replicas = at_least("--replicas", 1, 2)? as usize;
-                    let addr = value("--addr")?
-                        .cloned()
-                        .unwrap_or_else(|| "127.0.0.1:7900".to_string());
-                    let dir = value("--dir")?
-                        .map(PathBuf::from)
-                        .unwrap_or_else(|| PathBuf::from("clapf-fleet"));
-                    let workers = count_or("--workers", 4)?;
-                    let trace_sample = int_or("--trace-sample", 0)?;
-                    let lease_ttl_ms = at_least("--lease-ttl-ms", 100, 3000)?;
-                    let fault_control = flag("--fault-control");
+            "serve" => ServeArgs::parse(rest).map(Command::Serve),
+            "fleet" => match rest.split_first() {
+                Some((s, argv)) if s == "serve" => {
+                    let [load, replicas, addr, dir, workers, trace_sample, lease_ttl_ms, fault_control] =
+                        flags::parse_all("clapf fleet serve", &FLEET_SERVE, argv)?;
                     Ok(Command::FleetServe(FleetServeArgs {
-                        load,
-                        replicas,
-                        addr,
-                        dir,
-                        workers: workers.max(1),
-                        trace_sample,
-                        lease_ttl_ms,
-                        fault_control,
+                        load: load.path(),
+                        replicas: replicas.count(),
+                        addr: addr.text(),
+                        dir: dir.path(),
+                        workers: workers.count(),
+                        trace_sample: trace_sample.int(),
+                        lease_ttl_ms: lease_ttl_ms.int(),
+                        fault_control: fault_control.on(),
                     }))
                 }
-                Some("rollout") => {
-                    reject_unknown_flags(
-                        "fleet rollout",
-                        &rest[1..],
-                        &["--bundle", "--fleet"],
-                        &[],
-                    )?;
-                    let bundle = PathBuf::from(required("--bundle")?);
-                    let fleet = value("--fleet")?
-                        .map(PathBuf::from)
-                        .unwrap_or_else(|| PathBuf::from("clapf-fleet/fleet.json"));
-                    Ok(Command::FleetRollout(FleetRolloutArgs { fleet, bundle }))
+                Some((s, argv)) if s == "rollout" => {
+                    let [bundle, fleet] =
+                        flags::parse_all("clapf fleet rollout", &FLEET_ROLLOUT, argv)?;
+                    Ok(Command::FleetRollout(FleetRolloutArgs {
+                        fleet: fleet.path(),
+                        bundle: bundle.path(),
+                    }))
                 }
                 other => Err(format!(
-                    "fleet takes serve | rollout, got {other:?}\n{USAGE}"
+                    "fleet takes serve | rollout, got {:?}\n{}",
+                    other.map(|(s, _)| s),
+                    usage()
                 )),
             },
-            other => Err(format!("unknown subcommand {other:?}\n{USAGE}")),
+            other => Err(format!("unknown subcommand {other:?}\n{}", usage())),
         }
     }
-}
-
-/// Parses an integer flag value of `T`'s range, naming the flag on error.
-fn parse_int<T: std::str::FromStr>(flagname: &str, v: &str) -> Result<T, String> {
-    v.parse()
-        .map_err(|_| format!("{flagname} expects a non-negative integer, got {v:?}"))
-}
-
-/// Fails on the first argument that is neither one of the subcommand's
-/// `valued` flags (skipping its value) nor one of its `switches`, naming
-/// it: a misspelt or retired flag must not be silently ignored.
-fn reject_unknown_flags(
-    sub: &str,
-    rest: &[&String],
-    valued: &[&str],
-    switches: &[&str],
-) -> Result<(), String> {
-    let mut i = 0;
-    while i < rest.len() {
-        let arg = rest[i].as_str();
-        if valued.contains(&arg) {
-            i += 2;
-        } else if switches.contains(&arg) {
-            i += 1;
-        } else {
-            return Err(format!("{sub} does not accept {arg:?} (see `clapf help`)"));
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -1150,5 +1073,60 @@ mod tests {
     fn missing_value_is_reported() {
         let err = Command::parse(&args(&["fit", "--data"])).unwrap_err();
         assert!(err.contains("--data requires a value"));
+    }
+
+    #[test]
+    fn every_usage_synopsis_lists_exactly_its_tables_flags() {
+        let text = usage();
+        for (words, table, _) in COMMANDS {
+            let start = text
+                .find(&format!("  clapf {words} "))
+                .unwrap_or_else(|| panic!("no synopsis for {words}"));
+            // The synopsis runs until the first flag description line.
+            let synopsis: Vec<&str> = text[start..]
+                .lines()
+                .take_while(|l| !l.starts_with("      -"))
+                .collect();
+            let listed: Vec<&str> = synopsis
+                .iter()
+                .flat_map(|l| l.split_whitespace())
+                .map(|w| w.trim_matches(|c| c == '[' || c == ']'))
+                .filter(|w| w.starts_with('-'))
+                .collect();
+            let names: Vec<&str> = table.iter().map(|f| f.name).collect();
+            assert_eq!(listed, names, "{words}");
+            for f in table {
+                assert!(
+                    text.contains(&format!("      {}", f.usage_word())),
+                    "{words}: {}",
+                    f.name
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_replica_argv_parses_back_to_its_serve_args() {
+        let defaults = ServeArgs::new(PathBuf::from("m.json"));
+        assert_eq!(defaults.to_argv(), args(&["serve", "--load", "m.json"]));
+        let replica = ServeArgs {
+            addr: "127.0.0.1:0".into(),
+            workers: 2,
+            cache: 0,
+            watch_secs: Some(0.25),
+            batch_max: 8,
+            trace_sample: 16,
+            register: Some("127.0.0.1:7900".into()),
+            name: Some("replica-3".into()),
+            heartbeat_ms: 333,
+            fault_control: true,
+            ..ServeArgs::new(PathBuf::from("fleet dir/replica-3.json"))
+        };
+        for a in [defaults, replica] {
+            assert_eq!(
+                Command::parse(&a.to_argv()).unwrap(),
+                Command::Serve(a.clone())
+            );
+        }
     }
 }

@@ -18,13 +18,16 @@
 //!   summarize its event kinds.
 //!
 //! Argument parsing is hand-rolled (the workspace deliberately avoids a CLI
-//! dependency); [`Command::parse`] is fully unit-tested.
+//! dependency): each subcommand declares one flag table ([`flags`]) that
+//! parses, checks, rejects and documents its flags; [`Command::parse`] is
+//! fully unit-tested.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod args;
 pub mod bundle;
+pub mod flags;
 pub mod run;
 pub mod telemetry;
 

@@ -62,7 +62,7 @@ fn werr(e: std::io::Error) -> CliError {
 pub fn run<W: Write>(cmd: Command, out: &mut W) -> i32 {
     let result = match cmd {
         Command::Help => {
-            let _ = writeln!(out, "{}", crate::args::USAGE);
+            let _ = writeln!(out, "{}", crate::args::usage());
             Ok(())
         }
         Command::Generate(a) => generate(a, out),
@@ -642,25 +642,17 @@ fn fleet_serve<W: Write>(a: FleetServeArgs, out: &mut W) -> Result<(), CliError>
         let bundle = a.dir.join(format!("replica-{i}.json"));
         std::fs::copy(&a.load, &bundle)
             .map_err(|e| CliError::Io(format!("copy {:?} -> {bundle:?}: {e}", a.load)))?;
-        let mut args = vec![
-            "serve".into(),
-            "--load".into(),
-            bundle.display().to_string(),
-            "--addr".into(),
-            "127.0.0.1:0".into(),
-            "--register".into(),
-            router.addr().to_string(),
-            "--name".into(),
-            format!("replica-{i}"),
-            "--heartbeat-ms".into(),
-            heartbeat_ms.to_string(),
-        ];
-        if a.fault_control {
-            args.push("--fault-control".into());
-        }
+        let replica = ServeArgs {
+            addr: "127.0.0.1:0".into(),
+            register: Some(router.addr().to_string()),
+            name: Some(format!("replica-{i}")),
+            heartbeat_ms,
+            fault_control: a.fault_control,
+            ..ServeArgs::new(bundle.clone())
+        };
         let config = ReplicaConfig {
             exe: exe.clone(),
-            args,
+            args: replica.to_argv(),
             announce_timeout: Duration::from_secs(30),
         };
         let r = Replica::spawn(config).map_err(|e| CliError::Io(format!("replica {i}: {e}")))?;

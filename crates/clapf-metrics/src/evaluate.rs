@@ -457,13 +457,13 @@ pub fn evaluate_instrumented<S: BulkScorer + ?Sized>(
     }
     let chunk = n_users.div_ceil(threads);
     let (partials, elapsed) = timed(|| {
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             let mut handles = Vec::with_capacity(threads);
             for t in 0..threads {
                 let ks = &config.ks;
                 let lo = t * chunk;
                 let hi = ((t + 1) * chunk).min(n_users);
-                handles.push(scope.spawn(move |_| {
+                handles.push(scope.spawn(move || {
                     let users = (lo..hi).map(|uid| UserId(uid as u32));
                     eval_users_blocked(scorer, train, test, users, ks, stats)
                 }));
@@ -474,7 +474,6 @@ pub fn evaluate_instrumented<S: BulkScorer + ?Sized>(
             }
             total
         })
-        .expect("evaluation scope panicked")
     });
     if let Some(s) = stats {
         s.eval_secs.set(elapsed.as_secs_f64());

@@ -20,7 +20,7 @@
 //! for differential tests and benchmarks; the engine is bit-identical to it.
 //!
 //! Evaluation over users is embarrassingly parallel; [`evaluate`] fans out
-//! over a crossbeam scoped thread pool.
+//! over `std::thread::scope` workers.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -80,9 +80,9 @@ pub struct DssSampler {
     /// (`σ_q`) — the AoBPR scheme DSS builds on.
     factor_stds: Vec<f32>,
     dim: usize,
-    /// Scratch for the positive draw's rank keys; reused across draws, so a
-    /// warmed-up sampler draws without allocating. Each clone (one per
-    /// Hogwild worker) owns its own copy.
+    /// Scratch for rank keys, the positive draw's and each refresh's;
+    /// reused, so a warmed-up sampler draws and refreshes without
+    /// allocating. Each clone (one per Hogwild worker) owns its own copy.
     scratch: Vec<u64>,
     /// Optional introspection sink. `Clone` shares the `Arc`, so every
     /// Hogwild worker's sampler clone records into the same counters.
@@ -271,18 +271,26 @@ fn key_item(key: u64) -> ItemId {
 }
 
 /// Re-sorts one factor's item list in place and recomputes that factor's
-/// standard deviation. The comparator is a total order (descending factor
-/// value, ascending id), so the result is independent of the list's starting
-/// permutation — which lets refreshes reuse the previous, nearly-sorted list
-/// as the input and profit from pdqsort's partial-run detection.
-fn refresh_factor(model: &MfModel, q: usize, list: &mut [ItemId], std_out: &mut f32) {
-    list.sort_unstable_by(|&a, &b| {
-        let va = model.item(a)[q];
-        let vb = model.item(b)[q];
-        vb.partial_cmp(&va)
-            .expect("factors are finite")
-            .then(a.cmp(&b))
-    });
+/// standard deviation. The list is sorted as [`rank_key`]s (descending
+/// factor value, ascending id) in `keys` and the ids are written back.
+/// The keys are distinct, so the order is independent of the list's
+/// starting permutation — which lets refreshes start from the previous,
+/// nearly-sorted list and profit from pdqsort's partial-run detection.
+/// A NaN factor sorts beyond the infinity of its sign, as in the positive
+/// draw.
+fn refresh_factor(
+    model: &MfModel,
+    q: usize,
+    list: &mut [ItemId],
+    keys: &mut Vec<u64>,
+    std_out: &mut f32,
+) {
+    keys.clear();
+    keys.extend(list.iter().map(|&t| rank_key(model.item(t)[q], true, t)));
+    keys.sort_unstable();
+    for (slot, &key) in list.iter_mut().zip(keys.iter()) {
+        *slot = key_item(key);
+    }
     let m = model.n_items();
     let mean: f32 = (0..m).map(|i| model.item(ItemId(i))[q]).sum::<f32>() / m.max(1) as f32;
     let var: f32 = (0..m)
@@ -294,10 +302,6 @@ fn refresh_factor(model: &MfModel, q: usize, list: &mut [ItemId], std_out: &mut 
         / m.max(1) as f32;
     *std_out = var.sqrt();
 }
-
-/// Below this many `items × factors`, a refresh runs serially: the factor
-/// sorts finish faster than scoped-thread startup would take.
-const PARALLEL_REFRESH_MIN_WORK: usize = 1 << 15;
 
 impl TripleSampler for DssSampler {
     fn refresh(&mut self, model: &MfModel) {
@@ -322,39 +326,13 @@ impl TripleSampler for DssSampler {
                 .collect();
             self.factor_stds = vec![0.0; d];
         }
-        let threads = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .min(d);
-        if threads <= 1 || m * d < PARALLEL_REFRESH_MIN_WORK {
-            for (q, (list, std_out)) in self
-                .factor_lists
-                .iter_mut()
-                .zip(self.factor_stds.iter_mut())
-                .enumerate()
-            {
-                refresh_factor(model, q, list, std_out);
-            }
-        } else {
-            // The d factor sorts are independent; fan them out over a scoped
-            // pool. Each factor is handled whole by one worker, so the result
-            // — lists and stds — is identical to the serial pass.
-            let chunk = d.div_ceil(threads);
-            crossbeam::thread::scope(|scope| {
-                for (t, (lists, stds)) in self
-                    .factor_lists
-                    .chunks_mut(chunk)
-                    .zip(self.factor_stds.chunks_mut(chunk))
-                    .enumerate()
-                {
-                    scope.spawn(move |_| {
-                        for (off, (list, std_out)) in lists.iter_mut().zip(stds).enumerate() {
-                            refresh_factor(model, t * chunk + off, list, std_out);
-                        }
-                    });
-                }
-            })
-            .expect("DSS refresh worker panicked");
+        for (q, (list, std_out)) in self
+            .factor_lists
+            .iter_mut()
+            .zip(self.factor_stds.iter_mut())
+            .enumerate()
+        {
+            refresh_factor(model, q, list, &mut self.scratch, std_out);
         }
         if let Some(s) = &self.stats {
             s.refreshes.inc();
@@ -450,6 +428,19 @@ mod tests {
         assert_eq!(s.factor_lists.len(), 1);
         assert_eq!(s.factor_lists[0][0], ItemId(99));
         assert_eq!(s.factor_lists[0][99], ItemId(0));
+    }
+
+    #[test]
+    fn refresh_places_a_nan_factor_beyond_infinity() {
+        let (_, mut model) = fixture();
+        model.item_mut(ItemId(3))[0] = f32::NAN;
+        let mut s = DssSampler::dss(DssMode::Map);
+        s.refresh(&model);
+        let list = &s.factor_lists[0];
+        assert_eq!(list[0], ItemId(3), "a positive NaN ranks above +inf");
+        let rest: Vec<u32> = list[1..].iter().map(|t| t.0).collect();
+        let want: Vec<u32> = (0..100).rev().filter(|&i| i != 3).collect();
+        assert_eq!(rest, want);
     }
 
     #[test]

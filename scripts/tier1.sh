@@ -32,45 +32,11 @@ trap 'rm -rf "$smoke_dir"' EXIT
 clapf=target/release/clapf
 "$clapf" generate --dataset ml100k --shrink 24 --out "$smoke_dir/data.csv" >/dev/null
 
-# The plain serve smoke (fit --save, serve, /healthz, /recommend, /metrics,
-# POST /shutdown) is crates/clapf-cli/tests/serve_smoke.rs, run by cargo test.
-serve_get() {  # bare-TCP GET via bash /dev/tcp: no curl dependency
-  exec 3<>"/dev/tcp/${addr%:*}/${addr##*:}"
-  printf 'GET %s HTTP/1.1\r\nHost: s\r\nConnection: close\r\n\r\n' "$1" >&3
-  cat <&3
-  exec 3>&-
-}
-
-echo "==> trace smoke: --trace-sample 1 surfaces per-stage request traces"
-"$clapf" fit --data "$smoke_dir/data.csv" --dim 8 --iterations 20000 \
-  --save "$smoke_dir/model.json" >/dev/null
-user="$(sed -n '2p' "$smoke_dir/data.csv" | cut -d, -f1)"
-"$clapf" serve --load "$smoke_dir/model.json" --addr 127.0.0.1:0 \
-  --trace-sample 1 > "$smoke_dir/traced.log" 2>&1 &
-serve_pid=$!
-addr=""
-for _ in $(seq 1 100); do
-  addr="$(sed -n 's#^listening on http://##p' "$smoke_dir/traced.log" 2>/dev/null || true)"
-  [ -n "$addr" ] && break
-  sleep 0.1
-done
-[ -n "$addr" ] || { echo "trace smoke: server never announced its port" >&2; exit 1; }
-serve_get "/recommend/$user?k=5" | grep -q '"items":\[' \
-  || { echo "trace smoke: /recommend failed" >&2; exit 1; }
-# The sampled miss must show up with a per-stage span breakdown.
-serve_get "/debug/traces?n=8" | grep -q '"stage":"cache.lookup"' \
-  || { echo "trace smoke: /debug/traces missing stage breakdown" >&2; exit 1; }
-serve_get /debug/slow | grep -q '"total_us":' \
-  || { echo "trace smoke: /debug/slow empty" >&2; exit 1; }
-# Latency buckets carry OpenMetrics exemplars referencing the trace ids.
-serve_get /metrics | grep -q '# {trace_id="' \
-  || { echo "trace smoke: /metrics missing trace exemplars" >&2; exit 1; }
-exec 3<>"/dev/tcp/${addr%:*}/${addr##*:}"
-printf 'POST /shutdown HTTP/1.1\r\nHost: s\r\nConnection: close\r\n\r\n' >&3
-cat <&3 >/dev/null
-exec 3>&-
-wait "$serve_pid" \
-  || { echo "trace smoke: server exited non-zero" >&2; exit 1; }
+# The serve smoke (fit --save, serve, /healthz, /recommend, /metrics,
+# POST /shutdown) and the trace smoke (serve --trace-sample 1: the
+# /debug/traces stage breakdown, /debug/slow and the /metrics exemplars
+# naming listed traces) are crates/clapf-cli/tests/serve_smoke.rs, run by
+# cargo test.
 
 echo "==> overhead gate: sampled tracing <=2% end-to-end at a 1-in-64 sample"
 # The binary asserts bit identity itself (the four fits learn identical
@@ -95,6 +61,15 @@ grep -q '"tag": *"smoke"' "$smoke_dir/scale/BENCH_scale.json" \
   || { echo "scale smoke: smoke row missing from report" >&2; exit 1; }
 
 echo "==> fleet smoke: router + 2 replicas, rollout under load, failover, drain"
+serve_get() {  # bare-TCP GET via bash /dev/tcp: no curl dependency
+  exec 3<>"/dev/tcp/${addr%:*}/${addr##*:}"
+  printf 'GET %s HTTP/1.1\r\nHost: s\r\nConnection: close\r\n\r\n' "$1" >&3
+  cat <&3
+  exec 3>&-
+}
+user="$(sed -n '2p' "$smoke_dir/data.csv" | cut -d, -f1)"
+"$clapf" fit --data "$smoke_dir/data.csv" --dim 8 --iterations 20000 \
+  --save "$smoke_dir/model.json" >/dev/null
 # A second fitted model gives the rollout a candidate with a new fingerprint.
 "$clapf" fit --data "$smoke_dir/data.csv" --dim 8 --iterations 20000 --seed 7 \
   --save "$smoke_dir/model2.json" >/dev/null
