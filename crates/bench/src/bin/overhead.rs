@@ -25,14 +25,13 @@
 //! otherwise the times would compare different work.
 
 use bench::fixture::{ml100k_standin, scratch_dir, Fixture};
-use bench::http::Conn;
 use bench::timing::{interleave, median, paired_overhead_pct, OVERHEAD_GATE_PCT};
-use bench::Cli;
+use bench::{Cli, HTTP_TIMEOUT};
 use clapf_core::checkpoint::{self, Checkpoint};
 use clapf_core::{CheckpointConfig, Clapf, ClapfConfig, FitOptions};
 use clapf_mf::MfModel;
 use clapf_sampling::{DssMode, DssSampler};
-use clapf_serve::{start, ServeConfig, ServerHandle};
+use clapf_serve::{start, Conn, ServeConfig, ServerHandle};
 use clapf_telemetry::{
     timed, Control, EpochStats, FitMeta, FitSummary, NoopObserver, Registry, Tracer,
     TrainObserver,
@@ -327,7 +326,7 @@ impl Lane {
             Arc::new(Registry::new()),
         )
         .expect("server boots");
-        let conn = Conn::open(server.addr()).expect("connect");
+        let conn = Conn::open(server.addr(), HTTP_TIMEOUT).expect("connect");
         Lane { server, conn }
     }
 
@@ -340,7 +339,7 @@ impl Lane {
             let r = self.conn.get(&format!("/recommend/u{u}?k={k}")).expect("request");
             assert_eq!(r.status, 200, "u{u}");
             if i < keep {
-                bodies.push(r.body);
+                bodies.push(String::from_utf8(r.body).expect("UTF-8 body"));
             }
         }
         bodies

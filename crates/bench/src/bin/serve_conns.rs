@@ -16,8 +16,8 @@
 //! Exits nonzero (panics) on any violation.
 
 use bench::fixture::{scratch_dir, Fixture};
-use bench::http::Conn;
-use clapf_serve::{start, ServeConfig};
+use bench::HTTP_TIMEOUT;
+use clapf_serve::{start, Conn, ServeConfig};
 use clapf_telemetry::Registry;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -79,7 +79,7 @@ fn main() {
 
     // Open every connection up front; all stay open to the end.
     let mut conns: Vec<Conn> = (0..n_conns)
-        .map(|c| Conn::open(addr).unwrap_or_else(|e| panic!("connect #{c} failed: {e}")))
+        .map(|c| Conn::open(addr, HTTP_TIMEOUT).unwrap_or_else(|e| panic!("connect #{c} failed: {e}")))
         .collect();
     eprintln!("opened {n_conns} keep-alive connections");
 
@@ -88,7 +88,7 @@ fn main() {
         // read — all n_conns requests are concurrently in flight.
         for (c, conn) in conns.iter_mut().enumerate() {
             let user = user_of(c);
-            conn.send(&format!("/recommend/{user}?k={k}"))
+            conn.send("GET", &format!("/recommend/{user}?k={k}"), None)
                 .unwrap_or_else(|e| panic!("round {round} send #{c}: {e}"));
         }
         // Read phase: frame each response and check it bit-for-bit.
@@ -97,8 +97,8 @@ fn main() {
             let r = conn
                 .recv()
                 .unwrap_or_else(|e| panic!("round {round} response #{c}: {e}"));
-            assert_eq!(r.status, 200, "round {round} conn {c}: {}", r.body);
-            let body = r.body;
+            let body = r.text().unwrap_or_else(|e| panic!("round {round} response #{c}: {e}"));
+            assert_eq!(r.status, 200, "round {round} conn {c}: {body}");
             let want_items = &expected[&user];
             let got_items = body
                 .split_once("\"items\":")

@@ -26,11 +26,10 @@
 //! rollout under load. The fleet chaos soak is the `chaos` binary.
 
 use bench::fixture::{scratch_dir, Fixture};
-use bench::http::{call, Conn};
-use bench::Cli;
+use bench::{Cli, HTTP_TIMEOUT};
 use clapf_cli::flags::{Flag, Kind};
 use clapf_fleet::{rollout, FleetSpec, ReplicaSpec, RouterConfig, RouterHandle};
-use clapf_serve::{start, ServeConfig, ServerHandle};
+use clapf_serve::{call, start, Conn, ServeConfig, ServerHandle};
 use clapf_telemetry::{Histogram, Registry};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -289,7 +288,7 @@ fn run_leg(bundle_path: &std::path::Path, leg: &Leg, spec: &LoadSpec, zipf: &Zip
             .map(|rate| Duration::from_secs_f64(clients as f64 / rate));
         threads.push(std::thread::spawn(move || {
             let zipf = Zipf { cdf: zipf_cdf };
-            let mut conn = Conn::open(addr).expect("connect");
+            let mut conn = Conn::open(addr, HTTP_TIMEOUT).expect("connect");
             let mut latencies_ms = Vec::new();
             let mut shed = 0u64;
             let mut n = 0u64;
@@ -340,8 +339,8 @@ fn run_leg(bundle_path: &std::path::Path, leg: &Leg, spec: &LoadSpec, zipf: &Zip
     } else {
         0.0
     };
-    let (_, traces) = call(addr, "GET", "/debug/traces?n=128").expect("debug traces");
-    let stage_means = stage_means(&traces);
+    let traces = call(addr, "GET", "/debug/traces?n=128", HTTP_TIMEOUT).expect("debug traces");
+    let stage_means = stage_means(traces.text().expect("debug traces"));
     server.shutdown();
 
     let requests = latencies_ms.len() as u64 + shed;
@@ -478,7 +477,7 @@ fn run_fleet_leg(
         let stop = Arc::clone(&stop);
         threads.push(std::thread::spawn(move || {
             let zipf = Zipf { cdf: zipf_cdf };
-            let mut conn = Conn::open(addr).expect("connect router");
+            let mut conn = Conn::open(addr, HTTP_TIMEOUT).expect("connect router");
             // (completed_at_secs since leg start, latency_ms, status)
             let mut records: Vec<(f64, f64, u16)> = Vec::new();
             while started.elapsed() < duration

@@ -35,11 +35,12 @@
 //! writes `results/BENCH_fleet_chaos.json`.
 
 use crate::fixture::{scratch_dir, Fixture};
-use crate::http::{call, Conn, Response};
+use crate::HTTP_TIMEOUT;
 use clapf_fleet::{
     rollout, start_router, FleetSpec, HedgePolicy, Replica, ReplicaConfig, ReplicaSpec,
     RouterConfig, RouterHandle,
 };
+use clapf_serve::Conn;
 use clapf_telemetry::Registry;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -368,7 +369,7 @@ pub fn run_chaos(opts: &ChaosOptions) -> Result<ChaosReport, String> {
     // Registration is the replicas' own job here — no supervisor-side
     // register_member call: the harness waits for the heartbeats to land.
     wait_for("all replicas registered and alive", Duration::from_secs(30), || {
-        let Ok((200, body)) = call(router.addr(), "GET", "/fleet/status") else {
+        let Ok((200, body)) = fetch(router.addr(), "GET", "/fleet/status") else {
             return false;
         };
         (0..opts.replicas).all(|i| {
@@ -460,7 +461,7 @@ pub fn run_chaos(opts: &ChaosOptions) -> Result<ChaosReport, String> {
     check_fingerprints(&bundle_path, &replicas, &mut failures);
 
     // Counters, over the same /metrics surface operators would scrape.
-    let metrics = call(router.addr(), "GET", "/metrics")
+    let metrics = fetch(router.addr(), "GET", "/metrics")
         .map(|(_, body)| body)
         .unwrap_or_default();
     let counter = |name: &str| metric_value(&metrics, name);
@@ -668,7 +669,7 @@ fn run_event(
             let mut prompt = 0;
             match wait_for("handler delay drained", Duration::from_secs(25), || {
                 let t = Instant::now();
-                let ok = matches!(call(addr, "GET", "/healthz"), Ok((200, _)));
+                let ok = matches!(fetch(addr, "GET", "/healthz"), Ok((200, _)));
                 if ok && t.elapsed() < Duration::from_millis(ms.min(150)) {
                     prompt += 1;
                 } else {
@@ -764,7 +765,7 @@ fn client_loop(
 ) -> Vec<Rec> {
     let mut rng = SmallRng::seed_from_u64(seed);
     let mut recs = Vec::new();
-    let mut conn = Conn::open(addr).ok();
+    let mut conn = Conn::open(addr, HTTP_TIMEOUT).ok();
     while !stop.load(Ordering::Relaxed) {
         let u = rng.gen_range(0..users as u64) as u32;
         let path = format!("/recommend/u{u}?k={K}");
@@ -773,23 +774,19 @@ fn client_loop(
         // requests is not an error. A failure on a fresh connection is.
         let out = match conn.as_mut().map(|c| c.get(&path)) {
             Some(Ok(r)) => Ok(r),
-            _ => Conn::open(addr).and_then(|mut fresh| {
+            _ => Conn::open(addr, HTTP_TIMEOUT).and_then(|mut fresh| {
                 let r = fresh.get(&path);
                 conn = Some(fresh);
                 r
             }),
         };
         recs.push(match out {
-            Ok(Response {
-                status,
-                degraded,
-                body,
-            }) => Rec {
+            Ok(r) => Rec {
                 at,
-                status,
-                degraded,
-                content_ok: status != 200
-                    || items_part(&body).map(str::as_bytes)
+                status: r.status,
+                degraded: r.header("X-Clapf-Degraded").is_some(),
+                content_ok: r.status != 200
+                    || r.text().ok().and_then(items_part).map(str::as_bytes)
                         == Some(baselines[u as usize].as_bytes()),
             },
             Err(_) => {
@@ -817,7 +814,7 @@ fn check_byte_identity(
 ) -> bool {
     let sample = opts.users.min(48);
     for u in 0..sample {
-        let _ = call(router.addr(), "GET", &format!("/recommend/u{u}?k={K}"));
+        let _ = fetch(router.addr(), "GET", &format!("/recommend/u{u}?k={K}"));
     }
     let mut ok = true;
     for u in 0..sample {
@@ -832,7 +829,7 @@ fn check_byte_identity(
         };
         let direct: Vec<String> = replicas
             .iter()
-            .filter_map(|r| match call(r.addr(), "GET", &path) {
+            .filter_map(|r| match fetch(r.addr(), "GET", &path) {
                 Ok((200, body)) => Some(body),
                 _ => None,
             })
@@ -860,7 +857,7 @@ fn check_fingerprints(
     };
     let want = format!("{:016x}", clapf_serve::fingerprint64(&bytes));
     for (i, r) in replicas.iter().enumerate() {
-        match call(r.addr(), "GET", "/bundle/fingerprint") {
+        match fetch(r.addr(), "GET", "/bundle/fingerprint") {
             Ok((200, body)) if body.contains(&want) => {}
             Ok((_, body)) => failures.push(format!(
                 "replica {i} fingerprint drifted after torn commit: {body}"
@@ -873,8 +870,15 @@ fn check_fingerprints(
 // ---------------------------------------------------------------------------
 // Control-plane and parsing helpers.
 
+/// One-shot request through the shared client: status and UTF-8 body.
+fn fetch(addr: SocketAddr, method: &str, path: &str) -> Result<(u16, String), String> {
+    let reply = clapf_serve::call(addr, method, path, HTTP_TIMEOUT).map_err(|e| e.to_string())?;
+    let body = String::from_utf8(reply.body).map_err(|e| e.to_string())?;
+    Ok((reply.status, body))
+}
+
 fn expect_200(addr: SocketAddr, method: &str, path: &str) -> Result<String, String> {
-    match call(addr, method, path)? {
+    match fetch(addr, method, path)? {
         (200, body) => Ok(body),
         (status, body) => Err(format!("{method} {path}: {status} {body}")),
     }
@@ -884,7 +888,7 @@ fn expect_200(addr: SocketAddr, method: &str, path: &str) -> Result<String, Stri
 fn retry_get_200(addr: SocketAddr, path: &str, deadline: Duration) -> Result<String, String> {
     let t0 = Instant::now();
     loop {
-        match call(addr, "GET", path) {
+        match fetch(addr, "GET", path) {
             Ok((200, body)) => return Ok(body),
             other if t0.elapsed() > deadline => {
                 return Err(format!("no 200 within {deadline:?}: last {other:?}"))
@@ -921,7 +925,7 @@ fn items_part(body: &str) -> Option<&str> {
 }
 
 fn status_body(addr: SocketAddr) -> String {
-    call(addr, "GET", "/fleet/status")
+    fetch(addr, "GET", "/fleet/status")
         .map(|(_, b)| b)
         .unwrap_or_default()
 }

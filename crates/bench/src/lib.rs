@@ -7,9 +7,10 @@
 //! ([`clapf_cli::flags`]) in [`Cli::parse_with`]; anything else is an
 //! error (exit 2), never silently ignored.
 //!
-//! The perf binaries share one synthetic bundle ([`fixture`]), one HTTP
-//! client ([`http`]), one interleaved timing loop ([`timing`]) and one
-//! report writer ([`write_report`]).
+//! The perf binaries share one synthetic bundle ([`fixture`]), one
+//! interleaved timing loop ([`timing`]) and one report writer
+//! ([`write_report`]); they speak HTTP through `clapf-serve`'s client
+//! ([`clapf_serve::Conn`], [`clapf_serve::call`]) with [`HTTP_TIMEOUT`].
 
 use clapf_cli::flags::{self, Arg, Flag, Kind};
 use clapf_eval::{report, RunScale};
@@ -19,8 +20,11 @@ use std::process::Command;
 
 pub mod chaos;
 pub mod fixture;
-pub mod http;
 pub mod timing;
+
+/// Socket timeout for every bench HTTP connection: generous, so a wedged
+/// server fails the run instead of hanging it.
+pub const HTTP_TIMEOUT: std::time::Duration = std::time::Duration::from_secs(30);
 
 /// Where a benchmark result came from, written into its JSON report.
 #[derive(Debug, Serialize)]

@@ -964,15 +964,9 @@ mod tests {
     }
 
     fn mini_http(addr: &str, method: &str, path: &str) -> (u16, String) {
-        use std::io::Read;
-        let mut s = std::net::TcpStream::connect(addr).unwrap();
-        s.set_read_timeout(Some(std::time::Duration::from_secs(10))).unwrap();
-        write!(s, "{method} {path} HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n").unwrap();
-        let mut raw = String::new();
-        s.read_to_string(&mut raw).unwrap();
-        let status = raw.split_whitespace().nth(1).unwrap().parse().unwrap();
-        let body = raw.split_once("\r\n\r\n").map(|(_, b)| b.to_string()).unwrap_or_default();
-        (status, body)
+        let addr = addr.parse().unwrap();
+        let reply = clapf_serve::call(addr, method, path, std::time::Duration::from_secs(10)).unwrap();
+        (reply.status, String::from_utf8(reply.body).unwrap())
     }
 
     #[test]

@@ -7,26 +7,16 @@ mod common;
 
 use common::{clapf_ok, field, scratch_dir, tiny_dataset, CLAPF};
 use serde::Value;
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::TcpStream;
+use std::io::{BufRead, BufReader, Read};
 use std::path::{Path, PathBuf};
 use std::process::{Child, ChildStdout, Command, ExitStatus, Stdio};
 use std::time::Duration;
 
-/// One `Connection: close` request; returns (status, body).
+/// One-shot request through the shared client; returns (status, body).
 fn http(addr: &str, method: &str, path: &str) -> (u16, String) {
-    let mut s = TcpStream::connect(addr).expect("connect");
-    s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-    write!(s, "{method} {path} HTTP/1.1\r\nHost: s\r\nConnection: close\r\n\r\n").unwrap();
-    let mut raw = String::new();
-    s.read_to_string(&mut raw).expect("read response");
-    let status = raw
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or_else(|| panic!("no status line in {raw:?}"));
-    let body = raw.split_once("\r\n\r\n").map(|(_, b)| b.to_string()).unwrap_or_default();
-    (status, body)
+    let addr = addr.parse().expect("socket address");
+    let reply = clapf_serve::call(addr, method, path, Duration::from_secs(10)).expect("request");
+    (reply.status, String::from_utf8(reply.body).expect("UTF-8 body"))
 }
 
 /// The value of one unlabelled sample in a Prometheus text dump.

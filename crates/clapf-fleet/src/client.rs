@@ -1,146 +1,19 @@
-//! Upstream HTTP client: the pooled keep-alive connection the router
-//! proxies through, and the one-shot call the health checker and rollout
-//! driver share.
-//!
-//! The reader is deliberately narrow: `clapf-serve` always answers with
-//! `Content-Length` and never chunks, so a response is a status line,
-//! headers, and exactly `Content-Length` body bytes. Anything else is an
+//! The router's pooled upstream: one keep-alive [`Conn`] per replica slot
+//! per worker, plus the reconnect and failpoint logic around it. Framing
+//! is `clapf-serve`'s shared client; a malformed or truncated reply is an
 //! I/O error, which callers treat like a dead replica (drop the pooled
 //! connection, retry once through the ring).
 
-use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpStream};
+use clapf_serve::{Conn, Reply};
+use std::net::SocketAddr;
 use std::time::Duration;
-
-/// Largest upstream body the router will relay (a `/metrics` dump is tens
-/// of KB; this is a hostile-upstream bound, not a sizing knob).
-const MAX_UPSTREAM_BODY: usize = 16 << 20;
-
-/// One upstream reply, body kept as raw bytes so the router can relay it
-/// **byte-for-byte** — bit-identity between routed and direct responses is
-/// an acceptance criterion, so the router never re-renders.
-#[derive(Debug)]
-pub struct UpstreamResponse {
-    /// HTTP status code.
-    pub status: u16,
-    /// `Content-Type` header value (empty when the upstream sent none).
-    pub content_type: String,
-    /// The body, verbatim.
-    pub body: Vec<u8>,
-    /// Whether the upstream will keep the connection open.
-    pub keep_alive: bool,
-}
-
-impl UpstreamResponse {
-    /// The body as UTF-8, for JSON probes (`/healthz`, `/bundle/*`).
-    pub fn text(&self) -> std::io::Result<&str> {
-        std::str::from_utf8(&self.body)
-            .map_err(|_| std::io::Error::other("upstream body is not UTF-8"))
-    }
-}
-
-/// Writes one request. `trace` propagates the router's trace id across the
-/// hop as `X-Clapf-Trace`; the replica adopts it (see `clapf-serve`).
-fn write_request<W: Write>(
-    w: &mut W,
-    method: &str,
-    path: &str,
-    trace: Option<u64>,
-    keep_alive: bool,
-) -> std::io::Result<()> {
-    let mut req = format!("{method} {path} HTTP/1.1\r\nHost: fleet\r\n");
-    if let Some(id) = trace {
-        req.push_str(&format!("X-Clapf-Trace: {id:016x}\r\n"));
-    }
-    if !keep_alive {
-        req.push_str("Connection: close\r\n");
-    }
-    req.push_str("\r\n");
-    w.write_all(req.as_bytes())?;
-    w.flush()
-}
-
-/// Reads one `Content-Length`-framed response off `r`.
-fn read_response<R: BufRead>(r: &mut R) -> std::io::Result<UpstreamResponse> {
-    let mut line = String::new();
-    if r.read_line(&mut line)? == 0 {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::UnexpectedEof,
-            "upstream closed before the status line",
-        ));
-    }
-    let status: u16 = line
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| std::io::Error::other(format!("bad upstream status line {line:?}")))?;
-
-    let mut content_length: Option<usize> = None;
-    let mut content_type = String::new();
-    let mut keep_alive = true;
-    loop {
-        line.clear();
-        if r.read_line(&mut line)? == 0 {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                "upstream closed mid-headers",
-            ));
-        }
-        let line = line.trim_end();
-        if line.is_empty() {
-            break;
-        }
-        if let Some((name, value)) = line.split_once(':') {
-            let value = value.trim();
-            if name.eq_ignore_ascii_case("content-length") {
-                content_length = value.parse().ok();
-            } else if name.eq_ignore_ascii_case("content-type") {
-                content_type = value.to_string();
-            } else if name.eq_ignore_ascii_case("connection") {
-                keep_alive = !value.eq_ignore_ascii_case("close");
-            }
-        }
-    }
-
-    let len = content_length
-        .ok_or_else(|| std::io::Error::other("upstream response missing content-length"))?;
-    if len > MAX_UPSTREAM_BODY {
-        return Err(std::io::Error::other("upstream body too large"));
-    }
-    let mut body = vec![0u8; len];
-    r.read_exact(&mut body)?;
-    Ok(UpstreamResponse {
-        status,
-        content_type,
-        body,
-        keep_alive,
-    })
-}
-
-/// One-shot call: fresh connection, `Connection: close`, full response.
-/// The health checker and the rollout driver use this; the hot proxy path
-/// goes through [`Upstream`] instead.
-pub fn http_call(
-    addr: SocketAddr,
-    method: &str,
-    path: &str,
-    timeout: Duration,
-) -> std::io::Result<UpstreamResponse> {
-    let stream = TcpStream::connect_timeout(&addr, timeout)?;
-    stream.set_read_timeout(Some(timeout))?;
-    stream.set_write_timeout(Some(timeout))?;
-    stream.set_nodelay(true)?;
-    let mut reader = BufReader::new(stream);
-    write_request(reader.get_mut(), method, path, None, false)?;
-    read_response(&mut reader)
-}
 
 /// A pooled keep-alive connection to one replica. One worker owns one
 /// `Upstream` per slot, so there is no cross-thread connection sharing —
 /// the pool is the set of workers.
 pub struct Upstream {
     addr: SocketAddr,
-    conn: Option<BufReader<TcpStream>>,
+    conn: Option<Conn>,
     timeout: Duration,
 }
 
@@ -178,76 +51,29 @@ impl Upstream {
         method: &str,
         path: &str,
         trace: Option<u64>,
-    ) -> std::io::Result<UpstreamResponse> {
+    ) -> std::io::Result<Reply> {
         // Failpoints: tests kill a replica "mid-load" by failing the
         // connect (replica gone) or the send (socket died under us).
         clapf_faults::check("fleet.upstream.connect")?;
-        if self.conn.is_none() {
-            let stream = TcpStream::connect_timeout(&self.addr, self.timeout)?;
-            stream.set_read_timeout(Some(self.timeout))?;
-            stream.set_write_timeout(Some(self.timeout))?;
-            stream.set_nodelay(true)?;
-            self.conn = Some(BufReader::new(stream));
+        let conn = match &mut self.conn {
+            Some(conn) => conn,
+            empty => empty.insert(Conn::open(self.addr, self.timeout)?),
+        };
+        let result = clapf_faults::check("fleet.upstream.send")
+            .and_then(|()| conn.send(method, path, trace))
+            .and_then(|()| conn.recv());
+        if !matches!(&result, Ok(reply) if reply.keep_alive) {
+            self.conn = None;
         }
-        let result = (|| {
-            let conn = self.conn.as_mut().expect("connected above");
-            clapf_faults::check("fleet.upstream.send")?;
-            write_request(conn.get_mut(), method, path, trace, true)?;
-            read_response(conn)
-        })();
-        match result {
-            Ok(resp) => {
-                if !resp.keep_alive {
-                    self.conn = None;
-                }
-                Ok(resp)
-            }
-            Err(e) => {
-                self.conn = None;
-                Err(e)
-            }
-        }
+        result
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::Read;
+    use std::io::{Read, Write};
     use std::net::TcpListener;
-
-    /// A hand-rolled single-shot server good enough to exercise framing.
-    fn one_shot_server(response: &'static [u8]) -> SocketAddr {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        std::thread::spawn(move || {
-            if let Ok((mut s, _)) = listener.accept() {
-                let mut scratch = [0u8; 4096];
-                let _ = s.read(&mut scratch); // consume the request
-                let _ = s.write_all(response);
-            }
-        });
-        addr
-    }
-
-    #[test]
-    fn one_shot_call_reads_a_framed_response() {
-        let addr = one_shot_server(
-            b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: 2\r\nConnection: close\r\n\r\n{}",
-        );
-        let r = http_call(addr, "GET", "/healthz", Duration::from_secs(5)).unwrap();
-        assert_eq!(r.status, 200);
-        assert_eq!(r.content_type, "application/json");
-        assert_eq!(r.body, b"{}");
-        assert!(!r.keep_alive);
-    }
-
-    #[test]
-    fn missing_content_length_is_an_error_not_a_hang() {
-        let addr = one_shot_server(b"HTTP/1.1 200 OK\r\nConnection: close\r\n\r\nhello");
-        let err = http_call(addr, "GET", "/", Duration::from_secs(5)).unwrap_err();
-        assert!(err.to_string().contains("content-length"), "{err}");
-    }
 
     #[test]
     fn request_writes_the_trace_header() {

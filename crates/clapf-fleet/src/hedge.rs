@@ -19,7 +19,8 @@
 //! slot's breaker — a hedge never turns a slow replica into a marked-dead
 //! one by accident.
 
-use crate::client::{Upstream, UpstreamResponse};
+use crate::client::Upstream;
+use clapf_serve::Reply;
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
@@ -147,7 +148,7 @@ pub struct HedgeDone {
     /// The slot the call was aimed at.
     pub slot: u32,
     /// The upstream's reply or failure.
-    pub result: std::io::Result<UpstreamResponse>,
+    pub result: std::io::Result<Reply>,
     /// The pooled connection, back for reclamation.
     pub upstream: Upstream,
     /// Wall-clock time the call took.

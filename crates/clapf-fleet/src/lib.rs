@@ -15,9 +15,9 @@
 //!   jitter for every periodic activity.
 //! * [`hedge`] — hedged reads: a p99-derived delay, a helper thread per
 //!   router worker, and a hedge budget capping duplicated work.
-//! * [`client`] — the pooled keep-alive upstream HTTP client the router
-//!   proxies through, and the one-shot probe the health checker and the
-//!   rollout driver share.
+//! * [`client`] — the router's pooled keep-alive upstream: reconnect and
+//!   failpoint logic around `clapf-serve`'s shared client, whose one-shot
+//!   `call` the health checker, the rollout driver and the supervisor use.
 //! * [`router`] — the router process: accepts client connections with the
 //!   same read-budget/timeout discipline as `clapf-serve`, hashes
 //!   `/recommend/{user}` to a replica, relays the reply byte-for-byte
@@ -50,7 +50,7 @@ pub mod router;
 pub mod supervisor;
 
 pub use breaker::{Admission, Breaker, BreakerConfig, BreakerState, RetryBudget};
-pub use client::{http_call, Upstream, UpstreamResponse};
+pub use client::Upstream;
 pub use hedge::{HedgePolicy, LatencyWindow};
 pub use membership::{LeaseView, Membership, Registered, SlotState};
 pub use ring::Ring;

@@ -24,7 +24,6 @@
 //!    the new (or restored) generation. Zero requests were dropped: they
 //!    waited, bounded by the router's `pause_max_wait` safety valve.
 
-use crate::client::http_call;
 use clapf_serve::fingerprint64;
 use serde::Value;
 use std::net::SocketAddr;
@@ -411,7 +410,7 @@ pub fn rollout(spec: &FleetSpec, new_bundle: &Path) -> Result<RolloutReport, Rol
 /// One control-plane call; 2xx JSON body parsed, anything else an error
 /// string carrying the status and body.
 fn call_json(addr: SocketAddr, method: &str, path: &str) -> Result<Value, String> {
-    let resp = http_call(addr, method, path, CALL_TIMEOUT).map_err(|e| e.to_string())?;
+    let resp = clapf_serve::call(addr, method, path, CALL_TIMEOUT).map_err(|e| e.to_string())?;
     let body = resp.text().map_err(|e| e.to_string())?;
     if resp.status != 200 {
         return Err(format!("{method} {path} -> {}: {body}", resp.status));

@@ -22,10 +22,10 @@
 //! failing that, with a typed 503 + `Retry-After` — never a hang.
 
 use crate::breaker::{next_salt, Admission, BreakerConfig, RetryBudget};
-use crate::client::{http_call, Upstream, UpstreamResponse};
+use crate::client::Upstream;
 use crate::hedge::{hedge_delay, HedgeDone, HedgeJob, HedgePolicy, HedgeRunner, LatencyWindow};
 use crate::membership::{LeaseView, Membership, SlotState};
-use clapf_serve::{parse_request_deadline_timed, Method, ParseError, Request, Response};
+use clapf_serve::{call, parse_request_deadline_timed, Method, ParseError, Reply, Request, Response};
 use clapf_telemetry::{intern_stage, FinishedTrace, JsonValue, Registry, Stage, Trace, Tracer};
 use std::collections::HashMap;
 use std::io::BufReader;
@@ -580,7 +580,7 @@ fn probe(shared: &RouterShared, slot: usize) {
     if !state.probe_eligible(Instant::now()) {
         return;
     }
-    let healthy = http_call(state.addr(), "GET", "/healthz", shared.upstream_timeout)
+    let healthy = call(state.addr(), "GET", "/healthz", shared.upstream_timeout)
         .map(|r| r.status == 200)
         .unwrap_or(false);
     let was = state.set_alive(healthy);
@@ -894,8 +894,8 @@ fn proxy(
 
     let response = match outcome {
         Ok(upstream) => {
-            let response = relay_response(&upstream);
-            if upstream.status == 200 {
+            let response = relay_response(upstream);
+            if response.status == 200 {
                 shared.fallback.insert(&path_q, &response.body);
             }
             response
@@ -955,7 +955,7 @@ fn degraded_response(shared: &RouterShared, path_q: &str, fail: ForwardFail) -> 
 /// Settles one finished hedge-runner call: in-flight accounting, breaker
 /// and latency updates, and connection reclamation. Every submitted job
 /// flows through here exactly once, prompt or late.
-fn settle(shared: &RouterShared, worker: &mut Worker, done: HedgeDone) -> std::io::Result<UpstreamResponse> {
+fn settle(shared: &RouterShared, worker: &mut Worker, done: HedgeDone) -> std::io::Result<Reply> {
     if let Some(state) = shared.members.get(done.slot as usize) {
         state.inflight.fetch_sub(1, Ordering::Relaxed);
         match &done.result {
@@ -1028,7 +1028,7 @@ fn call_slot(
     slot: u32,
     path_q: &str,
     trace_id: Option<u64>,
-) -> std::io::Result<UpstreamResponse> {
+) -> std::io::Result<Reply> {
     state.inflight.fetch_add(1, Ordering::Relaxed);
     let addr = state.addr();
     let timeout = shared.upstream_timeout;
@@ -1054,7 +1054,7 @@ fn wait_primary(
     worker: &mut Worker,
     seq: u64,
     timeout: Duration,
-) -> Option<std::io::Result<UpstreamResponse>> {
+) -> Option<std::io::Result<Reply>> {
     let deadline = Instant::now() + timeout;
     loop {
         let now = Instant::now();
@@ -1086,7 +1086,7 @@ fn first_attempt(
     trace_id: Option<u64>,
     excluded: &mut Vec<u32>,
     trace: &mut Option<&mut Trace>,
-) -> std::io::Result<UpstreamResponse> {
+) -> std::io::Result<Reply> {
     let Some(delay) = hedge_delay(&shared.hedge, &shared.latency) else {
         return call_slot(shared, worker, state, slot, path_q, trace_id);
     };
@@ -1179,7 +1179,7 @@ fn forward(
     shared: &RouterShared,
     worker: &mut Worker,
     mut trace: Option<&mut Trace>,
-) -> Result<UpstreamResponse, ForwardFail> {
+) -> Result<Reply, ForwardFail> {
     let st = stages();
     reap(shared, worker);
     shared.retry_budget.deposit();
@@ -1265,18 +1265,23 @@ fn percent_encode(s: &str) -> String {
 
 /// Maps an upstream reply onto a local [`Response`] for relay. The body
 /// travels verbatim; the content type is matched back to the static set
-/// `clapf-serve` emits, so the relayed header bytes are identical too.
-fn relay_response(upstream: &UpstreamResponse) -> Response {
+/// `clapf-serve` emits, so the relayed header bytes are identical too, and
+/// a shed's `Retry-After` hint reaches the client as it would directly.
+fn relay_response(upstream: Reply) -> Response {
     let content_type: &'static str = match upstream.content_type.as_str() {
         "application/json" => "application/json",
         "text/plain; version=0.0.4" => "text/plain; version=0.0.4",
         _ => "application/octet-stream",
     };
-    match String::from_utf8(upstream.body.clone()) {
+    let extra_headers = upstream
+        .header("Retry-After")
+        .map(|v| vec![("Retry-After", v.to_string())])
+        .unwrap_or_default();
+    match String::from_utf8(upstream.body) {
         Ok(body) => Response {
             status: upstream.status,
             content_type,
-            extra_headers: Vec::new(),
+            extra_headers,
             body,
         },
         Err(_) => Response::error(502, "upstream body is not UTF-8"),

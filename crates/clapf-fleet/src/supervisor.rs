@@ -175,7 +175,7 @@ impl Replica {
     /// `drain`, then kill as a last resort. Always reaps the child — the
     /// fleet must never leak processes.
     pub fn shutdown(mut self, drain: Duration) {
-        let _ = crate::client::http_call(self.addr, "POST", "/shutdown", Duration::from_secs(2));
+        let _ = clapf_serve::call(self.addr, "POST", "/shutdown", Duration::from_secs(2));
         let deadline = Instant::now() + drain;
         loop {
             match self.child.try_wait() {

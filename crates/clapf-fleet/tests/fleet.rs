@@ -12,7 +12,7 @@ use clapf_data::loader::{load_ratings_reader, Separator};
 use clapf_data::ItemId;
 use clapf_fleet::{rollout, FleetSpec, ReplicaSpec, RolloutError, RouterConfig};
 use clapf_mf::{Init, MfModel};
-use clapf_serve::{fingerprint64, start, ModelBundle, ServeConfig};
+use clapf_serve::{call, fingerprint64, start, ModelBundle, ServeConfig};
 use clapf_telemetry::Registry;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -113,7 +113,7 @@ fn router_config(replicas: &[ReplicaSpec]) -> RouterConfig {
     }
 }
 
-// ---------------------------------------------------------- tiny TCP client
+// ------------------------------------------------------------ HTTP helpers
 
 /// One-shot request; returns the raw response bytes, byte-for-byte.
 fn raw(addr: SocketAddr, method: &str, path: &str) -> Vec<u8> {
@@ -127,20 +127,10 @@ fn raw(addr: SocketAddr, method: &str, path: &str) -> Vec<u8> {
     buf
 }
 
-/// One-shot request; returns (status, body).
+/// One-shot request through the shared client; returns (status, body).
 fn http(addr: SocketAddr, method: &str, path: &str) -> (u16, String) {
-    let bytes = raw(addr, method, path);
-    let text = String::from_utf8(bytes).expect("UTF-8 response");
-    let status: u16 = text
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or_else(|| panic!("no status line in {text:?}"));
-    let body = text
-        .split_once("\r\n\r\n")
-        .map(|(_, b)| b.to_string())
-        .unwrap_or_default();
-    (status, body)
+    let reply = call(addr, method, path, Duration::from_secs(10)).expect("request");
+    (reply.status, String::from_utf8(reply.body).expect("UTF-8 body"))
 }
 
 fn get(addr: SocketAddr, path: &str) -> (u16, String) {

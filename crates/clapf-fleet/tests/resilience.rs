@@ -13,7 +13,7 @@ use clapf_data::loader::{load_ratings_reader, Separator};
 use clapf_data::ItemId;
 use clapf_fleet::{HedgePolicy, RouterConfig, RouterHandle};
 use clapf_mf::{Init, MfModel};
-use clapf_serve::{start, ModelBundle, ServeConfig};
+use clapf_serve::{call, start, ModelBundle, Response, ServeConfig};
 use clapf_telemetry::Registry;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -81,53 +81,79 @@ fn dead_addr() -> SocketAddr {
 }
 
 /// A fake replica answering every request — `/healthz` probes and proxied
-/// `/recommend` alike — with the same fixed JSON body after `delay`.
+/// `/recommend` alike — with `answer(request line)` after `delay`.
 /// Keep-alive framing matches what the router's pooled client expects.
 /// Returns the address; the listener thread lives until process exit
 /// (tests are short-lived, and a leaked acceptor blocked on a dead port
 /// holds no other resources).
-fn fake_replica(delay: Duration) -> SocketAddr {
+fn fake_replica(delay: Duration, answer: fn(&str) -> Vec<u8>) -> SocketAddr {
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
     std::thread::spawn(move || {
         for stream in listener.incoming() {
             let Ok(stream) = stream else { break };
-            std::thread::spawn(move || serve_fake_conn(stream, delay));
+            std::thread::spawn(move || serve_fake_conn(stream, delay, answer));
         }
     });
     addr
 }
 
-fn serve_fake_conn(stream: TcpStream, delay: Duration) {
+fn serve_fake_conn(stream: TcpStream, delay: Duration, answer: fn(&str) -> Vec<u8>) {
     let mut reader = BufReader::new(stream);
     loop {
         // Headers only; the router never sends request bodies.
         let mut line = String::new();
-        let mut saw_request = false;
+        let mut request_line = String::new();
         loop {
             line.clear();
             match reader.read_line(&mut line) {
                 Ok(0) | Err(_) => return,
                 Ok(_) if line == "\r\n" => break,
-                Ok(_) => saw_request = true,
+                Ok(_) if request_line.is_empty() => request_line = line.clone(),
+                Ok(_) => {}
             }
         }
-        if !saw_request {
+        if request_line.is_empty() {
             return;
         }
         std::thread::sleep(delay);
-        let body = r#"{"status":"ok","fake":true}"#;
-        let response = format!(
-            "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: keep-alive\r\n\r\n{body}",
-            body.len()
-        );
-        if reader.get_mut().write_all(response.as_bytes()).is_err() {
+        if reader.get_mut().write_all(&answer(&request_line)).is_err() {
             return;
         }
     }
 }
 
-// ---------------------------------------------------------- tiny TCP client
+/// The same fixed JSON 200 for every request.
+fn fake_ok(_request_line: &str) -> Vec<u8> {
+    let body = r#"{"status":"ok","fake":true}"#;
+    format!(
+        "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: keep-alive\r\n\r\n{body}",
+        body.len()
+    )
+    .into_bytes()
+}
+
+/// The replica's per-request queue shed, rendered by the replica's own
+/// code: a 503 with a `Retry-After` hint on a connection that stays open.
+fn replica_shed(keep_alive: bool) -> Vec<u8> {
+    let mut out = Vec::new();
+    Response::error(503, "server overloaded, retry shortly")
+        .with_header("Retry-After", "1")
+        .write_to(&mut out, keep_alive)
+        .unwrap();
+    out
+}
+
+/// Healthy to probes, shedding every `/recommend`.
+fn fake_shedding(request_line: &str) -> Vec<u8> {
+    if request_line.starts_with("GET /healthz ") {
+        fake_ok(request_line)
+    } else {
+        replica_shed(true)
+    }
+}
+
+// ------------------------------------------------------------ HTTP helpers
 
 /// One-shot request; returns the raw response bytes.
 fn raw(addr: SocketAddr, method: &str, path: &str) -> Vec<u8> {
@@ -149,24 +175,18 @@ fn split_head_body(bytes: &[u8]) -> (String, String) {
     }
 }
 
+/// One-shot request through the shared client; returns (status, body).
+fn http(addr: SocketAddr, method: &str, path: &str) -> (u16, String) {
+    let reply = call(addr, method, path, Duration::from_secs(10)).expect("request");
+    (reply.status, String::from_utf8(reply.body).expect("UTF-8 body"))
+}
+
 fn get(addr: SocketAddr, path: &str) -> (u16, String) {
-    let (head, body) = split_head_body(&raw(addr, "GET", path));
-    let status = head
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or_else(|| panic!("no status line in {head:?}"));
-    (status, body)
+    http(addr, "GET", path)
 }
 
 fn post(addr: SocketAddr, path: &str) -> (u16, String) {
-    let (head, body) = split_head_body(&raw(addr, "POST", path));
-    let status = head
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or_else(|| panic!("no status line in {head:?}"));
-    (status, body)
+    http(addr, "POST", path)
 }
 
 /// The current value of a counter/gauge on the router's `/metrics` dump
@@ -270,6 +290,33 @@ fn degraded_mode_serves_stale_answers_once_the_fleet_dies() {
 
     assert!(metric(&router, "fleet.degraded.served") >= 1);
     assert!(metric(&router, "fleet.unroutable") >= 1);
+    router.shutdown();
+}
+
+#[test]
+fn a_routed_shed_keeps_its_retry_after_hint() {
+    // The only replica is healthy but sheds every /recommend with the
+    // replica's own 503 + Retry-After. The router must relay that answer
+    // as a direct client would see it — hint included — not strip it.
+    let shedding = fake_replica(Duration::ZERO, fake_shedding);
+    let config = RouterConfig {
+        replicas: vec![shedding],
+        health_interval: Duration::from_millis(50),
+        fallback_cache: 0,
+        ..RouterConfig::default()
+    };
+    let router = clapf_fleet::start_router(config, Arc::new(Registry::new())).unwrap();
+
+    let routed = raw(router.addr(), "GET", "/recommend/u1?k=3");
+    let (head, body) = split_head_body(&routed);
+    assert!(head.starts_with("HTTP/1.1 503"), "expected the relayed shed: {head:?}");
+    assert!(head.contains("Retry-After: 1"), "routed shed lost its hint: {head}");
+    assert!(body.contains("server overloaded"), "not the replica's shed: {body}");
+    assert_eq!(
+        String::from_utf8_lossy(&routed),
+        String::from_utf8_lossy(&replica_shed(false)),
+        "routed shed must be byte-identical to the direct one"
+    );
     router.shutdown();
 }
 
@@ -386,7 +433,7 @@ fn hedged_reads_mask_a_slow_replica() {
     // One real replica plus one fake that answers everything — health
     // probes included — only after 300ms. Users homed on the fake hedge
     // to the real replica after 25ms and the hedge wins.
-    let slow = fake_replica(Duration::from_millis(300));
+    let slow = fake_replica(Duration::from_millis(300), fake_ok);
     let config = RouterConfig {
         replicas: vec![replica.addr(), slow],
         health_interval: Duration::from_millis(100),

@@ -7,6 +7,12 @@
 //! connection is closed. The parser is total: any byte stream produces
 //! `Ok(Request)` or a typed [`ParseError`] — never a panic — which the
 //! `http_parser_never_panics` property test pins down.
+//!
+//! The client side reads responses with [`ResponseParser`], built on the
+//! same line reader and caps: a status line, headers, and exactly
+//! `Content-Length` body bytes. `clapf-serve` always frames that way, so
+//! anything else (no `Content-Length`, `Transfer-Encoding`, an oversized
+//! body, EOF mid-response) is a typed rejection.
 
 use std::io::{BufRead, Write};
 use std::time::{Duration, Instant};
@@ -19,6 +25,9 @@ pub const MAX_HEADER_LINE: usize = 8 * 1024;
 pub const MAX_HEADERS: usize = 64;
 /// Largest request body we are willing to read (and discard).
 pub const MAX_BODY: usize = 64 * 1024;
+/// Largest response body a client accepts (a `/metrics` dump is tens of
+/// KB; this bounds a hostile server, it is not a sizing knob).
+pub const MAX_RESPONSE_BODY: usize = 16 << 20;
 
 /// The request methods the server routes.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -118,8 +127,8 @@ impl ReadBudget {
 }
 
 /// Reads one CRLF- (or LF-) terminated line, rejecting lines longer than
-/// `cap` bytes. `first` marks the first read of a request, where EOF and
-/// timeouts mean "no request" rather than "broken request".
+/// `cap` bytes. `first` marks the first read of a message, where EOF and
+/// timeouts mean "no message" rather than "broken message".
 fn read_line_capped<R: BufRead>(
     r: &mut R,
     cap: usize,
@@ -151,7 +160,7 @@ fn read_line_capped<R: BufRead>(
             if first && line.is_empty() {
                 return Err(ParseError::Eof);
             }
-            return Err(ParseError::bad(400, "connection closed mid-request"));
+            return Err(ParseError::bad(400, "connection closed mid-head"));
         }
         let nl = buf.iter().position(|&b| b == b'\n');
         let take = nl.map(|p| p + 1).unwrap_or(buf.len());
@@ -170,7 +179,7 @@ fn read_line_capped<R: BufRead>(
                 line.pop();
             }
             return String::from_utf8(line)
-                .map_err(|_| ParseError::bad(400, "request is not valid UTF-8"));
+                .map_err(|_| ParseError::bad(400, "head is not valid UTF-8"));
         }
     }
 }
@@ -435,7 +444,7 @@ impl BufRead for FeedReader<'_> {
 #[derive(Default)]
 pub struct FeedParser {
     buf: Vec<u8>,
-    /// Bytes of `buf` already consumed by completed requests.
+    /// Bytes of `buf` already consumed by completed messages.
     start: usize,
     /// The peer closed its write side; no more bytes will arrive.
     eof: bool,
@@ -470,11 +479,7 @@ impl FeedParser {
 
     /// Tries to parse one request out of the buffered bytes.
     pub fn next_request(&mut self) -> Feed {
-        let mut r = FeedReader {
-            buf: &self.buf[self.start..],
-            pos: 0,
-            eof: self.eof,
-        };
+        let mut r = self.reader();
         let result = parse_request(&mut r);
         let used = r.pos;
         match result {
@@ -482,31 +487,208 @@ impl FeedParser {
                 self.start += used;
                 Feed::Request(req)
             }
-            Err(ParseError::Eof) => Feed::Closed,
-            Err(ParseError::Idle) => Feed::NeedMore,
-            // A 408 here is the parser hitting the reader's WouldBlock mid
-            // request: more bytes may still complete it. (The wall-clock
-            // budget that also answers 408 is not armed on this path, and a
-            // closed stream reads EOF, never WouldBlock — so the mapping is
-            // unambiguous.) Unbounded buffering is impossible: the line,
-            // header-count and body caps all reject before FEED_MAX.
-            Err(ParseError::Bad { status: 408, .. }) if !self.eof => {
+            Err(e) => self.stalled(e, "request too large"),
+        }
+    }
+
+    fn reader(&self) -> FeedReader<'_> {
+        FeedReader {
+            buf: &self.buf[self.start..],
+            pos: 0,
+            eof: self.eof,
+        }
+    }
+
+    /// The verdict on a message the one-shot parser could not finish
+    /// (never [`Feed::Request`]). A 408 here is the parser hitting the
+    /// reader's `WouldBlock` mid message: more bytes may still complete it.
+    /// (The wall-clock budget that also answers 408 is not armed on this
+    /// path, and a closed stream reads EOF, never `WouldBlock` — so the
+    /// mapping is unambiguous.) Unbounded buffering is impossible: the
+    /// line, header-count and body caps all reject before [`FEED_MAX`];
+    /// past it, `too_large` is a 431.
+    fn stalled(&self, err: ParseError, too_large: &'static str) -> Feed {
+        match err {
+            ParseError::Eof => Feed::Closed,
+            ParseError::Idle => Feed::NeedMore,
+            ParseError::Bad { status: 408, .. } if !self.eof => {
                 if self.buffered() > FEED_MAX {
                     Feed::Bad {
                         status: 431,
-                        reason: "request too large",
+                        reason: too_large,
                     }
                 } else {
                     Feed::NeedMore
                 }
             }
-            Err(ParseError::Bad { status, reason }) => Feed::Bad { status, reason },
+            ParseError::Bad { status, reason } => Feed::Bad { status, reason },
             // Unreachable with FeedReader (its only error is WouldBlock,
             // which the parser maps to Idle/408 above), but stay total.
-            Err(ParseError::Io(_)) => Feed::Bad {
+            ParseError::Io(_) => Feed::Bad {
                 status: 400,
-                reason: "malformed request",
+                reason: "malformed message",
             },
+        }
+    }
+}
+
+/// A response as a client reads it. The body stays raw bytes, so a proxy
+/// relays it byte-for-byte.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct Reply {
+    /// HTTP status code.
+    pub status: u16,
+    /// `Content-Type` value (empty when the server sent none).
+    pub content_type: String,
+    /// Every header except `Content-Type`, `Content-Length` and
+    /// `Connection`, in the order received.
+    pub extra_headers: Vec<(String, String)>,
+    /// Exactly `Content-Length` bytes.
+    pub body: Vec<u8>,
+    /// Whether the server will keep the connection open.
+    pub keep_alive: bool,
+}
+
+impl Reply {
+    /// The first extra header named `name` (case-insensitive).
+    pub fn header(&self, name: &str) -> Option<&str> {
+        self.extra_headers
+            .iter()
+            .find(|(n, _)| n.eq_ignore_ascii_case(name))
+            .map(|(_, v)| v.as_str())
+    }
+
+    /// The body as UTF-8, for JSON and text endpoints.
+    pub fn text(&self) -> std::io::Result<&str> {
+        std::str::from_utf8(&self.body).map_err(|_| {
+            std::io::Error::new(std::io::ErrorKind::InvalidData, "response body is not UTF-8")
+        })
+    }
+}
+
+/// What [`ResponseParser::next_response`] found in the bytes fed so far.
+#[derive(Debug)]
+pub enum ResponseFeed {
+    /// A complete response was parsed (and its bytes consumed).
+    Response(Reply),
+    /// The buffered bytes are a valid *prefix* of a response; feed more.
+    NeedMore,
+    /// The server closed cleanly between responses.
+    Closed,
+    /// The bytes can never become an acceptable response; drop the
+    /// connection.
+    Bad {
+        /// Human-readable reason.
+        reason: &'static str,
+    },
+}
+
+/// Parses one response head (status line + headers) off `r`: the reply
+/// without its body, and the body's `Content-Length`. The status on a
+/// rejection is never sent — the client drops the connection — but a
+/// proxy answering for a malformed reply would say 502.
+fn parse_response_head<R: BufRead>(r: &mut R) -> Result<(Reply, usize), ParseError> {
+    let bad = |reason| ParseError::bad(502, reason);
+    let mut budget = ReadBudget::new(None);
+    let line = read_line_capped(r, MAX_REQUEST_LINE, bad("status line too long"), true, &mut budget)?;
+    let mut parts = line.splitn(3, ' ');
+    let status = match (parts.next(), parts.next()) {
+        (Some(version), Some(code)) if version.starts_with("HTTP/1.") && code.len() == 3 => {
+            code.bytes().all(|b| b.is_ascii_digit()).then(|| code.parse().ok()).flatten()
+        }
+        _ => None,
+    };
+    let mut reply = Reply {
+        status: status.ok_or_else(|| bad("malformed status line"))?,
+        keep_alive: true,
+        ..Reply::default()
+    };
+    let mut content_length = None;
+    for n in 0.. {
+        let header = read_line_capped(r, MAX_HEADER_LINE, bad("header line too long"), false, &mut budget)?;
+        if header.is_empty() {
+            break;
+        }
+        if n == MAX_HEADERS {
+            return Err(bad("too many headers"));
+        }
+        let (name, value) = header.split_once(':').ok_or_else(|| bad("malformed header"))?;
+        let value = value.trim();
+        match name.to_ascii_lowercase().as_str() {
+            "content-length" => {
+                content_length = Some(value.parse().map_err(|_| bad("bad content-length"))?)
+            }
+            "content-type" => reply.content_type = value.to_string(),
+            "connection" => reply.keep_alive = !value.eq_ignore_ascii_case("close"),
+            "transfer-encoding" => return Err(bad("transfer-encoding not supported")),
+            _ => reply.extra_headers.push((name.to_string(), value.to_string())),
+        }
+    }
+    match content_length {
+        None => Err(bad("missing content-length")),
+        Some(len) if len > MAX_RESPONSE_BODY => Err(bad("response body too large")),
+        Some(len) => Ok((reply, len)),
+    }
+}
+
+/// Incremental response parsing: the client half of [`FeedParser`], over
+/// the same buffer.
+///
+/// Feed it whatever the socket returned and ask for [`next_response`]
+/// until it answers [`ResponseFeed::NeedMore`]. The head is re-parsed from
+/// the first unconsumed byte with the same line reader, caps and
+/// `WouldBlock`-at-the-end [`FeedReader`] the request parser uses, so a
+/// response read in fragments is identical to one read whole; the body is
+/// then sliced out once `Content-Length` bytes have arrived. Any byte
+/// stream yields a response or a typed verdict, never a panic — the
+/// response-parser properties in `tests/http_properties.rs` pin both down.
+///
+/// [`next_response`]: ResponseParser::next_response
+#[derive(Default)]
+pub struct ResponseParser(FeedParser);
+
+impl ResponseParser {
+    /// An empty parser for a fresh connection.
+    pub fn new() -> Self {
+        ResponseParser::default()
+    }
+
+    /// Appends bytes read off the socket.
+    pub fn feed(&mut self, bytes: &[u8]) {
+        self.0.feed(bytes);
+    }
+
+    /// Marks end-of-stream: the server closed its write side.
+    pub fn close(&mut self) {
+        self.0.close();
+    }
+
+    /// Tries to parse one response out of the buffered bytes.
+    pub fn next_response(&mut self) -> ResponseFeed {
+        let p = &mut self.0;
+        let mut r = p.reader();
+        let head = parse_response_head(&mut r);
+        let body_at = r.pos;
+        let (mut reply, len) = match head {
+            Ok(head) => head,
+            Err(e) => {
+                return match p.stalled(e, "response head too large") {
+                    Feed::Closed => ResponseFeed::Closed,
+                    Feed::Bad { reason, .. } => ResponseFeed::Bad { reason },
+                    Feed::NeedMore | Feed::Request(_) => ResponseFeed::NeedMore,
+                }
+            }
+        };
+        match p.buf[p.start..].get(body_at..body_at + len) {
+            Some(body) => {
+                reply.body = body.to_vec();
+                p.start += body_at + len;
+                ResponseFeed::Response(reply)
+            }
+            None if p.eof => ResponseFeed::Bad {
+                reason: "connection closed mid-body",
+            },
+            None => ResponseFeed::NeedMore,
         }
     }
 }
@@ -909,5 +1091,84 @@ mod tests {
             other => panic!("oversized feed not rejected: {other:?}"),
         }
         assert!(p.buffered() <= FEED_MAX + chunk.len());
+    }
+
+    fn responses(input: &[u8]) -> (Vec<Reply>, ResponseFeed) {
+        let mut p = ResponseParser::new();
+        p.feed(input);
+        p.close();
+        let mut got = Vec::new();
+        loop {
+            match p.next_response() {
+                ResponseFeed::Response(r) => got.push(r),
+                other => return (got, other),
+            }
+        }
+    }
+
+    #[test]
+    fn response_parser_reads_head_fields_and_exact_body() {
+        let (got, end) = responses(
+            b"HTTP/1.1 503 Service Unavailable\r\nContent-Type: application/json\r\n\
+              Content-Length: 2\r\nConnection: close\r\nRetry-After: 1\r\n\r\n{}",
+        );
+        assert!(matches!(end, ResponseFeed::Closed), "{end:?}");
+        let r = &got[0];
+        assert_eq!((r.status, r.content_type.as_str()), (503, "application/json"));
+        assert_eq!(r.body, b"{}");
+        assert!(!r.keep_alive);
+        assert_eq!(r.header("retry-after"), Some("1"));
+        assert_eq!(r.extra_headers, vec![("Retry-After".to_string(), "1".to_string())]);
+    }
+
+    #[test]
+    fn response_parser_rejects_what_it_cannot_frame() {
+        let cases: [(&str, &[u8]); 7] = [
+            ("missing content-length", b"HTTP/1.1 200 OK\r\n\r\nhello"),
+            ("transfer-encoding", b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"),
+            ("too large", b"HTTP/1.1 200 OK\r\nContent-Length: 16777217\r\n\r\n"),
+            ("status line", b"HTTP/1.1 2000 OK\r\nContent-Length: 0\r\n\r\n"),
+            ("status line", b"SPDY/3 200 OK\r\nContent-Length: 0\r\n\r\n"),
+            ("mid-head", b"HTTP/1.1 200 OK\r\nContent-"),
+            ("mid-body", b"HTTP/1.1 200 OK\r\nContent-Length: 9\r\n\r\nshort"),
+        ];
+        for (want, input) in cases {
+            match responses(input) {
+                (got, ResponseFeed::Bad { reason }) if got.is_empty() => {
+                    assert!(reason.contains(want), "{reason:?} for {input:?}")
+                }
+                other => panic!("expected Bad({want}) for {input:?}, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn keep_alive_frames_back_to_back_responses_and_flags_degraded() {
+        use std::io::BufReader;
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let server = std::thread::spawn(move || {
+            let (mut s, _) = listener.accept().unwrap();
+            let mut reader = BufReader::new(s.try_clone().unwrap());
+            for reply in [
+                "HTTP/1.1 200 OK\r\nContent-Length: 5\r\n\r\nhello",
+                "HTTP/1.1 503 Unavailable\r\nX-Clapf-Degraded: 1\r\ncontent-length: 2\r\n\r\nno",
+            ] {
+                let mut line = String::new();
+                while line != "\r\n" {
+                    line.clear();
+                    reader.read_line(&mut line).unwrap();
+                }
+                s.write_all(reply.as_bytes()).unwrap();
+            }
+        });
+        let mut conn = crate::client::Conn::open(addr, Duration::from_secs(30)).unwrap();
+        let degraded = |r: &Reply| r.header("X-Clapf-Degraded").is_some();
+        let r = conn.get("/a").unwrap();
+        assert_eq!((r.status, degraded(&r), r.text().unwrap()), (200, false, "hello"));
+        let r = conn.get("/b").unwrap();
+        assert_eq!((r.status, degraded(&r), r.text().unwrap()), (503, true, "no"));
+        server.join().unwrap();
+        assert!(conn.get("/c").is_err(), "a closed connection is an error");
     }
 }

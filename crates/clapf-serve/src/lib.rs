@@ -8,6 +8,9 @@
 //! FFI, a portable scan poller elsewhere) that owns thousands of
 //! keep-alive connections on one thread and scores concurrent cache
 //! misses in cross-request micro-batches ([`transport`], [`batch`]).
+//! The same HTTP module holds the client half: [`ResponseParser`], and the
+//! blocking [`Conn`] / [`call`] built on it, which the fleet router, the
+//! heartbeat, the bench harness and the tests all read responses with.
 //!
 //! Endpoints:
 //!
@@ -53,6 +56,7 @@
 mod batch;
 mod bundle;
 mod cache;
+mod client;
 mod conn;
 mod http;
 mod model;
@@ -65,9 +69,10 @@ mod watch;
 
 pub use bundle::{fingerprint64, BundleError, ModelBundle};
 pub use cache::TopKCache;
+pub use client::{call, Conn};
 pub use http::{
     parse_request, parse_request_deadline, parse_request_deadline_timed, Feed, FeedParser, Method,
-    ParseError, Request, Response,
+    ParseError, Reply, Request, Response, ResponseFeed, ResponseParser, MAX_RESPONSE_BODY,
 };
 pub use model::{ModelSlot, ServingModel};
 pub use register::RegisterConfig;

@@ -16,8 +16,7 @@
 //! the lease-expiry eviction path is then exercised without killing
 //! anything.
 
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -81,57 +80,24 @@ pub(crate) fn heartbeat_loop(shared: Arc<Shared>, config: RegisterConfig) {
 }
 
 /// One `POST /fleet/register` call announcing `advertised` under the
-/// configured member name.
+/// configured member name; anything but a 2xx is an error.
 fn send_registration(config: &RegisterConfig, advertised: SocketAddr) -> std::io::Result<()> {
     let path = format!(
         "/fleet/register?name={}&addr={}",
         config.name, advertised
     );
-    one_shot_post(&config.router, &path)
-}
-
-/// A minimal one-shot HTTP POST: connect, send, require a 2xx status
-/// line. `clapf-serve` cannot lean on `clapf-fleet`'s pooled client (the
-/// dependency points the other way), and a heartbeat neither needs
-/// keep-alive nor a parsed body.
-fn one_shot_post(router: &str, path: &str) -> std::io::Result<()> {
-    let addr = router
+    let router = config
+        .router
         .to_socket_addrs()?
         .next()
         .ok_or_else(|| std::io::Error::new(std::io::ErrorKind::NotFound, "router unresolvable"))?;
-    let mut stream = TcpStream::connect_timeout(&addr, CALL_TIMEOUT)?;
-    stream.set_read_timeout(Some(CALL_TIMEOUT))?;
-    stream.set_write_timeout(Some(CALL_TIMEOUT))?;
-    stream.write_all(
-        format!("POST {path} HTTP/1.1\r\nHost: {router}\r\nContent-Length: 0\r\nConnection: close\r\n\r\n")
-            .as_bytes(),
-    )?;
-    let mut head = [0u8; 64];
-    let mut got = 0;
-    while got < head.len() {
-        match stream.read(&mut head[got..]) {
-            Ok(0) => break,
-            Ok(n) => {
-                got += n;
-                if head[..got].contains(&b'\n') {
-                    break;
-                }
-            }
-            Err(e) => return Err(e),
-        }
-    }
-    let line = String::from_utf8_lossy(&head[..got]);
-    let status: u16 = line
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0);
-    if (200..300).contains(&status) {
+    let reply = crate::client::call(router, "POST", &path, CALL_TIMEOUT)?;
+    if (200..300).contains(&reply.status) {
         Ok(())
     } else {
         Err(std::io::Error::new(
             std::io::ErrorKind::InvalidData,
-            format!("register rejected: {}", line.trim()),
+            format!("register rejected: {}", reply.status),
         ))
     }
 }
@@ -165,7 +131,7 @@ fn fnv64(bytes: &[u8]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::BufRead;
+    use std::io::{BufRead, Write};
     use std::net::TcpListener;
 
     /// A fake router: accepts one connection, records the request line,

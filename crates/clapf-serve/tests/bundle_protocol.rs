@@ -8,13 +8,12 @@
 use clapf_data::loader::{load_ratings_reader, Separator};
 use clapf_data::ItemId;
 use clapf_mf::{Init, MfModel};
-use clapf_serve::{fingerprint64, start, ModelBundle, ServeConfig};
+use clapf_serve::{fingerprint64, start, Conn, ModelBundle, ServeConfig};
 use clapf_telemetry::Registry;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use serde::Value;
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
@@ -62,39 +61,23 @@ fn file_fingerprint(path: &Path) -> String {
     format!("{:016x}", fingerprint64(&std::fs::read(path).unwrap()))
 }
 
-// ---------------------------------------------------------- tiny TCP client
+// ------------------------------------------------------------ HTTP helpers
 
-/// One-shot request with optional extra header lines; returns (status, body).
-fn http(addr: SocketAddr, method: &str, path: &str, extra: &str) -> (u16, String) {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(10)))
-        .unwrap();
-    write!(
-        stream,
-        "{method} {path} HTTP/1.1\r\nHost: t\r\n{extra}Connection: close\r\n\r\n"
-    )
-    .unwrap();
-    let mut raw = String::new();
-    stream.read_to_string(&mut raw).expect("read response");
-    let status: u16 = raw
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or_else(|| panic!("no status line in {raw:?}"));
-    let body = raw
-        .split_once("\r\n\r\n")
-        .map(|(_, b)| b.to_string())
-        .unwrap_or_default();
-    (status, body)
+/// One request through the shared client, optionally carrying a trace id;
+/// returns (status, body).
+fn http(addr: SocketAddr, method: &str, path: &str, trace: Option<u64>) -> (u16, String) {
+    let mut conn = Conn::open(addr, Duration::from_secs(10)).expect("connect");
+    conn.send(method, path, trace).expect("send");
+    let reply = conn.recv().expect("response");
+    (reply.status, String::from_utf8(reply.body).expect("UTF-8 body"))
 }
 
 fn get(addr: SocketAddr, path: &str) -> (u16, String) {
-    http(addr, "GET", path, "")
+    http(addr, "GET", path, None)
 }
 
 fn post(addr: SocketAddr, path: &str) -> (u16, String) {
-    http(addr, "POST", path, "")
+    http(addr, "POST", path, None)
 }
 
 // ------------------------------------------------------------ JSON helpers
@@ -311,7 +294,7 @@ fn propagated_trace_ids_are_adopted_but_never_force_tracing() {
         addr,
         "GET",
         "/recommend/u1?k=3",
-        "X-Clapf-Trace: abcdef0123456789\r\n",
+        Some(0xabcd_ef01_2345_6789),
     );
     assert_eq!(status, 200);
     let (_, traces) = get(addr, "/debug/traces?n=8");
@@ -328,7 +311,7 @@ fn propagated_trace_ids_are_adopted_but_never_force_tracing() {
         addr,
         "GET",
         "/recommend/u1?k=3",
-        "X-Clapf-Trace: abcdef0123456789\r\n",
+        Some(0xabcd_ef01_2345_6789),
     );
     assert_eq!(status, 200);
     let (_, traces) = get(addr, "/debug/traces?n=8");

@@ -14,7 +14,7 @@
 use clapf_data::loader::{load_ratings_reader, Separator};
 use clapf_data::ItemId;
 use clapf_mf::{Init, MfModel};
-use clapf_serve::{start, ModelBundle, ServeConfig};
+use clapf_serve::{call, start, Conn, ModelBundle, ServeConfig};
 use clapf_telemetry::Registry;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -75,22 +75,12 @@ fn start_server(path: PathBuf, config: ServeConfig) -> (clapf_serve::ServerHandl
     (handle, registry)
 }
 
-// ---------------------------------------------------------- tiny TCP client
+// ------------------------------------------------------------ HTTP helpers
 
-/// One-shot `Connection: close` request; returns (status, body).
+/// One-shot request through the shared client; returns (status, body).
 fn http(addr: SocketAddr, method: &str, path: &str) -> (u16, String) {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(10)))
-        .unwrap();
-    write!(
-        stream,
-        "{method} {path} HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n"
-    )
-    .unwrap();
-    let mut raw = String::new();
-    stream.read_to_string(&mut raw).expect("read response");
-    parse_response_text(&raw)
+    let reply = call(addr, method, path, Duration::from_secs(10)).expect("request");
+    (reply.status, String::from_utf8(reply.body).expect("UTF-8 body"))
 }
 
 fn get(addr: SocketAddr, path: &str) -> (u16, String) {
@@ -99,6 +89,48 @@ fn get(addr: SocketAddr, path: &str) -> (u16, String) {
 
 fn post(addr: SocketAddr, path: &str) -> (u16, String) {
     http(addr, "POST", path)
+}
+
+/// A keep-alive client over the shared [`Conn`]: one connection, many
+/// framed request/response pairs.
+struct KeepAlive(Conn);
+
+impl KeepAlive {
+    fn connect(addr: SocketAddr) -> KeepAlive {
+        KeepAlive(Conn::open(addr, Duration::from_secs(10)).expect("connect"))
+    }
+
+    fn send(&mut self, method: &str, path: &str) {
+        self.0.send(method, path, None).expect("send");
+    }
+
+    /// Reads exactly one response.
+    fn read_response(&mut self) -> (u16, String) {
+        let reply = self.0.recv().expect("response");
+        (reply.status, String::from_utf8(reply.body).expect("UTF-8 body"))
+    }
+
+    fn roundtrip(&mut self, method: &str, path: &str) -> (u16, String) {
+        self.send(method, path);
+        self.read_response()
+    }
+}
+
+// ------------------------------------------ raw reads for the shed tests
+//
+// The shed assertions read the response head as text, so these read raw
+// bytes: they are the oracle the shared parser is checked against.
+
+fn raw_connect(addr: SocketAddr) -> TcpStream {
+    let stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    stream
+}
+
+fn raw_send(stream: &mut TcpStream, method: &str, path: &str) {
+    write!(stream, "{method} {path} HTTP/1.1\r\nHost: t\r\n\r\n").unwrap();
 }
 
 fn parse_response_text(raw: &str) -> (u16, String) {
@@ -114,66 +146,32 @@ fn parse_response_text(raw: &str) -> (u16, String) {
     (status, body)
 }
 
-/// A keep-alive client: one connection, many framed request/response pairs.
-struct KeepAlive {
-    stream: TcpStream,
-}
-
-impl KeepAlive {
-    fn connect(addr: SocketAddr) -> KeepAlive {
-        let stream = TcpStream::connect(addr).expect("connect");
-        stream
-            .set_read_timeout(Some(Duration::from_secs(10)))
-            .unwrap();
-        KeepAlive { stream }
-    }
-
-    fn send(&mut self, method: &str, path: &str) {
-        write!(
-            self.stream,
-            "{method} {path} HTTP/1.1\r\nHost: t\r\n\r\n"
-        )
-        .unwrap();
-    }
-
-    /// Reads exactly one `Content-Length`-framed response.
-    fn read_response(&mut self) -> (u16, String) {
-        let (status, _, body) = self.read_response_with_head();
-        (status, body)
-    }
-
-    /// [`read_response`](Self::read_response), also returning the status
-    /// line and headers.
-    fn read_response_with_head(&mut self) -> (u16, String, String) {
-        let mut head = Vec::new();
-        let mut byte = [0u8; 1];
-        while !head.ends_with(b"\r\n\r\n") {
-            match self.stream.read(&mut byte) {
-                Ok(1) => head.push(byte[0]),
-                Ok(_) => panic!("connection closed mid-headers: {head:?}"),
-                Err(e) => panic!("read error mid-headers: {e}"),
-            }
+/// Reads exactly one `Content-Length`-framed response; returns the status,
+/// the status line and headers, and the body.
+fn raw_response(stream: &mut TcpStream) -> (u16, String, String) {
+    let mut head = Vec::new();
+    let mut byte = [0u8; 1];
+    while !head.ends_with(b"\r\n\r\n") {
+        match stream.read(&mut byte) {
+            Ok(1) => head.push(byte[0]),
+            Ok(_) => panic!("connection closed mid-headers: {head:?}"),
+            Err(e) => panic!("read error mid-headers: {e}"),
         }
-        let head_text = String::from_utf8_lossy(&head).to_string();
-        let status: u16 = head_text
-            .split_whitespace()
-            .nth(1)
-            .and_then(|s| s.parse().ok())
-            .unwrap_or_else(|| panic!("no status line in {head_text:?}"));
-        let len: usize = head_text
-            .lines()
-            .find_map(|l| l.strip_prefix("Content-Length: "))
-            .and_then(|v| v.trim().parse().ok())
-            .unwrap_or_else(|| panic!("no Content-Length in {head_text:?}"));
-        let mut body = vec![0u8; len];
-        self.stream.read_exact(&mut body).expect("read body");
-        (status, head_text, String::from_utf8(body).unwrap())
     }
-
-    fn roundtrip(&mut self, method: &str, path: &str) -> (u16, String) {
-        self.send(method, path);
-        self.read_response()
-    }
+    let head_text = String::from_utf8_lossy(&head).to_string();
+    let status: u16 = head_text
+        .split_whitespace()
+        .nth(1)
+        .and_then(|s| s.parse().ok())
+        .unwrap_or_else(|| panic!("no status line in {head_text:?}"));
+    let len: usize = head_text
+        .lines()
+        .find_map(|l| l.strip_prefix("Content-Length: "))
+        .and_then(|v| v.trim().parse().ok())
+        .unwrap_or_else(|| panic!("no Content-Length in {head_text:?}"));
+    let mut body = vec![0u8; len];
+    stream.read_exact(&mut body).expect("read body");
+    (status, head_text, String::from_utf8(body).unwrap())
 }
 
 // ------------------------------------------------------------ JSON helpers
@@ -554,10 +552,7 @@ fn connections_past_max_conns_are_shed_with_503() {
     // The third connection is accepted only to be shed — promptly, with a
     // typed 503 and a Retry-After hint, not a hang.
     let started = Instant::now();
-    let mut third = TcpStream::connect(addr).expect("connect");
-    third
-        .set_read_timeout(Some(Duration::from_secs(10)))
-        .unwrap();
+    let mut third = raw_connect(addr);
     let mut raw = String::new();
     third.read_to_string(&mut raw).expect("read shed response");
     let (status, body) = parse_response_text(&raw);
@@ -577,10 +572,10 @@ fn connections_past_max_conns_are_shed_with_503() {
     drop(held_1);
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
-        let mut retry = KeepAlive::connect(addr);
-        retry.send("GET", "/healthz");
+        let mut retry = raw_connect(addr);
+        raw_send(&mut retry, "GET", "/healthz");
         let mut first = [0u8; 12];
-        match retry.stream.read_exact(&mut first) {
+        match retry.read_exact(&mut first) {
             Ok(()) if String::from_utf8_lossy(&first).contains("200") => break,
             _ => {
                 assert!(Instant::now() < deadline, "slot never freed");
@@ -621,15 +616,16 @@ fn pending_bound_sheds_the_request_but_keeps_the_connection() {
     second.send("GET", "/recommend/u2?k=2");
     std::thread::sleep(Duration::from_millis(100));
     // Third request: queue is at the bound — shed, but on a live socket.
-    let mut third = KeepAlive::connect(addr);
-    third.send("GET", "/recommend/u3?k=2");
-    let (status, head, body) = third.read_response_with_head();
+    let mut third = raw_connect(addr);
+    raw_send(&mut third, "GET", "/recommend/u3?k=2");
+    let (status, head, body) = raw_response(&mut third);
     clapf_faults::disarm("serve.batch.flush");
     assert_eq!(status, 503, "expected a shed, got {body}");
     assert!(head.contains("Retry-After"), "{head}");
 
     // The shed connection survives and serves the retry.
-    let (status, body) = third.roundtrip("GET", "/healthz");
+    raw_send(&mut third, "GET", "/healthz");
+    let (status, _, body) = raw_response(&mut third);
     assert_eq!(status, 200, "{body}");
 
     // The parked requests complete normally.

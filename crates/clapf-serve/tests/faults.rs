@@ -7,12 +7,11 @@
 use clapf_data::loader::{load_ratings_reader, Separator};
 use clapf_data::ItemId;
 use clapf_mf::{Init, MfModel};
-use clapf_serve::{start, ModelBundle, ServeConfig};
+use clapf_serve::{call, start, ModelBundle, ServeConfig};
 use clapf_telemetry::Registry;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -48,41 +47,20 @@ fn start_server(path: PathBuf, config: ServeConfig) -> clapf_serve::ServerHandle
     start(path, config, Arc::new(Registry::new())).expect("server starts")
 }
 
-// ---------------------------------------------------------- tiny TCP client
+// ------------------------------------------------------------ HTTP helpers
 
-/// One-shot request; returns (status, headers, body).
-fn http(addr: SocketAddr, method: &str, path: &str) -> (u16, String, String) {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(10)))
-        .unwrap();
-    write!(
-        stream,
-        "{method} {path} HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n"
-    )
-    .unwrap();
-    let mut raw = String::new();
-    stream.read_to_string(&mut raw).expect("read response");
-    let status: u16 = raw
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or_else(|| panic!("no status line in {raw:?}"));
-    let (head, body) = raw
-        .split_once("\r\n\r\n")
-        .map(|(h, b)| (h.to_string(), b.to_string()))
-        .unwrap_or_default();
-    (status, head, body)
+/// One-shot request through the shared client; returns (status, body).
+fn http(addr: SocketAddr, method: &str, path: &str) -> (u16, String) {
+    let reply = call(addr, method, path, Duration::from_secs(10)).expect("request");
+    (reply.status, String::from_utf8(reply.body).expect("UTF-8 body"))
 }
 
 fn get(addr: SocketAddr, path: &str) -> (u16, String) {
-    let (status, _, body) = http(addr, "GET", path);
-    (status, body)
+    http(addr, "GET", path)
 }
 
 fn post(addr: SocketAddr, path: &str) -> (u16, String) {
-    let (status, _, body) = http(addr, "POST", path);
-    (status, body)
+    http(addr, "POST", path)
 }
 
 fn generation_of(addr: SocketAddr) -> u64 {

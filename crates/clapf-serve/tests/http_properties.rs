@@ -1,4 +1,4 @@
-//! Property tests: the HTTP parser is total over arbitrary byte streams.
+//! Property tests: the HTTP parsers are total over arbitrary byte streams.
 //!
 //! Whatever a client throws at the socket, `parse_request` must return
 //! `Ok(Request)` or a typed `ParseError` — never panic — and every `Bad`
@@ -6,8 +6,15 @@
 //! with before closing. Three generators attack from different angles:
 //! raw bytes, almost-valid request lines, and valid requests with fuzzed
 //! query strings.
+//!
+//! The client half, `ResponseParser`, gets the same treatment: total over
+//! raw and almost-valid bytes, fragment-invariant over keep-alive streams,
+//! and an exact inverse of `Response::write_to`.
 
-use clapf_serve::{parse_request, Feed, FeedParser, ParseError, Request};
+use clapf_serve::{
+    parse_request, Feed, FeedParser, ParseError, Reply, Request, Response, ResponseFeed,
+    ResponseParser,
+};
 use proptest::prelude::*;
 use std::io::Cursor;
 
@@ -243,5 +250,214 @@ fn assert_requests_eq(got: &[Request], expected: &[Request]) {
         assert_eq!(g.path, e.path);
         assert_eq!(g.query, e.query);
         assert_eq!(g.keep_alive, e.keep_alive);
+    }
+}
+
+// ------------------------------------------------------- response parser
+
+const CONTENT_TYPES: [&str; 3] = [
+    "application/json",
+    "text/plain; version=0.0.4",
+    "application/octet-stream",
+];
+const EXTRA_HEADERS: [&str; 4] = [
+    "Retry-After",
+    "X-Clapf-Degraded",
+    "X-Clapf-Trace",
+    "Cache-Control",
+];
+
+/// Printable, space-free ASCII: a header value the parser's trim keeps.
+fn token(max: usize) -> impl Strategy<Value = String> {
+    proptest::collection::vec(33u8..127, 0..max)
+        .prop_map(|b| String::from_utf8(b).expect("ascii"))
+}
+
+/// A response `Response::write_to` can render — status, content type,
+/// extra headers, any-Unicode body — and its connection mode.
+fn any_response() -> impl Strategy<Value = (Response, bool)> {
+    (
+        (100u16..600, 0..CONTENT_TYPES.len()),
+        proptest::collection::vec((0..EXTRA_HEADERS.len(), token(12)), 0..4),
+        proptest::collection::vec((0u32..0x11_0000).prop_filter_map("scalar value", char::from_u32), 0..64),
+        0u8..2,
+    )
+        .prop_map(|((status, ct), headers, body, keep_alive)| {
+            let response = Response {
+                status,
+                content_type: CONTENT_TYPES[ct],
+                extra_headers: headers
+                    .into_iter()
+                    .map(|(name, value)| (EXTRA_HEADERS[name], value))
+                    .collect(),
+                body: body.into_iter().collect(),
+            };
+            (response, keep_alive == 1)
+        })
+}
+
+/// Almost a response head: each part is usually well-formed and sometimes
+/// junk, so the deeper branches (status parsing, framing headers) run.
+fn almost_response_head() -> impl Strategy<Value = Vec<u8>> {
+    (
+        (0u8..3, token(9)),
+        (0u8..3, 0u16..1000, token(5)),
+        proptest::collection::vec((0u8..5, 0u16..1000, token(24)), 0..5),
+    )
+        .prop_map(|((v, version), (c, code, status), headers)| {
+            let version = match v {
+                0 => "HTTP/1.1".to_string(),
+                1 => "HTTP/1.0".to_string(),
+                _ => version,
+            };
+            let status = if c < 2 { code.to_string() } else { status };
+            let mut head = format!("{version} {status} X\r\n");
+            for (kind, n, junk) in headers {
+                head.push_str(&match kind {
+                    0 => format!("Content-Length: {n}"),
+                    1 => "Connection: close".to_string(),
+                    2 => "Transfer-Encoding: chunked".to_string(),
+                    3 => format!("X-Any: {junk}"),
+                    _ => junk,
+                });
+                head.push_str("\r\n");
+            }
+            head.push_str("\r\n");
+            head.into_bytes()
+        })
+}
+
+fn rendered(response: &Response, keep_alive: bool) -> Vec<u8> {
+    let mut out = Vec::new();
+    response.write_to(&mut out, keep_alive).unwrap();
+    out
+}
+
+/// Feeds `stream` to a `ResponseParser` split at `splits` (sorted byte
+/// offsets) and collects every parsed response; panics on a rejection.
+fn feed_responses(stream: &[u8], splits: &[usize]) -> Vec<Reply> {
+    let mut p = ResponseParser::new();
+    let mut out = Vec::new();
+    let mut start = 0;
+    let drain = |p: &mut ResponseParser, out: &mut Vec<Reply>| loop {
+        match p.next_response() {
+            ResponseFeed::Response(r) => out.push(r),
+            ResponseFeed::NeedMore | ResponseFeed::Closed => break,
+            ResponseFeed::Bad { reason } => panic!("valid response stream rejected: {reason}"),
+        }
+    };
+    for &s in splits.iter().chain(std::iter::once(&stream.len())) {
+        p.feed(&stream[start..s]);
+        start = s;
+        drain(&mut p, &mut out);
+    }
+    p.close();
+    drain(&mut p, &mut out);
+    out
+}
+
+/// Runs `bytes` split at `splits` through a `ResponseParser` to its end:
+/// every verdict must be a response, `NeedMore` before the close, or a
+/// terminal `Bad` with a reason.
+fn assert_total(bytes: &[u8], splits: &[usize]) {
+    let mut p = ResponseParser::new();
+    let mut start = 0;
+    for &s in splits.iter().chain(std::iter::once(&bytes.len())) {
+        p.feed(&bytes[start..s]);
+        start = s;
+        loop {
+            match p.next_response() {
+                ResponseFeed::Response(r) => assert!((100..=999).contains(&r.status)),
+                ResponseFeed::NeedMore | ResponseFeed::Closed => break,
+                ResponseFeed::Bad { reason } => {
+                    assert!(!reason.is_empty(), "Bad without a reason");
+                    return; // Terminal: the client drops the connection.
+                }
+            }
+        }
+    }
+    p.close();
+    loop {
+        match p.next_response() {
+            ResponseFeed::Response(r) => assert!((100..=999).contains(&r.status)),
+            ResponseFeed::NeedMore => unreachable!("NeedMore after close()"),
+            ResponseFeed::Closed => break,
+            ResponseFeed::Bad { reason } => {
+                assert!(!reason.is_empty(), "Bad without a reason");
+                break;
+            }
+        }
+    }
+}
+
+fn splits_of(cuts: &[usize], len: usize) -> Vec<usize> {
+    let mut splits: Vec<usize> = cuts.iter().map(|&c| c % (len + 1)).collect();
+    splits.sort_unstable();
+    splits.dedup();
+    splits
+}
+
+proptest! {
+    /// Raw fuzz: arbitrary bytes in arbitrary fragments never panic the
+    /// response parser, and every rejection says why.
+    #[test]
+    fn response_parser_is_total_over_raw_fragments(
+        bytes in proptest::collection::vec((0u16..256).prop_map(|b| b as u8), 0..512),
+        cuts in proptest::collection::vec(0usize..512, 0..16),
+    ) {
+        assert_total(&bytes, &splits_of(&cuts, bytes.len()));
+    }
+
+    /// Structured fuzz: almost-valid heads plus a body, in fragments.
+    #[test]
+    fn response_parser_is_total_over_almost_responses(
+        head in almost_response_head(),
+        body in proptest::collection::vec((0u16..256).prop_map(|b| b as u8), 0..64),
+        cuts in proptest::collection::vec(0usize..256, 0..8),
+    ) {
+        let bytes: Vec<u8> = head.into_iter().chain(body).collect();
+        assert_total(&bytes, &splits_of(&cuts, bytes.len()));
+    }
+
+    /// Fragment invariance: back-to-back keep-alive responses fed in
+    /// arbitrary fragments parse exactly as the whole stream does.
+    #[test]
+    fn fragmented_responses_match_the_whole_stream(
+        responses in proptest::collection::vec(any_response(), 1..5),
+        cuts in proptest::collection::vec(0usize..1024, 0..24),
+    ) {
+        let stream: Vec<u8> = responses.iter().flat_map(|(r, _)| rendered(r, true)).collect();
+        let whole = feed_responses(&stream, &[]);
+        assert_eq!(whole.len(), responses.len());
+        assert_eq!(feed_responses(&stream, &splits_of(&cuts, stream.len())), whole);
+    }
+
+    /// The worst fragmentation — one byte per read — still matches.
+    #[test]
+    fn byte_at_a_time_responses_match_the_whole_stream(
+        responses in proptest::collection::vec(any_response(), 1..3),
+    ) {
+        let stream: Vec<u8> = responses.iter().flat_map(|(r, _)| rendered(r, true)).collect();
+        let every_byte: Vec<usize> = (1..stream.len()).collect();
+        assert_eq!(feed_responses(&stream, &every_byte), feed_responses(&stream, &[]));
+    }
+
+    /// The parser inverts `Response::write_to`: status, content type,
+    /// extra headers, body and connection mode all come back.
+    #[test]
+    fn rendered_responses_parse_back_to_their_fields((response, keep_alive) in any_response()) {
+        let got = feed_responses(&rendered(&response, keep_alive), &[]);
+        prop_assert_eq!(got.len(), 1);
+        let r = &got[0];
+        prop_assert_eq!(r.status, response.status);
+        prop_assert_eq!(r.content_type.as_str(), response.content_type);
+        let want: Vec<(String, String)> = response
+            .extra_headers
+            .iter()
+            .map(|(n, v)| (n.to_string(), v.clone()))
+            .collect();
+        prop_assert_eq!(&r.extra_headers, &want);
+        prop_assert_eq!(&r.body, response.body.as_bytes());
+        prop_assert_eq!(r.keep_alive, keep_alive);
     }
 }

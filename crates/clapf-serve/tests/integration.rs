@@ -8,7 +8,7 @@
 use clapf_data::loader::{load_ratings_reader, Separator};
 use clapf_data::ItemId;
 use clapf_mf::{Init, MfModel};
-use clapf_serve::{start, ModelBundle, ServeConfig};
+use clapf_serve::{call, start, ModelBundle, ServeConfig};
 use clapf_telemetry::Registry;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -58,32 +58,12 @@ fn offline_top_k(b: &ModelBundle, raw_user: &str, k: usize) -> Vec<String> {
     b.recommend_raw(raw_user, k).unwrap()
 }
 
-// ---------------------------------------------------------- tiny TCP client
+// ------------------------------------------------------------ HTTP helpers
 
-/// One-shot request; returns (status, body). `Connection: close` keeps the
-/// client trivial — the response ends at EOF.
+/// One-shot request through the shared client; returns (status, body).
 fn http(addr: SocketAddr, method: &str, path: &str) -> (u16, String) {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(10)))
-        .unwrap();
-    write!(
-        stream,
-        "{method} {path} HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n"
-    )
-    .unwrap();
-    let mut raw = String::new();
-    stream.read_to_string(&mut raw).expect("read response");
-    let status: u16 = raw
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or_else(|| panic!("no status line in {raw:?}"));
-    let body = raw
-        .split_once("\r\n\r\n")
-        .map(|(_, b)| b.to_string())
-        .unwrap_or_default();
-    (status, body)
+    let reply = call(addr, method, path, Duration::from_secs(10)).expect("request");
+    (reply.status, String::from_utf8(reply.body).expect("UTF-8 body"))
 }
 
 fn get(addr: SocketAddr, path: &str) -> (u16, String) {
