@@ -241,11 +241,10 @@ fn fit_legs(cli: &Cli, dir: &Path) -> (FitShape, ObserverLeg, FaultsLeg) {
     // The resumable fit's fixed cost: its two checkpoint writes.
     let model = base.expect("baseline ran");
     let doc = |epoch| Checkpoint {
-        version: checkpoint::CHECKPOINT_VERSION,
         fingerprint: "bench".into(),
         epoch,
         steps_done: 0,
-        rng_state: vec![1, 2, 3, 4],
+        rng_state: [1, 2, 3, 4],
         lr_scale: 1.0,
         retries: 0,
         model: model.clone(),

@@ -26,17 +26,6 @@ pub fn clapf_ok(args: &[&str]) -> Output {
     out
 }
 
-pub fn field<'a>(v: &'a Value, key: &str) -> &'a Value {
-    match v {
-        Value::Map(fields) => fields
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v)
-            .unwrap_or_else(|| panic!("no field {key:?} in {v:?}")),
-        other => panic!("expected an object, got {other:?}"),
-    }
-}
-
 /// `clapf generate --dataset ml100k --shrink 24` into `dir/data.csv`.
 pub fn tiny_dataset(dir: &Path) -> PathBuf {
     let data = dir.join("data.csv");
@@ -57,8 +46,7 @@ pub fn events(jsonl: &Path) -> Vec<Value> {
 
 /// The `"ev"` name of an event.
 pub fn event_name(ev: &Value) -> &str {
-    match field(ev, "ev") {
-        Value::Str(s) => s,
-        other => panic!("ev is not a string: {other:?}"),
-    }
+    ev.get("ev")
+        .and_then(Value::as_str)
+        .unwrap_or_else(|| panic!("no string ev in {ev:?}"))
 }

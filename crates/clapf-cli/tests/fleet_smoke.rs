@@ -8,7 +8,7 @@
 
 mod common;
 
-use common::{clapf_ok, field, scratch_dir, tiny_dataset, CLAPF};
+use common::{clapf_ok, scratch_dir, tiny_dataset, CLAPF};
 use serde::Value;
 use std::io::{BufRead, BufReader};
 use std::net::SocketAddr;
@@ -31,20 +31,6 @@ fn get_json(addr: SocketAddr, path: &str) -> Value {
     serde_json::from_str(&body).unwrap_or_else(|e| panic!("GET {path} is not JSON ({e}): {body}"))
 }
 
-fn str_field<'a>(v: &'a Value, key: &str) -> &'a str {
-    match field(v, key) {
-        Value::Str(s) => s,
-        other => panic!("{key} is not a string: {other:?}"),
-    }
-}
-
-fn seq_field<'a>(v: &'a Value, key: &str) -> &'a [Value] {
-    match field(v, key) {
-        Value::Seq(xs) => xs,
-        other => panic!("{key} is not an array: {other:?}"),
-    }
-}
-
 /// Every user id in the dataset, in first-seen order.
 fn users(data: &Path) -> Vec<String> {
     let csv = std::fs::read_to_string(data).unwrap();
@@ -63,16 +49,20 @@ fn users(data: &Path) -> Vec<String> {
 fn assert_recommends(router: SocketAddr, users: &[String]) {
     for user in users.iter().take(8) {
         let rec = get_json(router, &format!("/recommend/{user}?k=5"));
-        assert!(!seq_field(&rec, "items").is_empty(), "no items for {user}: {rec:?}");
+        let items = rec.get("items").and_then(Value::as_seq);
+        assert!(items.is_some_and(|xs| !xs.is_empty()), "no items for {user}: {rec:?}");
     }
 }
 
 /// The `/fleet/status` entry of member `name`.
 fn member(router: SocketAddr, name: &str) -> Value {
     let status = get_json(router, "/fleet/status");
-    seq_field(&status, "replicas")
+    status
+        .get("replicas")
+        .and_then(Value::as_seq)
+        .unwrap_or_else(|| panic!("no replicas array in {status:?}"))
         .iter()
-        .find(|r| str_field(r, "name") == name)
+        .find(|r| r.get("name").and_then(Value::as_str) == Some(name))
         .unwrap_or_else(|| panic!("{name} missing from /fleet/status: {status:?}"))
         .clone()
 }
@@ -176,7 +166,7 @@ fn fleet_routes_rolls_out_under_load_survives_a_kill_and_drains() {
 
     // The router answers for itself, and routes users to both replicas.
     let health = get_json(router, "/healthz");
-    assert_eq!(str_field(&health, "role"), "router", "{health:?}");
+    assert_eq!(health.get("role").and_then(Value::as_str), Some("router"), "{health:?}");
     assert_recommends(router, &users);
 
     // Roll the candidate out while a loader hammers the router: every
@@ -217,9 +207,14 @@ fn fleet_routes_rolls_out_under_load_survives_a_kill_and_drains() {
     );
     assert!(rollout_out.contains(&want), "rollout reported another fingerprint: {rollout_out}");
     for name in ["replica-0", "replica-1"] {
-        let addr: SocketAddr = str_field(&member(router, name), "addr").parse().unwrap();
+        let member = member(router, name);
+        let addr: SocketAddr = member.get("addr").and_then(Value::as_str).unwrap().parse().unwrap();
         let fp = get_json(addr, "/bundle/fingerprint");
-        assert_eq!(str_field(&fp, "fingerprint"), want, "{name} after the rollout");
+        assert_eq!(
+            fp.get("fingerprint").and_then(Value::as_str),
+            Some(want.as_str()),
+            "{name} after the rollout"
+        );
     }
 
     // kill -9 replica 0: the router masks it, and the supervisor restarts
@@ -234,7 +229,9 @@ fn fleet_routes_rolls_out_under_load_survives_a_kill_and_drains() {
     let end = Instant::now() + Duration::from_secs(10);
     loop {
         let m = member(router, "replica-0");
-        if str_field(&m, "addr") == restarted && field(&m, "alive") == &Value::Bool(true) {
+        if m.get("addr").and_then(Value::as_str) == Some(restarted)
+            && m.get("alive") == Some(&Value::Bool(true))
+        {
             break;
         }
         assert!(Instant::now() < end, "restarted replica 0 never rejoined: {m:?}");

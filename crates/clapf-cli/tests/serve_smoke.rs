@@ -5,7 +5,7 @@
 
 mod common;
 
-use common::{clapf_ok, field, scratch_dir, tiny_dataset, CLAPF};
+use common::{clapf_ok, scratch_dir, tiny_dataset, CLAPF};
 use serde::Value;
 use std::io::{BufRead, BufReader, Read};
 use std::path::{Path, PathBuf};
@@ -40,11 +40,22 @@ fn fit_tiny_model(dir: &Path) -> (PathBuf, String) {
 }
 
 /// A running `clapf serve`, with its stdout pipe kept open until it exits
-/// so its later lines still land.
+/// so its later lines still land. If the test fails midway, dropping it
+/// kills the server, so no process outlives the test holding its output
+/// pipes open.
 struct Server {
     child: Child,
     stdout: BufReader<ChildStdout>,
     addr: String,
+}
+
+impl Drop for Server {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            let _ = self.child.kill();
+            let _ = self.child.wait();
+        }
+    }
 }
 
 impl Server {
@@ -94,19 +105,19 @@ impl Server {
 /// The `/recommend` item ids of a response body, checked to be 1..=k.
 fn recommended_items(body: &str, k: usize) -> Vec<String> {
     let rec: Value = serde_json::from_str(body).expect("/recommend is JSON");
-    match field(&rec, "items") {
-        Value::Seq(items) => {
-            assert!((1..=k).contains(&items.len()), "{body}");
-            items
-                .iter()
-                .map(|i| match i {
-                    Value::Str(s) => s.clone(),
-                    other => panic!("item {other:?} is not a string: {body}"),
-                })
-                .collect()
-        }
-        other => panic!("items is not an array: {other:?}"),
-    }
+    let items = rec
+        .get("items")
+        .and_then(Value::as_seq)
+        .unwrap_or_else(|| panic!("items is not an array: {body}"));
+    assert!((1..=k).contains(&items.len()), "{body}");
+    items
+        .iter()
+        .map(|i| {
+            i.as_str()
+                .unwrap_or_else(|| panic!("item {i:?} is not a string: {body}"))
+                .to_string()
+        })
+        .collect()
 }
 
 #[test]
@@ -119,7 +130,7 @@ fn serve_answers_health_recommend_and_metrics_then_drains() {
     let (status, body) = http(&addr, "GET", "/healthz");
     assert_eq!(status, 200, "{body}");
     let health: Value = serde_json::from_str(&body).expect("/healthz is JSON");
-    assert_eq!(field(&health, "status"), &Value::Str("ok".into()), "{body}");
+    assert_eq!(health.get("status").and_then(Value::as_str), Some("ok"), "{body}");
 
     let (status, body) = http(&addr, "GET", &format!("/recommend/{user}?k=5"));
     assert_eq!(status, 200, "{body}");
@@ -165,15 +176,16 @@ fn sampled_traces_reach_debug_endpoints_and_metrics_exemplars() {
     let (status, body) = http(&addr, "GET", "/debug/traces?n=8");
     assert_eq!(status, 200, "{body}");
     let traces: Value = serde_json::from_str(&body).expect("/debug/traces is JSON");
-    let Value::Seq(traces) = field(&traces, "traces") else {
+    let Some(traces) = traces.get("traces").and_then(Value::as_seq) else {
         panic!("traces is not an array: {body}")
     };
     assert!(!traces.is_empty(), "{body}");
     let stages: Vec<&Value> = traces
         .iter()
-        .flat_map(|t| match field(t, "spans") {
-            Value::Seq(spans) => spans.iter().map(|s| field(s, "stage")).collect::<Vec<_>>(),
-            other => panic!("spans is not an array: {other:?}"),
+        .flat_map(|t| {
+            let spans = t.get("spans").and_then(Value::as_seq);
+            let spans = spans.unwrap_or_else(|| panic!("spans is not an array: {t:?}"));
+            spans.iter().map(|s| s.get("stage").expect("span has a stage"))
         })
         .collect();
     assert!(
@@ -182,19 +194,19 @@ fn sampled_traces_reach_debug_endpoints_and_metrics_exemplars() {
     );
     let ids: Vec<String> = traces
         .iter()
-        .map(|t| match field(t, "id") {
-            Value::Str(id) => id.clone(),
-            other => panic!("trace id {other:?} is not a string"),
+        .map(|t| {
+            let id = t.get("id").and_then(Value::as_str);
+            id.unwrap_or_else(|| panic!("trace id of {t:?} is not a string")).to_string()
         })
         .collect();
 
     let (status, body) = http(&addr, "GET", "/debug/slow");
     assert_eq!(status, 200, "{body}");
     let slow: Value = serde_json::from_str(&body).expect("/debug/slow is JSON");
-    let Value::Seq(slow) = field(&slow, "traces") else {
+    let Some(slow) = slow.get("traces").and_then(Value::as_seq) else {
         panic!("traces is not an array: {body}")
     };
-    let total = slow.first().map(|t| field(t, "total_us"));
+    let total = slow.first().and_then(|t| t.get("total_us"));
     assert!(
         matches!(
             total,

@@ -4,7 +4,7 @@
 
 mod common;
 
-use common::{clapf_ok, event_name, events, field, scratch_dir, tiny_dataset, CLAPF};
+use common::{clapf_ok, event_name, events, scratch_dir, tiny_dataset, CLAPF};
 use serde::Value;
 use std::path::Path;
 use std::process::{Command, Stdio};
@@ -33,7 +33,7 @@ fn fit_metrics_out_carries_every_event_and_trace_renders_the_stages() {
     let stages: Vec<&Value> = evs
         .iter()
         .filter(|e| event_name(e) == "span")
-        .map(|e| field(e, "stage"))
+        .map(|e| e.get("stage").expect("span has a stage"))
         .collect();
     assert!(
         stages.contains(&&Value::Str("train.sweep".into())),

@@ -37,7 +37,7 @@ impl Separator {
 }
 
 /// Maps between raw (file) ids and the dense ids used by [`Interactions`].
-#[derive(Clone, Debug, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug, Default, serde::Deserialize)]
 pub struct IdMap {
     user_to_dense: HashMap<String, u32>,
     item_to_dense: HashMap<String, u32>,
@@ -46,6 +46,40 @@ pub struct IdMap {
 }
 
 impl IdMap {
+    /// Rebuilds a map from its raw ids in dense order (`users[d]` is the
+    /// raw id of dense user `d`), as [`raw_users`](Self::raw_users) and
+    /// [`raw_items`](Self::raw_items) list them.
+    ///
+    /// # Errors
+    /// A description of the first raw id listed twice on one side.
+    pub fn from_raw(users: Vec<String>, items: Vec<String>) -> Result<IdMap, String> {
+        let index = |side: &str, raw: &[String]| {
+            let mut map = HashMap::with_capacity(raw.len());
+            for (d, r) in raw.iter().enumerate() {
+                if map.insert(r.clone(), d as u32).is_some() {
+                    return Err(format!("{side} id {r:?} is listed twice"));
+                }
+            }
+            Ok(map)
+        };
+        Ok(IdMap {
+            user_to_dense: index("user", &users)?,
+            item_to_dense: index("item", &items)?,
+            dense_to_user: users,
+            dense_to_item: items,
+        })
+    }
+
+    /// Every raw user id, indexed by dense id.
+    pub fn raw_users(&self) -> &[String] {
+        &self.dense_to_user
+    }
+
+    /// Every raw item id, indexed by dense id.
+    pub fn raw_items(&self) -> &[String] {
+        &self.dense_to_item
+    }
+
     fn intern_user(&mut self, raw: &str) -> u32 {
         if let Some(&d) = self.user_to_dense.get(raw) {
             return d;

@@ -52,7 +52,7 @@
 
 use crate::{DataError, Interactions, ItemId, UserId};
 use std::fs::File;
-use std::io::{BufReader, BufWriter, Read, Write};
+use std::io::{BufWriter, Read, Write};
 use std::path::Path;
 
 /// Magic bytes identifying a CLAPF CSR file.
@@ -289,9 +289,12 @@ fn write_header<W: Write>(
 }
 
 /// Reads and validates a CSR header, returning `(n_users, n_items, n_pairs)`.
-fn read_header(bytes: &[u8; 40]) -> Result<(u64, u64, u64), DataError> {
-    if bytes[..8] != CSR_MAGIC {
+fn read_header(bytes: &[u8]) -> Result<(u64, u64, u64), DataError> {
+    if bytes.get(..8) != Some(&CSR_MAGIC[..]) {
         return Err(format_err("wrong magic (not a CLAPF CSR file)"));
+    }
+    if bytes.len() < HEADER_BYTES as usize {
+        return Err(format_err("shorter than the CSR header"));
     }
     let version = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
     if version != CSR_VERSION {
@@ -339,26 +342,6 @@ pub(crate) fn write_prefix<W: Write>(
     write_u64s(w, item_ptr)
 }
 
-fn read_u64s<R: Read>(r: &mut R, count: usize) -> std::io::Result<Vec<usize>> {
-    let mut out = Vec::with_capacity(count);
-    let mut buf = [0u8; 8];
-    for _ in 0..count {
-        r.read_exact(&mut buf)?;
-        out.push(u64::from_le_bytes(buf) as usize);
-    }
-    Ok(out)
-}
-
-fn read_u32s<R: Read>(r: &mut R, count: usize) -> std::io::Result<Vec<u32>> {
-    let mut out = Vec::with_capacity(count);
-    let mut buf = [0u8; 4];
-    for _ in 0..count {
-        r.read_exact(&mut buf)?;
-        out.push(u32::from_le_bytes(buf));
-    }
-    Ok(out)
-}
-
 impl Interactions {
     /// Serializes this matrix to the binary CSR format at `path`.
     ///
@@ -370,21 +353,27 @@ impl Interactions {
     /// Any I/O error from creating or writing the file.
     pub fn write_csr(&self, path: &Path) -> Result<(), DataError> {
         let mut w = BufWriter::new(File::create(path)?);
+        self.write_csr_to(&mut w)?;
+        w.flush()?;
+        Ok(())
+    }
+
+    /// Streams this matrix in the CSR format to `w` — the body of
+    /// [`write_csr`](Interactions::write_csr), also how other file formats
+    /// embed a CSR section (see [`decode_csr`](Interactions::decode_csr)).
+    ///
+    /// # Errors
+    /// Any I/O error from `w`.
+    pub fn write_csr_to<W: Write>(&self, w: &mut W) -> std::io::Result<()> {
         write_prefix(
-            &mut w,
+            w,
             self.n_users as u64,
             self.n_items as u64,
             &self.user_ptr,
             &self.item_ptr,
         )?;
-        for &i in self.user_items.iter() {
-            w.write_all(&i.0.to_le_bytes())?;
-        }
-        for &u in self.item_users.iter() {
-            w.write_all(&u.0.to_le_bytes())?;
-        }
-        w.flush()?;
-        Ok(())
+        write_u32s(w, item_ids_as_u32(&self.user_items))?;
+        write_u32s(w, user_ids_as_u32(&self.item_users))
     }
 
     /// Opens a CSR file written by [`write_csr`](Interactions::write_csr)
@@ -442,36 +431,57 @@ impl Interactions {
     /// # Errors
     /// As [`open_csr`](Interactions::open_csr).
     pub fn load_csr_heap(path: &Path) -> Result<Interactions, DataError> {
-        let mut r = BufReader::new(File::open(path)?);
-        let mut header = [0u8; 40];
-        r.read_exact(&mut header)?;
-        let (n_users, n_items, n_pairs) = read_header(&header)?;
-        let user_ptr = read_u64s(&mut r, n_users as usize + 1)?;
-        let item_ptr = read_u64s(&mut r, n_items as usize + 1)?;
-        let user_items: Vec<ItemId> = read_u32s(&mut r, n_pairs as usize)?
-            .into_iter()
-            .map(ItemId)
-            .collect();
-        let item_users: Vec<UserId> = read_u32s(&mut r, n_pairs as usize)?
-            .into_iter()
-            .map(UserId)
-            .collect();
-        let mut trailer = [0u8; 1];
-        if r.read(&mut trailer)? != 0 {
+        let bytes = std::fs::read(path)?;
+        let (d, used) = Self::decode_csr(&bytes)?;
+        if used != bytes.len() {
             return Err(format_err("trailing bytes after the item_users array"));
         }
-        let d = Interactions {
-            n_users: n_users as u32,
-            n_items: n_items as u32,
-            user_ptr: user_ptr.into(),
-            user_items: user_items.into(),
-            item_ptr: item_ptr.into(),
-            item_users: item_users.into(),
-        };
         // The heap loader reads every byte anyway, so deep validation here
         // is free of extra page traffic — unlike the mapped path.
         d.validate_csr()?;
         Ok(d)
+    }
+
+    /// Decodes the CSR section at the front of `bytes` into heap `Vec`s and
+    /// returns it with the section's byte length — how other file formats
+    /// read a section [`write_csr_to`](Interactions::write_csr_to) wrote.
+    ///
+    /// Total but shallow, like [`open_csr`](Interactions::open_csr): a short
+    /// slice, a bad header or arrays that overrun `bytes` are errors (never
+    /// a panic or an oversized allocation), while the array contents are
+    /// left to [`validate_csr`](Interactions::validate_csr), which the
+    /// caller must run before using the matrix.
+    ///
+    /// # Errors
+    /// [`DataError::Format`] describing the first problem found.
+    pub fn decode_csr(bytes: &[u8]) -> Result<(Interactions, usize), DataError> {
+        let (n_users, n_items, n_pairs) = read_header(bytes)?;
+        // Every pair takes 8 bytes, so this bound keeps `file_size` from
+        // overflowing on a corrupt `n_pairs`.
+        let size = (n_pairs <= bytes.len() as u64 / 8)
+            .then(|| file_size(n_users, n_items, n_pairs))
+            .filter(|&size| size <= bytes.len() as u64)
+            .ok_or_else(|| format_err("CSR arrays overrun the input"))?;
+        let [up, ip, ui, iu] = layout(n_users, n_items, n_pairs);
+        let words = |(at, count): (u64, u64), width: usize| {
+            bytes[at as usize..(at + count * width as u64) as usize].chunks_exact(width)
+        };
+        let u64s = |a| -> Buf<usize> {
+            words(a, 8)
+                .map(|c| u64::from_le_bytes(c.try_into().expect("8 bytes")) as usize)
+                .collect::<Vec<_>>()
+                .into()
+        };
+        let u32s = |a| words(a, 4).map(|c| u32::from_le_bytes(c.try_into().expect("4 bytes")));
+        let d = Interactions {
+            n_users: n_users as u32,
+            n_items: n_items as u32,
+            user_ptr: u64s(up),
+            item_ptr: u64s(ip),
+            user_items: u32s(ui).map(ItemId).collect::<Vec<_>>().into(),
+            item_users: u32s(iu).map(UserId).collect::<Vec<_>>().into(),
+        };
+        Ok((d, size as usize))
     }
 
     /// Whether this matrix borrows a mapped file (true) or owns its arrays
@@ -668,6 +678,22 @@ mod tests {
         // And the heap loader (which always validates) rejects outright.
         assert!(Interactions::load_csr_heap(&path).is_err());
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn decode_csr_reads_an_embedded_section_and_rejects_every_prefix() {
+        let d = sample();
+        let mut bytes = b"lead".to_vec();
+        d.write_csr_to(&mut bytes).unwrap();
+        let section = bytes.len() - 4;
+        bytes.extend_from_slice(b"tail");
+        let (back, used) = Interactions::decode_csr(&bytes[4..]).unwrap();
+        assert_eq!(used, section);
+        back.validate_csr().unwrap();
+        assert_same(&d, &back);
+        for len in 0..section {
+            assert!(Interactions::decode_csr(&bytes[4..4 + len]).is_err(), "prefix {len}");
+        }
     }
 
     #[test]

@@ -11,6 +11,9 @@
 //! allocation), so failpoints can sit on paths that run per checkpoint or
 //! per request without showing up in benchmarks.
 //!
+//! [`write_atomic`] is the workspace's one crash-safe file writer (tmp →
+//! `fsync` → rename → directory `fsync`), with a failpoint at each stage.
+//!
 //! ```
 //! use clapf_faults::{arm, check, Fault};
 //!
@@ -25,7 +28,9 @@
 #![warn(missing_docs)]
 
 use std::collections::HashMap;
+use std::fs::File;
 use std::io::{self, Write};
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::time::Duration;
@@ -235,6 +240,38 @@ pub fn write_all(point: &str, w: &mut dyn Write, data: &[u8]) -> io::Result<()> 
     }
 }
 
+/// Writes `bytes` to `path` **atomically**: write `<path>.tmp`, `fsync`,
+/// rename over `path`, then `fsync` the directory. A crash (or an injected
+/// fault) at any instant leaves either the previous file or the new one,
+/// never a torn file; a failed write removes its `.tmp`.
+///
+/// Failpoints: `{prefix}.write`, `{prefix}.sync`, `{prefix}.rename`.
+pub fn write_atomic(path: &Path, bytes: &[u8], prefix: &str) -> io::Result<()> {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    let tmp = PathBuf::from(tmp);
+    let result = (|| -> io::Result<()> {
+        let mut f = File::create(&tmp)?;
+        write_all(&format!("{prefix}.write"), &mut f, bytes)?;
+        check(&format!("{prefix}.sync"))?;
+        f.sync_all()?;
+        drop(f);
+        check(&format!("{prefix}.rename"))?;
+        std::fs::rename(&tmp, path)?;
+        // Persist the rename itself; best-effort (the data is durable).
+        if let Some(dir) = path.parent() {
+            if let Ok(d) = File::open(dir) {
+                let _ = d.sync_all();
+            }
+        }
+        Ok(())
+    })();
+    if result.is_err() {
+        let _ = std::fs::remove_file(&tmp);
+    }
+    result
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -317,6 +354,29 @@ mod tests {
         // The registry mutex was not held across the panic.
         assert_eq!(hits("t.panic"), 1);
         assert!(check("t.panic").is_ok());
+    }
+
+    #[test]
+    fn write_atomic_replaces_whole_files_and_cleans_up_on_failure() {
+        let _guard = exclusive();
+        let dir = std::env::temp_dir().join(format!("clapf-faults-atomic-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("f.bin");
+        write_atomic(&path, b"old contents", "t.atomic").unwrap();
+        for (point, fault) in [
+            ("t.atomic.write", Fault::Torn { keep: 3 }),
+            ("t.atomic.sync", Fault::Io),
+            ("t.atomic.rename", Fault::Io),
+        ] {
+            arm(point, fault);
+            assert!(write_atomic(&path, b"new contents", "t.atomic").is_err(), "{point}");
+            disarm(point);
+            assert_eq!(std::fs::read(&path).unwrap(), b"old contents", "{point}");
+            assert!(!dir.join("f.bin.tmp").exists(), "{point} left tmp debris");
+        }
+        write_atomic(&path, b"new contents", "t.atomic").unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), b"new contents");
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

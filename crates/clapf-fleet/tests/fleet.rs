@@ -16,7 +16,7 @@ use clapf_serve::{call, fingerprint64, start, ModelBundle, ServeConfig};
 use clapf_telemetry::Registry;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use serde::Value;
+use serde::{Serialize, Value};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::{Path, PathBuf};
@@ -143,54 +143,8 @@ fn post(addr: SocketAddr, path: &str) -> (u16, String) {
 
 // ------------------------------------------------------------ JSON helpers
 
-fn field<'a>(v: &'a Value, key: &str) -> &'a Value {
-    match v {
-        Value::Map(fields) => fields
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v)
-            .unwrap_or_else(|| panic!("no field {key:?} in {v:?}")),
-        other => panic!("expected object, got {other:?}"),
-    }
-}
-
-fn str_of(body: &str, key: &str) -> String {
-    let v: Value = serde_json::from_str(body).expect("response is JSON");
-    match field(&v, key) {
-        Value::Str(s) => s.clone(),
-        other => panic!("{key} is not a string: {other:?}"),
-    }
-}
-
-fn uint_of(body: &str, key: &str) -> u64 {
-    let v: Value = serde_json::from_str(body).expect("response is JSON");
-    match field(&v, key) {
-        Value::Int(n) => u64::try_from(*n).expect("non-negative"),
-        Value::UInt(n) => *n,
-        other => panic!("{key} is not an integer: {other:?}"),
-    }
-}
-
-fn items_of(body: &str) -> Vec<String> {
-    let v: Value = serde_json::from_str(body).expect("response is JSON");
-    match field(&v, "items") {
-        Value::Seq(xs) => xs
-            .iter()
-            .map(|x| match x {
-                Value::Str(s) => s.clone(),
-                other => panic!("non-string item {other:?}"),
-            })
-            .collect(),
-        other => panic!("items is not an array: {other:?}"),
-    }
-}
-
-fn bool_of(body: &str, key: &str) -> bool {
-    let v: Value = serde_json::from_str(body).expect("response is JSON");
-    match field(&v, key) {
-        Value::Bool(b) => *b,
-        other => panic!("{key} is not a bool: {other:?}"),
-    }
+fn json(body: &str) -> Value {
+    serde_json::from_str(body).expect("response is JSON")
 }
 
 // ------------------------------------------------------------------- tests
@@ -256,7 +210,10 @@ fn router_masks_a_killed_replica_and_readmits_a_replacement() {
         for _ in 0..3 {
             let (status, body) = get(router.addr(), &format!("/recommend/{user}?k=4"));
             assert_eq!(status, 200, "failover must mask the dead replica: {body}");
-            assert_eq!(items_of(&body), a.recommend_raw(user, 4).unwrap());
+            assert_eq!(
+                json(&body).get("items"),
+                Some(&a.recommend_raw(user, 4).unwrap().to_value()),
+            );
         }
     }
     // The health checker (or the failed hop) has evicted slot 0 by now.
@@ -326,9 +283,11 @@ fn rollout_under_load_drops_nothing_and_never_mixes_generations() {
                     i += 1;
                     let (status, body) = get(router_addr, &format!("/recommend/{user}?k=4"));
                     if status == 200 {
-                        seen.push((user, status, uint_of(&body, "generation"), items_of(&body)));
+                        let v = json(&body);
+                        let generation = v.get("generation").and_then(Value::as_u64);
+                        seen.push((user, status, generation, v.get("items").cloned()));
                     } else {
-                        seen.push((user, status, u64::MAX, Vec::new()));
+                        seen.push((user, status, None, None));
                     }
                 }
                 seen
@@ -354,15 +313,15 @@ fn rollout_under_load_drops_nothing_and_never_mixes_generations() {
             // Zero mixed generations: a response is either entirely the
             // old model's answer or entirely the new one's.
             match generation {
-                0 => {
-                    assert_eq!(items, a.recommend_raw(user, 4).unwrap());
+                Some(0) => {
+                    assert_eq!(items, Some(a.recommend_raw(user, 4).unwrap().to_value()));
                     old_gen += 1;
                 }
-                1 => {
-                    assert_eq!(items, b.recommend_raw(user, 4).unwrap());
+                Some(1) => {
+                    assert_eq!(items, Some(b.recommend_raw(user, 4).unwrap().to_value()));
                     new_gen += 1;
                 }
-                g => panic!("unexpected generation {g} for {user}"),
+                g => panic!("unexpected generation {g:?} for {user}"),
             }
         }
     }
@@ -372,10 +331,10 @@ fn rollout_under_load_drops_nothing_and_never_mixes_generations() {
     // Both replicas now live on B, router unpaused.
     for r in &spec.replicas {
         let (_, probe) = get(r.addr, "/bundle/fingerprint");
-        assert_eq!(str_of(&probe, "fingerprint"), fp_b);
+        assert_eq!(json(&probe).get("fingerprint").and_then(Value::as_str), Some(fp_b.as_str()));
     }
     let (_, health) = get(router.addr(), "/healthz");
-    assert!(!bool_of(&health, "paused"));
+    assert_eq!(json(&health).get("paused").and_then(Value::as_bool), Some(false));
 
     // Re-rolling the same bundle is rejected at precheck, untouched fleet.
     match rollout(&spec, &candidate) {
@@ -423,18 +382,26 @@ fn torn_commit_aborts_and_restores_the_old_generation_fleet_wide() {
     // both answer with bundle A's rankings. No split brain.
     for r in &spec.replicas {
         let (_, probe) = get(r.addr, "/bundle/fingerprint");
-        assert_eq!(str_of(&probe, "fingerprint"), fp_a, "fleet split after abort");
+        assert_eq!(
+            json(&probe).get("fingerprint").and_then(Value::as_str),
+            Some(fp_a.as_str()),
+            "fleet split after abort",
+        );
         assert!(probe.contains("\"staged\":null"), "staged leaked: {probe}");
         assert_eq!(file_fingerprint(&r.bundle), fp_a, "disk not restored");
     }
     for user in USERS {
         let (status, body) = get(router.addr(), &format!("/recommend/{user}?k=4"));
         assert_eq!(status, 200);
-        assert_eq!(items_of(&body), a.recommend_raw(user, 4).unwrap());
+        assert_eq!(json(&body).get("items"), Some(&a.recommend_raw(user, 4).unwrap().to_value()));
     }
     // The abort path released the pause gate.
     let (_, health) = get(router.addr(), "/healthz");
-    assert!(!bool_of(&health, "paused"), "router left paused after abort");
+    assert_eq!(
+        json(&health).get("paused").and_then(Value::as_bool),
+        Some(false),
+        "router left paused after abort",
+    );
 
     // The fleet is clean: the same rollout retried without the fault
     // completes.
@@ -464,9 +431,13 @@ fn pause_parks_requests_until_resume_and_sheds_past_the_valve() {
 
     let (status, body) = post(router.addr(), "/fleet/pause");
     assert_eq!(status, 200);
-    assert!(bool_of(&body, "drained"), "idle fleet drains instantly");
+    assert_eq!(
+        json(&body).get("drained").and_then(Value::as_bool),
+        Some(true),
+        "idle fleet drains instantly",
+    );
     let (_, health) = get(router.addr(), "/healthz");
-    assert!(bool_of(&health, "paused"));
+    assert_eq!(json(&health).get("paused").and_then(Value::as_bool), Some(true));
 
     // A request issued while paused parks at the gate — it neither fails
     // nor completes until resume lifts it.
@@ -481,7 +452,7 @@ fn pause_parks_requests_until_resume_and_sheds_past_the_valve() {
     assert_eq!(status, 200);
     let ((status, body), waited) = parked.join().expect("parked request");
     assert_eq!(status, 200, "parked request must complete, not drop: {body}");
-    assert_eq!(items_of(&body), a.recommend_raw("u1", 3).unwrap());
+    assert_eq!(json(&body).get("items"), Some(&a.recommend_raw("u1", 3).unwrap().to_value()));
     assert!(
         waited >= Duration::from_millis(250),
         "request did not park across the pause window ({waited:?})"
@@ -510,7 +481,7 @@ fn pause_parks_requests_until_resume_and_sheds_past_the_valve() {
     let deadline = Instant::now() + Duration::from_secs(5);
     loop {
         let (_, health) = get(router.addr(), "/healthz");
-        if !bool_of(&health, "paused") {
+        if json(&health).get("paused").and_then(Value::as_bool) == Some(false) {
             break;
         }
         assert!(Instant::now() < deadline, "pause guard never fired");

@@ -11,6 +11,8 @@
 //! * [`linalg`] — a tiny dense linear-algebra module (symmetric matrices and
 //!   Cholesky solves) used by the WMF/ALS baseline,
 //! * [`SgdConfig`] — the shared learning-rate/regularization bundle,
+//! * [`image`] — the binary model image that bundles and checkpoints are
+//!   saved as,
 //! * [`SharedMfModel`] — the lock-free shared view that Hogwild-style
 //!   parallel trainers mutate from many threads at once,
 //! * [`simd`] — the wide-f32 score/update kernels (portable 8-lane
@@ -25,6 +27,7 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod image;
 pub mod linalg;
 mod model;
 mod scorer;

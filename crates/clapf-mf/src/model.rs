@@ -7,6 +7,7 @@
 //! ([`MfModel::scores_for_user`], [`MfModel::scores_for_users`]) use the
 //! wide kernels.
 
+use crate::image::{ImageReader, ImageWriter};
 use crate::simd::{self, dot_bias, dot_bias_wide};
 use clapf_data::{ItemId, UserId};
 use rand::Rng;
@@ -393,6 +394,44 @@ impl MfModel {
             return Err("model contains non-finite parameters".into());
         }
         Ok(())
+    }
+}
+
+impl MfModel {
+    /// Writes the model's block of a model image: `n_users`, `n_items`,
+    /// `dim` and a reserved word (`u32` each), then the user factors, item
+    /// factors and item biases as raw `f32` arrays (see [`crate::image`]).
+    pub(crate) fn write_tables(&self, w: &mut ImageWriter) {
+        w.u32(self.n_users);
+        w.u32(self.n_items);
+        w.u32(u32::try_from(self.dim).expect("latent dimension fits in u32"));
+        w.u32(0);
+        w.f32s(&self.user_factors);
+        w.f32s(&self.item_factors);
+        w.f32s(&self.item_bias);
+    }
+
+    /// Reads the block [`write_tables`](Self::write_tables) wrote. The
+    /// table sizes follow from the dims, so only [`validate`](Self::validate)'s
+    /// value checks (non-zero `dim`, finite parameters) remain for the caller.
+    pub(crate) fn read_tables(r: &mut ImageReader) -> Result<MfModel, String> {
+        let (n_users, n_items, dim) = (r.u32()?, r.u32()?, r.u32()? as usize);
+        if r.u32()? != 0 {
+            return Err("non-zero reserved word in the model header".into());
+        }
+        let rows = |n: u32| {
+            (n as usize)
+                .checked_mul(dim)
+                .ok_or_else(|| format!("{n} rows × dim {dim} overflows"))
+        };
+        Ok(MfModel {
+            n_users,
+            n_items,
+            dim,
+            user_factors: r.f32s(rows(n_users)?, "user factors")?,
+            item_factors: r.f32s(rows(n_items)?, "item factors")?,
+            item_bias: r.f32s(n_items as usize, "item biases")?,
+        })
     }
 }
 

@@ -1,5 +1,5 @@
-//! Saved model bundles: the fitted factors plus the raw-id mapping, as one
-//! JSON document.
+//! Saved model bundles: the fitted factors, the raw-id mapping and the
+//! training pairs, as one binary model image.
 //!
 //! This module moved here from `clapf-cli` when the serving layer grew: a
 //! bundle is the unit of deployment (`clapf fit --save` writes one,
@@ -7,12 +7,29 @@
 //! returns typed [`BundleError`]s rather than panicking — the hot-swap
 //! watcher must be able to reject a truncated or corrupt bundle and keep
 //! serving the previous model.
+//!
+//! # Bundle sections
+//!
+//! A bundle is a [`clapf_mf::image`] of kind `Bundle`: the image header and
+//! model tables, then these sections (little-endian; "str" is a `u32` byte
+//! length and UTF-8 bytes):
+//!
+//! | bytes | content |
+//! |---|---|
+//! | str | description |
+//! | 4 + n_users strs | raw user ids: count (`u32`), then one str per dense id |
+//! | 4 + n_items strs | raw item ids: count (`u32`), then one str per dense id |
+//! | 4 (+ str) | metrics snapshot: `u32` 0 = absent, 1 = present and a str |
+//! | 0–7 | zero padding to a multiple of 8 |
+//! | … | training pairs: a `clapf-data` CSR section (`CLAPFCSR` header, offsets, both id arrays) |
+//!
+//! The file ends with the CSR section.
 
 use clapf_data::loader::IdMap;
-use clapf_data::{Interactions, ItemId, UserId};
+use clapf_data::Interactions;
 use clapf_metrics::top_k_for_user;
+use clapf_mf::image::{ImageKind, ImageReader, ImageWriter};
 use clapf_mf::MfModel;
-use serde::{Deserialize, Serialize};
 use std::path::Path;
 
 /// Why a bundle failed to load. The serving layer maps these onto "reject
@@ -22,12 +39,12 @@ use std::path::Path;
 pub enum BundleError {
     /// The file could not be read at all.
     Io(std::io::Error),
-    /// The bytes were read but are not a valid bundle document (truncated
-    /// write, wrong file, JSON corruption).
+    /// The bytes were read but are not a valid bundle image (truncated
+    /// write, wrong file, a length that overruns the file).
     Parse(String),
-    /// The document parsed but its contents are inconsistent (factor block
-    /// sizes disagree with the claimed dimensions, training pairs out of
-    /// range, non-finite parameters).
+    /// The image parsed but its contents are inconsistent (id map or
+    /// training set sized unlike the model, training pairs out of range,
+    /// non-finite parameters).
     Invalid(String),
 }
 
@@ -60,7 +77,7 @@ pub fn fingerprint64(bytes: &[u8]) -> u64 {
 /// Everything recommendation serving needs: the factors, how raw ids map to
 /// dense ids, which items each user trained on (to exclude them), and a
 /// human-readable description of the training run.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct ModelBundle {
     /// Description, e.g. `"CLAPF(λ=0.3)-MAP, d=20, 692100 steps"`.
     pub description: String,
@@ -68,11 +85,11 @@ pub struct ModelBundle {
     pub model: MfModel,
     /// Raw ↔ dense id mapping of the training file.
     pub ids: IdMap,
-    /// Dense training pairs (`user, item`), used to exclude seen items.
-    pub train_pairs: Vec<(u32, u32)>,
+    /// The training interactions, used to exclude seen items.
+    pub train: Interactions,
     /// Final telemetry-registry snapshot of the training run (rendered
     /// JSON), when the fit was traced with `--metrics-out`. Absent in
-    /// bundles from untraced runs and from older versions of this tool.
+    /// bundles from untraced runs.
     pub metrics: Option<String>,
 }
 
@@ -88,7 +105,7 @@ impl ModelBundle {
             description,
             model,
             ids,
-            train_pairs: train.pairs().map(|(u, i)| (u.0, i.0)).collect(),
+            train: train.clone(),
             metrics: None,
         }
     }
@@ -99,46 +116,84 @@ impl ModelBundle {
         self
     }
 
-    /// Serializes to JSON at `path`, **atomically**: write to `<path>.tmp`,
-    /// `fsync`, rename over `path`, `fsync` the directory. A crash (or an
-    /// injected fault) at any instant leaves either the previous bundle or
-    /// the new one on disk — never a torn file a watcher could try to serve.
+    /// The bundle as model-image bytes — exactly what [`save`](Self::save)
+    /// writes. Deterministic: equal bundles encode to equal bytes.
+    pub fn to_image(&self) -> Vec<u8> {
+        let mut w = ImageWriter::new(ImageKind::Bundle, &self.model);
+        w.str(&self.description);
+        for raw in [self.ids.raw_users(), self.ids.raw_items()] {
+            w.u32(raw.len() as u32);
+            for id in raw {
+                w.str(id);
+            }
+        }
+        match &self.metrics {
+            None => w.u32(0),
+            Some(m) => {
+                w.u32(1);
+                w.str(m);
+            }
+        }
+        w.align8();
+        self.train
+            .write_csr_to(w.bytes_mut())
+            .expect("writing to a Vec cannot fail");
+        w.finish()
+    }
+
+    /// Decodes **and validates** model-image bytes; see
+    /// [`load`](Self::load) for the error contract.
+    pub fn from_image(bytes: &[u8]) -> Result<Self, BundleError> {
+        let bundle = Self::decode(bytes).map_err(BundleError::Parse)?;
+        bundle.validate()?;
+        Ok(bundle)
+    }
+
+    fn decode(bytes: &[u8]) -> Result<Self, String> {
+        let (model, mut r) = ImageReader::open(bytes, ImageKind::Bundle)?;
+        let description = r.str("description")?;
+        let mut raw_ids = |side: &str| -> Result<Vec<String>, String> {
+            let n = r.u32()?;
+            (0..n).map(|_| r.str(side)).collect()
+        };
+        let (users, items) = (raw_ids("raw user id")?, raw_ids("raw item id")?);
+        let metrics = match r.u32()? {
+            0 => None,
+            1 => Some(r.str("metrics snapshot")?),
+            flag => return Err(format!("metrics flag {flag} is neither 0 nor 1")),
+        };
+        r.align8()?;
+        let (train, used) = Interactions::decode_csr(r.rest()).map_err(|e| e.to_string())?;
+        r.skip(used)?;
+        r.finish()?;
+        Ok(ModelBundle {
+            description,
+            model,
+            ids: IdMap::from_raw(users, items)?,
+            train,
+            metrics,
+        })
+    }
+
+    /// Writes the bundle's image to `path` **atomically** through
+    /// [`clapf_faults::write_atomic`]: a crash (or an injected fault) at any
+    /// instant leaves either the previous bundle or the new one on disk —
+    /// never a torn file a watcher could try to serve.
     ///
     /// Failpoints: `bundle.save.write`, `bundle.save.sync`,
     /// `bundle.save.rename`.
     pub fn save(&self, path: &Path) -> std::io::Result<()> {
-        let body = serde_json::to_string(self).expect("bundle serializes");
-        let tmp = std::path::PathBuf::from(format!("{}.tmp", path.display()));
-        let result = (|| -> std::io::Result<()> {
-            let mut f = std::fs::File::create(&tmp)?;
-            clapf_faults::write_all("bundle.save.write", &mut f, body.as_bytes())?;
-            clapf_faults::check("bundle.save.sync")?;
-            f.sync_all()?;
-            drop(f);
-            clapf_faults::check("bundle.save.rename")?;
-            std::fs::rename(&tmp, path)?;
-            // Persist the rename itself; best-effort (the data is durable).
-            if let Some(dir) = path.parent() {
-                if let Ok(d) = std::fs::File::open(dir) {
-                    let _ = d.sync_all();
-                }
-            }
-            Ok(())
-        })();
-        if result.is_err() {
-            // A failed save must not leave `.tmp` debris behind.
-            let _ = std::fs::remove_file(&tmp);
-        }
-        result
+        clapf_faults::write_atomic(path, &self.to_image(), "bundle.save")
     }
 
     /// Loads **and validates** a bundle from `path`.
     ///
     /// Every failure mode is a typed [`BundleError`], never a panic: a
-    /// half-written file fails as [`BundleError::Parse`], a parseable file
-    /// with inconsistent contents as [`BundleError::Invalid`]. The validated
-    /// invariants are exactly the ones the accessors below rely on, so a
-    /// loaded bundle cannot panic later.
+    /// half-written or foreign file (an old JSON bundle included) fails as
+    /// [`BundleError::Parse`], a parseable image with inconsistent contents
+    /// as [`BundleError::Invalid`]. The validated invariants are exactly
+    /// the ones the accessors below rely on, so a loaded bundle cannot
+    /// panic later.
     ///
     /// Failpoint: `bundle.load.read` (I/O errors at read time).
     pub fn load(path: &Path) -> Result<Self, BundleError> {
@@ -151,27 +206,24 @@ impl ModelBundle {
     pub fn load_fingerprinted(path: &Path) -> Result<(Self, u64), BundleError> {
         clapf_faults::check("bundle.load.read").map_err(BundleError::Io)?;
         let bytes = std::fs::read(path).map_err(BundleError::Io)?;
-        let fingerprint = fingerprint64(&bytes);
-        let body = String::from_utf8(bytes)
-            .map_err(|_| BundleError::Parse("bundle is not valid UTF-8".into()))?;
-        let bundle: ModelBundle =
-            serde_json::from_str(&body).map_err(|e| BundleError::Parse(e.to_string()))?;
-        bundle.validate()?;
-        Ok((bundle, fingerprint))
+        Ok((Self::from_image(&bytes)?, fingerprint64(&bytes)))
     }
 
     /// Checks internal consistency; see [`ModelBundle::load`].
     pub fn validate(&self) -> Result<(), BundleError> {
         self.model.validate().map_err(BundleError::Invalid)?;
         let (nu, ni) = (self.model.n_users(), self.model.n_items());
-        for &(u, i) in &self.train_pairs {
-            if u >= nu || i >= ni {
-                return Err(BundleError::Invalid(format!(
-                    "train pair ({u}, {i}) out of range for {nu} users × {ni} items"
-                )));
-            }
+        if self.train.n_users() != nu || self.train.n_items() != ni {
+            return Err(BundleError::Invalid(format!(
+                "training set covers {} users × {} items but the model has {nu} × {ni}",
+                self.train.n_users(),
+                self.train.n_items()
+            )));
         }
-        if self.train_pairs.is_empty() {
+        self.train
+            .validate_csr()
+            .map_err(|e| BundleError::Invalid(format!("training pairs: {e}")))?;
+        if self.train.n_pairs() == 0 {
             return Err(BundleError::Invalid("bundle has no training pairs".into()));
         }
         if self.ids.n_users() != nu || self.ids.n_items() != ni {
@@ -184,30 +236,20 @@ impl ModelBundle {
         Ok(())
     }
 
-    /// Rebuilds the training interactions (for exclusion at recommend time).
-    /// Cannot fail on a [`load`](ModelBundle::load)-validated bundle.
+    /// The training interactions (for exclusion at recommend time).
     pub fn train_interactions(&self) -> Interactions {
-        let mut b = clapf_data::InteractionsBuilder::new(
-            self.model.n_users(),
-            self.model.n_items(),
-        );
-        for &(u, i) in &self.train_pairs {
-            b.push(UserId(u), ItemId(i)).expect("bundle pairs validated in range");
-        }
-        b.build().expect("bundle has training pairs")
+        self.train.clone()
     }
 
     /// Top-k raw item ids for a raw user id, excluding trained items.
-    /// One-shot convenience (rebuilds the training set per call); the
-    /// server keeps a prebuilt [`ServingModel`](crate::ServingModel)
-    /// instead.
+    /// One-shot convenience; the server keeps a prebuilt
+    /// [`ServingModel`](crate::ServingModel) instead.
     pub fn recommend_raw(&self, raw_user: &str, k: usize) -> Result<Vec<String>, String> {
         let u = self
             .ids
             .dense_user(raw_user)
             .ok_or_else(|| format!("user {raw_user:?} not present in the training data"))?;
-        let train = self.train_interactions();
-        let ranked = top_k_for_user(&self.model, &train, u, k);
+        let ranked = top_k_for_user(&self.model, &self.train, u, k);
         Ok(ranked
             .items
             .iter()
@@ -225,6 +267,7 @@ impl ModelBundle {
 mod tests {
     use super::*;
     use clapf_data::loader::{load_ratings_reader, Separator};
+    use clapf_data::ItemId;
     use clapf_mf::Init;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
@@ -267,23 +310,60 @@ mod tests {
         b.save(&path).unwrap();
         let loaded = ModelBundle::load(&path).unwrap();
         assert_eq!(loaded.description, "test");
-        assert_eq!(loaded.train_pairs, b.train_pairs);
+        assert!(loaded.train.pairs().eq(b.train.pairs()));
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn bundles_without_metrics_field_still_load() {
-        // Bundles written before the telemetry layer have no `metrics`
-        // key; loading one must yield `None`, not an error.
-        let b = bundle().with_metrics(Some("{}".into()));
-        let text = serde_json::to_string(&b).unwrap();
-        let mut v: serde::Value = serde_json::from_str(&text).unwrap();
-        if let serde::Value::Map(fields) = &mut v {
-            fields.retain(|(k, _)| k != "metrics");
+        // Untraced fits write no metrics snapshot; loading one must yield
+        // `None`, not an error, and a snapshot that is present survives.
+        let plain = ModelBundle::from_image(&bundle().to_image()).unwrap();
+        assert_eq!(plain.metrics, None);
+        let traced = bundle().with_metrics(Some("{}".into()));
+        let loaded = ModelBundle::from_image(&traced.to_image()).unwrap();
+        assert_eq!(loaded.metrics.as_deref(), Some("{}"));
+    }
+
+    #[test]
+    fn save_load_save_is_byte_identical_with_and_without_metrics() {
+        let _guard = clapf_faults::exclusive(); // keeps other tests' bundle.* faults out
+        let dir = temp_dir("resave");
+        let (first, second) = (dir.join("a.bin"), dir.join("b.bin"));
+        for metrics in [None, Some("{\"serve.requests\":3}".to_string())] {
+            bundle().with_metrics(metrics).save(&first).unwrap();
+            ModelBundle::load(&first).unwrap().save(&second).unwrap();
+            assert_eq!(std::fs::read(&first).unwrap(), std::fs::read(&second).unwrap());
         }
-        let stripped = serde_json::to_string(&v).unwrap();
-        let loaded: ModelBundle = serde_json::from_str(&stripped).unwrap();
-        assert_eq!(loaded.metrics, None);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn every_strict_prefix_and_bad_header_or_length_is_a_parse_error() {
+        let image = bundle().with_metrics(Some("{}".into())).to_image();
+        for len in 0..image.len() {
+            let err = ModelBundle::from_image(&image[..len]).unwrap_err();
+            assert!(matches!(err, BundleError::Parse(_)), "prefix {len}: {err}");
+        }
+        let mut flipped = image.clone();
+        flipped[3] ^= 0x20;
+        let err = ModelBundle::from_image(&flipped).unwrap_err();
+        assert!(err.to_string().contains("not a model image"), "{err}");
+        // The description's length prefix follows the 32-byte header and
+        // the 2×2 + 3×2 + 3 model floats.
+        let mut overrun = image.clone();
+        overrun[32 + 4 * 13..32 + 4 * 14].copy_from_slice(&u32::MAX.to_le_bytes());
+        let err = ModelBundle::from_image(&overrun).unwrap_err();
+        assert!(matches!(err, BundleError::Parse(ref m) if m.contains("overruns")), "{err}");
+    }
+
+    #[test]
+    fn json_bundles_of_the_old_format_are_rejected_as_not_a_model_image() {
+        // The shape `clapf fit --save` wrote before bundles became images.
+        let json = r#"{"description":"test","model":{"n_users":1,"n_items":1,"dim":1,"user_factors":[0.5],"item_factors":[0.5],"item_bias":[0.0]},"ids":{"user_to_dense":{"u":0},"item_to_dense":{"i":0},"dense_to_user":["u"],"dense_to_item":["i"]},"train_pairs":[[0,0]],"metrics":null}"#;
+        let err = ModelBundle::from_image(json.as_bytes()).unwrap_err();
+        assert!(matches!(err, BundleError::Parse(_)), "{err}");
+        assert!(err.to_string().contains("not a model image"), "{err}");
     }
 
     #[test]
@@ -387,8 +467,8 @@ mod tests {
         let dir = temp_dir("truncated");
         let path = dir.join("m.json");
         b.save(&path).unwrap();
-        // Simulate a half-written file: chop the document in the middle.
-        let body = std::fs::read_to_string(&path).unwrap();
+        // Simulate a half-written file: chop the image in the middle.
+        let body = std::fs::read(&path).unwrap();
         std::fs::write(&path, &body[..body.len() / 2]).unwrap();
         let err = ModelBundle::load(&path).unwrap_err();
         assert!(matches!(err, BundleError::Parse(_)), "{err}");
@@ -408,9 +488,13 @@ mod tests {
 
     #[test]
     fn out_of_range_pairs_are_invalid() {
-        let mut b = bundle();
-        b.train_pairs.push((999, 0));
-        let err = b.validate().unwrap_err();
+        // The image ends with the item→user array; its last entry is the
+        // last user of the last item's row, so 999 keeps the row sorted
+        // and only the range check can catch it.
+        let mut image = bundle().to_image();
+        let end = image.len();
+        image[end - 4..].copy_from_slice(&999u32.to_le_bytes());
+        let err = ModelBundle::from_image(&image).unwrap_err();
         assert!(matches!(err, BundleError::Invalid(_)), "{err}");
         assert!(err.to_string().contains("out of range"), "{err}");
     }
@@ -418,18 +502,16 @@ mod tests {
     #[test]
     fn corrupt_model_block_is_invalid_on_load() {
         let _guard = clapf_faults::exclusive(); // keeps other tests' bundle.* faults out
-        // Parseable JSON whose factor block disagrees with the claimed
-        // shape: `load` must reject it as Invalid (the serde layer cannot
-        // catch this — only validation can).
+        // A well-formed image whose factor table holds a NaN: the decoder
+        // cannot catch this — only validation can.
         let b = bundle();
         let dir = temp_dir("invalid");
         let path = dir.join("m.json");
         b.save(&path).unwrap();
-        let body = std::fs::read_to_string(&path).unwrap();
-        // The test model has 2 users; claim 3 without adding factors.
-        let corrupted = body.replace("\"n_users\":2", "\"n_users\":3");
-        assert_ne!(corrupted, body, "fixture must contain the n_users field");
-        std::fs::write(&path, corrupted).unwrap();
+        let mut body = std::fs::read(&path).unwrap();
+        // The first user factor sits right after the 32-byte header.
+        body[32..36].copy_from_slice(&f32::NAN.to_le_bytes());
+        std::fs::write(&path, body).unwrap();
         let err = ModelBundle::load(&path).unwrap_err();
         assert!(matches!(err, BundleError::Invalid(_)), "{err}");
         std::fs::remove_dir_all(&dir).ok();

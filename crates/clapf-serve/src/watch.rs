@@ -1,7 +1,7 @@
 //! Bundle-file watcher: polls the bundle path and hot-swaps on change.
 //!
-//! Polling (`fs::metadata` mtime + length) instead of inotify keeps the
-//! crate std-only and portable. A change triggers a reload through the same
+//! Polling (`fs::metadata` mtime, length and, on Unix, inode) instead of
+//! inotify keeps the crate std-only and portable. A change triggers a reload through the same
 //! serialized path as `POST /reload`; a failed reload (half-written or
 //! corrupt file) leaves the live model serving and is retried only when the
 //! file changes again, so a persistently bad file does not spin the error
@@ -11,10 +11,16 @@ use crate::server::WatchCtx;
 use std::time::{Duration, SystemTime};
 
 /// One observation of the bundle file, used to detect change.
+///
+/// Two bundles of one model shape have the same length, and a filesystem
+/// stamps mtimes from a coarse clock, so a bundle replaced within one clock
+/// tick can match both. The inode cannot: an atomic save or an install
+/// renames a new file over the path.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 struct Signature {
     mtime: Option<SystemTime>,
     len: u64,
+    inode: u64,
 }
 
 fn observe(path: &std::path::Path) -> Option<Signature> {
@@ -23,9 +29,14 @@ fn observe(path: &std::path::Path) -> Option<Signature> {
     // like a real transient stat failure.
     clapf_faults::check("serve.watch.poll").ok()?;
     let meta = std::fs::metadata(path).ok()?;
+    #[cfg(unix)]
+    let inode = std::os::unix::fs::MetadataExt::ino(&meta);
+    #[cfg(not(unix))]
+    let inode = 0;
     Some(Signature {
         mtime: meta.modified().ok(),
         len: meta.len(),
+        inode,
     })
 }
 

@@ -12,7 +12,7 @@ use clapf_serve::{fingerprint64, start, Conn, ModelBundle, ServeConfig};
 use clapf_telemetry::Registry;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use serde::Value;
+use serde::{Serialize, Value};
 use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -82,46 +82,8 @@ fn post(addr: SocketAddr, path: &str) -> (u16, String) {
 
 // ------------------------------------------------------------ JSON helpers
 
-fn field<'a>(v: &'a Value, key: &str) -> &'a Value {
-    match v {
-        Value::Map(fields) => fields
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v)
-            .unwrap_or_else(|| panic!("no field {key:?} in {v:?}")),
-        other => panic!("expected object, got {other:?}"),
-    }
-}
-
-fn str_of(body: &str, key: &str) -> String {
-    let v: Value = serde_json::from_str(body).expect("response is JSON");
-    match field(&v, key) {
-        Value::Str(s) => s.clone(),
-        other => panic!("{key} is not a string: {other:?}"),
-    }
-}
-
-fn uint_of(body: &str, key: &str) -> u64 {
-    let v: Value = serde_json::from_str(body).expect("response is JSON");
-    match field(&v, key) {
-        Value::Int(n) => u64::try_from(*n).expect("non-negative"),
-        Value::UInt(n) => *n,
-        other => panic!("{key} is not an integer: {other:?}"),
-    }
-}
-
-fn items_of(body: &str) -> Vec<String> {
-    let v: Value = serde_json::from_str(body).expect("response is JSON");
-    match field(&v, "items") {
-        Value::Seq(xs) => xs
-            .iter()
-            .map(|x| match x {
-                Value::Str(s) => s.clone(),
-                other => panic!("non-string item {other:?}"),
-            })
-            .collect(),
-        other => panic!("items is not an array: {other:?}"),
-    }
+fn json(body: &str) -> Value {
+    serde_json::from_str(body).expect("response is JSON")
 }
 
 fn start_server(path: PathBuf, config: ServeConfig) -> clapf_serve::ServerHandle {
@@ -141,12 +103,12 @@ fn fingerprints_flow_from_disk_to_healthz_and_probe() {
     let (status, body) = get(addr, "/healthz");
     assert_eq!(status, 200);
     assert!(body.contains("\"ok\""), "bare-200 contract: {body}");
-    assert_eq!(str_of(&body, "fingerprint"), fp_a);
+    assert_eq!(json(&body).get("fingerprint").and_then(Value::as_str), Some(fp_a.as_str()));
 
     let (status, body) = get(addr, "/bundle/fingerprint");
     assert_eq!(status, 200);
-    assert_eq!(str_of(&body, "fingerprint"), fp_a);
-    assert_eq!(uint_of(&body, "generation"), 0);
+    assert_eq!(json(&body).get("fingerprint").and_then(Value::as_str), Some(fp_a.as_str()));
+    assert_eq!(json(&body).get("generation").and_then(Value::as_u64), Some(0));
     assert!(body.contains("\"staged\":null"), "nothing staged: {body}");
 
     server.shutdown();
@@ -177,12 +139,16 @@ fn stage_commit_flips_and_abort_reverts_fleet_protocol() {
     // Phase 1: stage loads + validates off to the side; serving unchanged.
     let (status, body) = post(addr, "/bundle/stage");
     assert_eq!(status, 200, "{body}");
-    assert_eq!(str_of(&body, "fingerprint"), fp_b);
+    assert_eq!(json(&body).get("fingerprint").and_then(Value::as_str), Some(fp_b.as_str()));
     let (_, probe) = get(addr, "/bundle/fingerprint");
-    assert_eq!(str_of(&probe, "staged"), fp_b);
-    assert_eq!(str_of(&probe, "fingerprint"), fp_a, "live model untouched");
+    assert_eq!(json(&probe).get("staged").and_then(Value::as_str), Some(fp_b.as_str()));
+    assert_eq!(
+        json(&probe).get("fingerprint").and_then(Value::as_str),
+        Some(fp_a.as_str()),
+        "live model untouched",
+    );
     let (_, r) = get(addr, "/recommend/u3?k=4");
-    assert_eq!(items_of(&r), a.recommend_raw("u3", 4).unwrap());
+    assert_eq!(json(&r).get("items"), Some(&a.recommend_raw("u3", 4).unwrap().to_value()));
 
     // A commit naming the wrong fingerprint (torn-rollout guard) conflicts.
     assert_eq!(
@@ -193,13 +159,13 @@ fn stage_commit_flips_and_abort_reverts_fleet_protocol() {
     // Phase 2: commit flips to the staged bundle under a fresh generation.
     let (status, body) = post(addr, &format!("/bundle/commit?fingerprint={fp_b}"));
     assert_eq!(status, 200, "{body}");
-    assert_eq!(uint_of(&body, "generation"), 1);
-    assert_eq!(str_of(&body, "fingerprint"), fp_b);
+    assert_eq!(json(&body).get("generation").and_then(Value::as_u64), Some(1));
+    assert_eq!(json(&body).get("fingerprint").and_then(Value::as_str), Some(fp_b.as_str()));
     let (_, health) = get(addr, "/healthz");
-    assert_eq!(str_of(&health, "fingerprint"), fp_b);
+    assert_eq!(json(&health).get("fingerprint").and_then(Value::as_str), Some(fp_b.as_str()));
     let (_, r) = get(addr, "/recommend/u3?k=4");
-    assert_eq!(items_of(&r), b.recommend_raw("u3", 4).unwrap());
-    assert_eq!(uint_of(&r, "generation"), 1);
+    assert_eq!(json(&r).get("items"), Some(&b.recommend_raw("u3", 4).unwrap().to_value()));
+    assert_eq!(json(&r).get("generation").and_then(Value::as_u64), Some(1));
     // Disk state after commit: live path holds B, `.prev` preserves A.
     assert_eq!(file_fingerprint(&path), fp_b);
     assert_eq!(file_fingerprint(&with_suffix(&path, ".prev")), fp_a);
@@ -209,18 +175,18 @@ fn stage_commit_flips_and_abort_reverts_fleet_protocol() {
     // under a fresh generation (never a reused one — cache coherence).
     let (status, body) = post(addr, &format!("/bundle/abort?fingerprint={fp_b}"));
     assert_eq!(status, 200, "{body}");
-    assert_eq!(str_of(&body, "fingerprint"), fp_a);
-    assert_eq!(uint_of(&body, "generation"), 2);
+    assert_eq!(json(&body).get("fingerprint").and_then(Value::as_str), Some(fp_a.as_str()));
+    assert_eq!(json(&body).get("generation").and_then(Value::as_u64), Some(2));
     assert_eq!(file_fingerprint(&path), fp_a, "disk restored");
     let (_, r) = get(addr, "/recommend/u3?k=4");
-    assert_eq!(items_of(&r), a.recommend_raw("u3", 4).unwrap());
-    assert_eq!(uint_of(&r, "generation"), 2);
+    assert_eq!(json(&r).get("items"), Some(&a.recommend_raw("u3", 4).unwrap().to_value()));
+    assert_eq!(json(&r).get("generation").and_then(Value::as_u64), Some(2));
 
     // An abort naming a fingerprint that is neither staged nor live is a
     // no-op acknowledgement — it must not revert anything.
     let (status, body) = post(addr, "/bundle/abort?fingerprint=dead");
     assert_eq!(status, 200, "{body}");
-    assert_eq!(str_of(&body, "fingerprint"), fp_a);
+    assert_eq!(json(&body).get("fingerprint").and_then(Value::as_str), Some(fp_a.as_str()));
 
     server.shutdown();
     std::fs::remove_dir_all(path.parent().unwrap()).ok();
@@ -265,7 +231,7 @@ fn stage_and_commit_failpoints_fail_clean_and_retry() {
     );
     // The staged bundle survives a failed commit, so the driver can retry.
     let (_, probe) = get(addr, "/bundle/fingerprint");
-    assert_eq!(str_of(&probe, "staged"), fp_b);
+    assert_eq!(json(&probe).get("staged").and_then(Value::as_str), Some(fp_b.as_str()));
     assert_eq!(
         post(addr, &format!("/bundle/commit?fingerprint={fp_b}")).0,
         200

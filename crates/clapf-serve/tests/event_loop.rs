@@ -18,7 +18,7 @@ use clapf_serve::{call, start, Conn, ModelBundle, ServeConfig};
 use clapf_telemetry::Registry;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use serde::Value;
+use serde::{Serialize, Value};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
@@ -176,38 +176,8 @@ fn raw_response(stream: &mut TcpStream) -> (u16, String, String) {
 
 // ------------------------------------------------------------ JSON helpers
 
-fn field<'a>(v: &'a Value, key: &str) -> &'a Value {
-    match v {
-        Value::Map(fields) => fields
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v)
-            .unwrap_or_else(|| panic!("no field {key:?} in {v:?}")),
-        other => panic!("expected object, got {other:?}"),
-    }
-}
-
-fn items_of(body: &str) -> Vec<String> {
-    let v: Value = serde_json::from_str(body).expect("response is JSON");
-    match field(&v, "items") {
-        Value::Seq(xs) => xs
-            .iter()
-            .map(|x| match x {
-                Value::Str(s) => s.clone(),
-                other => panic!("non-string item {other:?}"),
-            })
-            .collect(),
-        other => panic!("items is not an array: {other:?}"),
-    }
-}
-
-fn uint_of(body: &str, key: &str) -> u64 {
-    let v: Value = serde_json::from_str(body).expect("response is JSON");
-    match field(&v, key) {
-        Value::Int(n) => u64::try_from(*n).expect("non-negative"),
-        Value::UInt(n) => *n,
-        other => panic!("{key} is not an integer: {other:?}"),
-    }
+fn json(body: &str) -> Value {
+    serde_json::from_str(body).expect("response is JSON")
 }
 
 /// Reads one counter from a Prometheus text dump (0.0 when absent). The
@@ -239,11 +209,11 @@ fn event_loop_matches_offline_evaluator_bit_for_bit() {
             let (status, body) = get(addr, &format!("/recommend/{user}?k={k}"));
             assert_eq!(status, 200, "{body}");
             assert_eq!(
-                items_of(&body),
-                offline_top_k(&b, user, k),
+                json(&body).get("items"),
+                Some(&offline_top_k(&b, user, k).to_value()),
                 "user {user} k {k} diverged from the offline evaluator"
             );
-            assert_eq!(uint_of(&body, "k"), k as u64);
+            assert_eq!(json(&body).get("k").and_then(Value::as_u64), Some(k as u64));
         }
     }
     // The second identical request must be a cache hit served inline.
@@ -276,7 +246,7 @@ fn scan_poller_fallback_serves_identically() {
     for user in ["u1", "u4"] {
         let (status, body) = get(addr, &format!("/recommend/{user}?k=4"));
         assert_eq!(status, 200, "{body}");
-        assert_eq!(items_of(&body), offline_top_k(&b, user, 4));
+        assert_eq!(json(&body).get("items"), Some(&offline_top_k(&b, user, 4).to_value()));
     }
     assert_eq!(metric_value(&registry, "serve.backend.scan"), 1.0);
 
@@ -302,14 +272,14 @@ fn pipelined_keep_alive_requests_answer_in_order() {
     let (s2, b2) = client.read_response();
     let (s3, b3) = client.read_response();
     assert_eq!((s1, s2, s3), (200, 200, 200), "{b1}\n{b2}\n{b3}");
-    assert_eq!(items_of(&b1), offline_top_k(&b, "u1", 3));
+    assert_eq!(json(&b1).get("items"), Some(&offline_top_k(&b, "u1", 3).to_value()));
     assert!(b2.contains("\"status\":\"ok\""), "{b2}");
-    assert_eq!(items_of(&b3), offline_top_k(&b, "u2", 2));
+    assert_eq!(json(&b3).get("items"), Some(&offline_top_k(&b, "u2", 2).to_value()));
 
     // The connection is still usable afterwards.
     let (s4, b4) = client.roundtrip("GET", "/recommend/u3?k=1");
     assert_eq!(s4, 200);
-    assert_eq!(items_of(&b4), offline_top_k(&b, "u3", 1));
+    assert_eq!(json(&b4).get("items"), Some(&offline_top_k(&b, "u3", 1).to_value()));
 
     server.shutdown();
     std::fs::remove_dir_all(path.parent().unwrap()).ok();
@@ -339,7 +309,11 @@ fn concurrent_identical_misses_score_exactly_once() {
         clients.push(std::thread::spawn(move || {
             let (status, body) = get(addr, "/recommend/u2?k=3");
             assert_eq!(status, 200, "{body}");
-            assert_eq!(items_of(&body), want, "coalesced answer diverged");
+            assert_eq!(
+                json(&body).get("items"),
+                Some(&want.to_value()),
+                "coalesced answer diverged",
+            );
         }));
     }
     for c in clients {
@@ -405,7 +379,11 @@ fn misses_queued_behind_a_busy_scorer_share_a_batch() {
             std::thread::spawn(move || {
                 let (status, body) = get(addr, &format!("/recommend/{user}?k=3"));
                 assert_eq!(status, 200, "{body}");
-                assert_eq!(items_of(&body), want, "{user}: batched list diverged");
+                assert_eq!(
+                    json(&body).get("items"),
+                    Some(&want.to_value()),
+                    "{user}: batched list diverged",
+                );
             })
         })
         .collect();
@@ -459,13 +437,15 @@ fn hot_swap_with_batches_in_flight_stays_bit_identical() {
             while !stop.load(std::sync::atomic::Ordering::Relaxed) {
                 let (status, body) = ka.roundtrip("GET", "/recommend/u4?k=4");
                 assert_eq!(status, 200, "{body}");
-                let generation = uint_of(&body, "generation");
-                let items = items_of(&body);
+                let v = json(&body);
+                let generation = v.get("generation").and_then(Value::as_u64).unwrap();
+                let items = v.get("items");
                 // Every batched answer must be exactly one bundle's offline
                 // list, matched to the generation it claims.
                 let want = if generation % 2 == 0 { &want_a } else { &want_b };
                 assert_eq!(
-                    &items, want,
+                    items,
+                    Some(&want.to_value()),
                     "generation {generation} served a mismatched batched list"
                 );
                 checked += 1;
@@ -516,7 +496,7 @@ fn shutdown_with_a_pending_batch_still_answers_it() {
     let (status, body) = pending.join().unwrap();
     clapf_faults::disarm("serve.batch.flush");
     assert_eq!(status, 200, "pending request lost in drain: {body}");
-    assert_eq!(items_of(&body), want);
+    assert_eq!(json(&body).get("items"), Some(&want.to_value()));
 
     // And the drain completes promptly after the batch lands.
     let waiter = std::thread::spawn(move || server.wait());
@@ -675,9 +655,8 @@ fn file_watcher_reloads_under_the_event_transport() {
     let addr = server.addr();
 
     assert_eq!(
-        items_of(&get(addr, "/recommend/u1?k=4").1),
-        offline_top_k(&a, "u1", 4)
-    );
+        json(&get(addr, "/recommend/u1?k=4").1).get("items"),
+        Some(&offline_top_k(&a, "u1", 4).to_value()));
 
     let staged = path.with_extension("staged");
     b.save(&staged).unwrap();
@@ -686,16 +665,15 @@ fn file_watcher_reloads_under_the_event_transport() {
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
         let (_, body) = get(addr, "/healthz");
-        if uint_of(&body, "generation") == 1 {
+        if json(&body).get("generation").and_then(Value::as_u64) == Some(1) {
             break;
         }
         assert!(Instant::now() < deadline, "watcher never reloaded: {body}");
         std::thread::sleep(Duration::from_millis(20));
     }
     assert_eq!(
-        items_of(&get(addr, "/recommend/u1?k=4").1),
-        offline_top_k(&b, "u1", 4)
-    );
+        json(&get(addr, "/recommend/u1?k=4").1).get("items"),
+        Some(&offline_top_k(&b, "u1", 4).to_value()));
 
     server.shutdown();
     std::fs::remove_dir_all(path.parent().unwrap()).ok();

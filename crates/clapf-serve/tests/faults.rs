@@ -97,7 +97,7 @@ fn torn_external_write_is_never_served_and_recovery_is_automatic() {
     assert_eq!(generation_of(addr), 0);
 
     // Tear the bundle on disk the way a crashed plain `fs::write` would.
-    let body = serde_json::to_string(&b).unwrap();
+    let body = b.to_image();
     std::fs::write(&path, &body[..body.len() / 2]).unwrap();
 
     // Give the watcher several polls on the torn file; it must not swap.

@@ -12,7 +12,7 @@ use clapf_serve::{call, start, ModelBundle, ServeConfig};
 use clapf_telemetry::Registry;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use serde::Value;
+use serde::{Serialize, Value};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
@@ -76,46 +76,8 @@ fn post(addr: SocketAddr, path: &str) -> (u16, String) {
 
 // ------------------------------------------------------------ JSON helpers
 
-fn field<'a>(v: &'a Value, key: &str) -> &'a Value {
-    match v {
-        Value::Map(fields) => fields
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v)
-            .unwrap_or_else(|| panic!("no field {key:?} in {v:?}")),
-        other => panic!("expected object, got {other:?}"),
-    }
-}
-
-fn items_of(body: &str) -> Vec<String> {
-    let v: Value = serde_json::from_str(body).expect("response is JSON");
-    match field(&v, "items") {
-        Value::Seq(xs) => xs
-            .iter()
-            .map(|x| match x {
-                Value::Str(s) => s.clone(),
-                other => panic!("non-string item {other:?}"),
-            })
-            .collect(),
-        other => panic!("items is not an array: {other:?}"),
-    }
-}
-
-fn uint_of(body: &str, key: &str) -> u64 {
-    let v: Value = serde_json::from_str(body).expect("response is JSON");
-    match field(&v, key) {
-        Value::Int(n) => u64::try_from(*n).expect("non-negative"),
-        Value::UInt(n) => *n,
-        other => panic!("{key} is not an integer: {other:?}"),
-    }
-}
-
-fn bool_of(body: &str, key: &str) -> bool {
-    let v: Value = serde_json::from_str(body).expect("response is JSON");
-    match field(&v, key) {
-        Value::Bool(b) => *b,
-        other => panic!("{key} is not a bool: {other:?}"),
-    }
+fn json(body: &str) -> Value {
+    serde_json::from_str(body).expect("response is JSON")
 }
 
 fn start_server(path: PathBuf, config: ServeConfig) -> clapf_serve::ServerHandle {
@@ -136,8 +98,8 @@ fn recommend_matches_offline_evaluator_bit_for_bit() {
             let (status, body) = get(addr, &format!("/recommend/{user}?k={k}"));
             assert_eq!(status, 200, "{user} k={k}: {body}");
             assert_eq!(
-                items_of(&body),
-                offline_top_k(&b, user, k),
+                json(&body).get("items"),
+                Some(&offline_top_k(&b, user, k).to_value()),
                 "served list diverges from offline ranking for {user} k={k}"
             );
         }
@@ -155,10 +117,18 @@ fn cache_hits_on_repeat_and_is_reported_in_metrics() {
     let addr = server.addr();
 
     let (_, first) = get(addr, "/recommend/u1?k=3");
-    assert!(!bool_of(&first, "cached"), "first request must miss");
+    assert_eq!(
+        json(&first).get("cached").and_then(Value::as_bool),
+        Some(false),
+        "first request must miss",
+    );
     let (_, second) = get(addr, "/recommend/u1?k=3");
-    assert!(bool_of(&second, "cached"), "second request must hit");
-    assert_eq!(items_of(&first), items_of(&second));
+    assert_eq!(
+        json(&second).get("cached").and_then(Value::as_bool),
+        Some(true),
+        "second request must hit",
+    );
+    assert_eq!(json(&first).get("items"), json(&second).get("items"));
 
     let (status, metrics) = get(addr, "/metrics");
     assert_eq!(status, 200);
@@ -188,7 +158,7 @@ fn healthz_and_error_paths() {
     let (status, body) = get(addr, "/healthz");
     assert_eq!(status, 200);
     assert!(body.contains("\"ok\""), "{body}");
-    assert_eq!(uint_of(&body, "generation"), 0);
+    assert_eq!(json(&body).get("generation").and_then(Value::as_u64), Some(0));
 
     assert_eq!(get(addr, "/recommend/nobody?k=3").0, 404);
     assert_eq!(get(addr, "/recommend/u1?k=0").0, 400);
@@ -211,25 +181,29 @@ fn reload_swaps_models_and_invalidates_the_cache() {
 
     // Warm the cache under generation 0.
     let (_, r0) = get(addr, "/recommend/u3?k=4");
-    assert_eq!(items_of(&r0), offline_top_k(&a, "u3", 4));
-    assert_eq!(uint_of(&r0, "generation"), 0);
+    assert_eq!(json(&r0).get("items"), Some(&offline_top_k(&a, "u3", 4).to_value()));
+    assert_eq!(json(&r0).get("generation").and_then(Value::as_u64), Some(0));
     let (_, r0b) = get(addr, "/recommend/u3?k=4");
-    assert!(bool_of(&r0b, "cached"));
+    assert_eq!(json(&r0b).get("cached").and_then(Value::as_bool), Some(true));
 
     // Swap to bundle B (opposite ranking).
     b.save(&path).unwrap();
     let (status, body) = post(addr, "/reload");
     assert_eq!(status, 200, "{body}");
-    assert_eq!(uint_of(&body, "generation"), 1);
+    assert_eq!(json(&body).get("generation").and_then(Value::as_u64), Some(1));
 
     // The cached generation-0 list must never be served now: the first
     // post-swap request misses (generation mismatch) and recomputes
     // against B.
     let (_, r1) = get(addr, "/recommend/u3?k=4");
-    assert_eq!(uint_of(&r1, "generation"), 1);
-    assert!(!bool_of(&r1, "cached"), "stale cache entry served after swap");
-    assert_eq!(items_of(&r1), offline_top_k(&b, "u3", 4));
-    assert_ne!(items_of(&r1), items_of(&r0), "fixtures must rank differently");
+    assert_eq!(json(&r1).get("generation").and_then(Value::as_u64), Some(1));
+    assert_eq!(
+        json(&r1).get("cached").and_then(Value::as_bool),
+        Some(false),
+        "stale cache entry served after swap",
+    );
+    assert_eq!(json(&r1).get("items"), Some(&offline_top_k(&b, "u3", 4).to_value()));
+    assert_ne!(json(&r1).get("items"), json(&r0).get("items"), "fixtures must rank differently");
 
     server.shutdown();
     std::fs::remove_dir_all(path.parent().unwrap()).ok();
@@ -245,7 +219,7 @@ fn corrupt_reload_is_rejected_and_the_old_model_keeps_serving() {
     let want = offline_top_k(&a, "u2", 3);
 
     // Truncate the on-disk bundle to simulate a half-written file.
-    let body = std::fs::read_to_string(&path).unwrap();
+    let body = std::fs::read(&path).unwrap();
     std::fs::write(&path, &body[..body.len() / 3]).unwrap();
 
     let (status, reload_body) = post(addr, "/reload");
@@ -255,8 +229,8 @@ fn corrupt_reload_is_rejected_and_the_old_model_keeps_serving() {
     // Still serving generation 0, still the same answers.
     let (status, r) = get(addr, "/recommend/u2?k=3");
     assert_eq!(status, 200);
-    assert_eq!(uint_of(&r, "generation"), 0);
-    assert_eq!(items_of(&r), want);
+    assert_eq!(json(&r).get("generation").and_then(Value::as_u64), Some(0));
+    assert_eq!(json(&r).get("items"), Some(&want.to_value()));
 
     server.shutdown();
     std::fs::remove_dir_all(path.parent().unwrap()).ok();
@@ -276,7 +250,10 @@ fn file_watcher_hot_swaps_without_an_explicit_reload() {
     );
     let addr = server.addr();
 
-    assert_eq!(items_of(&get(addr, "/recommend/u1?k=4").1), offline_top_k(&a, "u1", 4));
+    assert_eq!(
+        json(&get(addr, "/recommend/u1?k=4").1).get("items"),
+        Some(&offline_top_k(&a, "u1", 4).to_value()),
+    );
 
     // Overwrite the bundle; the watcher should pick it up. Write to a
     // temp name and rename so the watcher sees one atomic change.
@@ -287,7 +264,7 @@ fn file_watcher_hot_swaps_without_an_explicit_reload() {
     let deadline = std::time::Instant::now() + Duration::from_secs(10);
     loop {
         let (_, body) = get(addr, "/healthz");
-        if uint_of(&body, "generation") == 1 {
+        if json(&body).get("generation").and_then(Value::as_u64) == Some(1) {
             break;
         }
         assert!(
@@ -296,7 +273,10 @@ fn file_watcher_hot_swaps_without_an_explicit_reload() {
         );
         std::thread::sleep(Duration::from_millis(20));
     }
-    assert_eq!(items_of(&get(addr, "/recommend/u1?k=4").1), offline_top_k(&b, "u1", 4));
+    assert_eq!(
+        json(&get(addr, "/recommend/u1?k=4").1).get("items"),
+        Some(&offline_top_k(&b, "u1", 4).to_value()),
+    );
 
     server.shutdown();
     std::fs::remove_dir_all(path.parent().unwrap()).ok();
@@ -325,14 +305,16 @@ fn hot_swap_under_concurrent_load_never_serves_torn_or_stale_lists() {
             while !stop.load(std::sync::atomic::Ordering::Relaxed) {
                 let (status, body) = get(addr, "/recommend/u4?k=4");
                 assert_eq!(status, 200, "{body}");
-                let generation = uint_of(&body, "generation");
-                let items = items_of(&body);
+                let v = json(&body);
+                let generation = v.get("generation").and_then(Value::as_u64).unwrap();
+                let items = v.get("items");
                 // Every response must be exactly one bundle's offline list,
                 // matched to the generation it claims — anything else is a
                 // torn model or a stale cache entry.
                 let want = if generation % 2 == 0 { &want_a } else { &want_b };
                 assert_eq!(
-                    &items, want,
+                    items,
+                    Some(&want.to_value()),
                     "generation {generation} served a mismatched list"
                 );
                 checked += 1;

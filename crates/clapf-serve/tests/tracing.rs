@@ -54,48 +54,19 @@ fn get(addr: SocketAddr, path: &str) -> (u16, String) {
     (reply.status, String::from_utf8(reply.body).expect("UTF-8 body"))
 }
 
-fn field<'a>(v: &'a Value, key: &str) -> &'a Value {
-    match v {
-        Value::Map(fields) => fields
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v)
-            .unwrap_or_else(|| panic!("no field {key:?} in {v:?}")),
-        other => panic!("expected object, got {other:?}"),
-    }
-}
-
-fn uint(v: &Value) -> u64 {
-    match v {
-        Value::Int(n) => u64::try_from(*n).expect("non-negative"),
-        Value::UInt(n) => *n,
-        other => panic!("not an integer: {other:?}"),
-    }
-}
-
-fn str_of(v: &Value) -> &str {
-    match v {
-        Value::Str(s) => s,
-        other => panic!("not a string: {other:?}"),
-    }
-}
-
-fn seq(v: &Value) -> &[Value] {
-    match v {
-        Value::Seq(xs) => xs,
-        other => panic!("not an array: {other:?}"),
-    }
-}
-
 /// Finds the first trace in a `/debug/traces` body containing `stage`.
 fn trace_with_stage(body: &str, stage: &str) -> Option<Value> {
     let v: Value = serde_json::from_str(body).expect("debug body is JSON");
-    seq(field(&v, "traces"))
+    v.get("traces")
+        .and_then(Value::as_seq)
+        .expect("traces")
         .iter()
         .find(|t| {
-            seq(field(t, "spans"))
+            t.get("spans")
+                .and_then(Value::as_seq)
+                .expect("spans")
                 .iter()
-                .any(|s| str_of(field(s, "stage")) == stage)
+                .any(|s| s.get("stage").and_then(Value::as_str) == Some(stage))
         })
         .cloned()
 }
@@ -105,10 +76,13 @@ fn trace_with_stage(body: &str, stage: &str) -> Option<Value> {
 /// floor: on a toy fixture the whole request takes tens of microseconds,
 /// where scheduling noise dwarfs any percentage).
 fn assert_spans_tile(trace: &Value) {
-    let total = uint(field(trace, "total_us"));
-    let spans = seq(field(trace, "spans"));
+    let total = trace.get("total_us").and_then(Value::as_u64).expect("total_us");
+    let spans = trace.get("spans").and_then(Value::as_seq).expect("spans");
     assert!(!spans.is_empty(), "trace has no spans");
-    let sum: u64 = spans.iter().map(|s| uint(field(s, "dur_us"))).sum();
+    let sum: u64 = spans
+        .iter()
+        .map(|s| s.get("dur_us").and_then(Value::as_u64).expect("dur_us"))
+        .sum();
     let slack = (total / 10).max(100);
     assert!(
         sum + slack >= total && sum <= total + slack,
@@ -149,8 +123,11 @@ fn event_loop_miss_trace_breaks_down_per_stage() {
     let marker = stages_expected[0];
     let trace = trace_with_stage(&body, marker)
         .unwrap_or_else(|| panic!("no trace with stage {marker:?} in {body}"));
-    let spans = seq(field(&trace, "spans"));
-    let names: Vec<&str> = spans.iter().map(|s| str_of(field(s, "stage"))).collect();
+    let spans = trace.get("spans").and_then(Value::as_seq).expect("spans");
+    let names: Vec<&str> = spans
+        .iter()
+        .map(|s| s.get("stage").and_then(Value::as_str).expect("stage"))
+        .collect();
     for want in stages_expected {
         assert!(names.contains(&want), "missing stage {want:?} in {names:?}");
     }

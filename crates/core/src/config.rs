@@ -100,7 +100,7 @@ pub struct ClapfConfig {
     /// statistics) and breaks bit-reproducibility against serial runs
     /// recorded with it off. Elementwise update kernels vectorize
     /// unconditionally — they never reassociate, so they are exempt.
-    /// `#[serde(default)]` keeps models and checkpoints saved before this
+    /// `#[serde(default)]` keeps models serialized before this
     /// field existed loadable (they trained with the scalar kernel).
     #[serde(default)]
     pub simd_training: bool,

@@ -13,7 +13,7 @@
 //! all bit-identical to the plain fit with the same seed; one thread is
 //! bit-identical to the serial path.
 
-use crate::checkpoint::{self, Checkpoint, CheckpointConfig, CheckpointError, CHECKPOINT_VERSION};
+use crate::checkpoint::{self, Checkpoint, CheckpointConfig, CheckpointError};
 use crate::objective::ln_sigmoid;
 use clapf_data::Interactions;
 use clapf_mf::{Init, MfModel, SgdConfig, SharedMfModel};
@@ -300,11 +300,10 @@ impl Ckpt<'_> {
         model: &MfModel,
     ) -> std::io::Result<()> {
         let ckpt = Checkpoint {
-            version: CHECKPOINT_VERSION,
             fingerprint: self.fingerprint.clone(),
             epoch,
             steps_done: steps,
-            rng_state: rng.state().to_vec(),
+            rng_state: rng.state(),
             lr_scale,
             retries,
             model: model.clone(),
@@ -392,7 +391,7 @@ pub fn train<St: Step + ?Sized>(
     let resumed_from = resumed.as_ref().map(|c| c.epoch);
     let mut shared = SharedMfModel::new(match resumed {
         Some(c) => {
-            lead = Lead::Owned(SmallRng::from_state(c.rng_words()?));
+            lead = Lead::Owned(SmallRng::from_state(c.rng_state));
             (epoch, lr_scale, retries) = (c.epoch, c.lr_scale, c.retries);
             c.model
         }
@@ -534,7 +533,7 @@ pub fn train<St: Step + ?Sized>(
                 recoveries += 1;
                 lr_scale = last.lr_scale * c.cfg.lr_backoff;
                 step.set_lr_scale(lr_scale);
-                lead = Lead::Owned(SmallRng::from_state(last.rng_words()?));
+                lead = Lead::Owned(SmallRng::from_state(last.rng_state));
                 (epoch, steps_done) = (last.epoch, last.steps_done);
                 shared = SharedMfModel::new(last.model);
                 // Persist the shrunk learning rate: a crash right after the
