@@ -8,7 +8,7 @@
 //! * `clapf fit` — load a ratings file (CSV / `u.data` / `ratings.dat`),
 //!   binarize it with the paper's `rating > 3` rule, hold out a split,
 //!   train BPR or CLAPF(-MAP/-MRR, optionally with DSS), report the Sec 6.2
-//!   metrics, and save the model bundle as JSON.
+//!   metrics, and save the model bundle (a binary model image).
 //! * `clapf recommend` — load a bundle and print top-k recommendations for
 //!   a raw user id, excluding the items the user was trained on.
 //! * `clapf serve` — serve a bundle over HTTP (`clapf-serve`: worker pool,
