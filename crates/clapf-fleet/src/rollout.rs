@@ -86,11 +86,11 @@ impl FleetSpec {
         .render()
     }
 
-    /// Writes the spec to `path` (atomic tmp+rename).
+    /// Writes the spec to `path` through [`clapf_faults::write_atomic`]
+    /// (failpoint prefix `fleet.spec.save`): a crash leaves the old spec or
+    /// the new one, and a failed write leaves no `.tmp` behind.
     pub fn save(&self, path: &Path) -> std::io::Result<()> {
-        let tmp = path.with_extension("json.tmp");
-        std::fs::write(&tmp, self.render())?;
-        std::fs::rename(&tmp, path)
+        clapf_faults::write_atomic(path, self.render().as_bytes(), "fleet.spec.save")
     }
 
     /// Loads a spec from `path`.
@@ -264,12 +264,11 @@ pub fn rollout(spec: &FleetSpec, new_bundle: &Path) -> Result<RolloutReport, Rol
         old_fps.push(fp);
     }
 
-    // Distribute: atomic copy to each replica's `.next`.
+    // Distribute: atomic copy to each replica's `.next` (failpoint prefix
+    // `rollout.distribute`).
     for (slot, r) in spec.replicas.iter().enumerate() {
         let next = bundle_next_path(&r.bundle);
-        let tmp = next.with_extension("next.tmp");
-        std::fs::write(&tmp, &bytes)
-            .and_then(|()| std::fs::rename(&tmp, &next))
+        clapf_faults::write_atomic(&next, &bytes, "rollout.distribute")
             .map_err(|e| RolloutError::Rejected {
                 phase: "distribute",
                 slot,
@@ -450,6 +449,42 @@ mod tests {
         };
         headless.save(&path).unwrap();
         assert_eq!(FleetSpec::load(&path).unwrap(), headless);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn failed_spec_save_keeps_the_old_spec_and_leaves_no_tmp() {
+        let _guard = clapf_faults::exclusive();
+        let replica = |port: u16| ReplicaSpec {
+            addr: SocketAddr::from(([127, 0, 0, 1], port)),
+            bundle: PathBuf::from(format!("/tmp/replica-{port}.json")),
+        };
+        let old = FleetSpec {
+            router: None,
+            replicas: vec![replica(4101)],
+        };
+        let new = FleetSpec {
+            router: Some("127.0.0.1:4100".parse().unwrap()),
+            replicas: vec![replica(4101), replica(4102)],
+        };
+        let dir =
+            std::env::temp_dir().join(format!("clapf-fleet-spec-fault-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("fleet.json");
+        old.save(&path).unwrap();
+        for (point, fault) in [
+            ("fleet.spec.save.write", clapf_faults::Fault::Torn { keep: 9 }),
+            ("fleet.spec.save.sync", clapf_faults::Fault::Io),
+            ("fleet.spec.save.rename", clapf_faults::Fault::Io),
+        ] {
+            clapf_faults::arm(point, fault);
+            assert!(new.save(&path).is_err(), "{point} did not fail the save");
+            clapf_faults::reset();
+            assert_eq!(FleetSpec::load(&path).unwrap(), old, "{point} touched the spec");
+            assert!(!dir.join("fleet.json.tmp").exists(), "{point} left a tmp file");
+        }
+        new.save(&path).unwrap();
+        assert_eq!(FleetSpec::load(&path).unwrap(), new);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

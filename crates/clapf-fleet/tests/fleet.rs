@@ -418,6 +418,71 @@ fn torn_commit_aborts_and_restores_the_old_generation_fleet_wide() {
 }
 
 #[test]
+fn failed_distribute_keeps_the_old_next_file_and_leaves_no_tmp() {
+    let _guard = clapf_faults::exclusive();
+    let a = bundle(1.0, "dist-a");
+    let b = bundle(-1.0, "dist-b");
+    let scratch = Scratch::new("distribute");
+    let (handles, specs) = start_replicas(&scratch, &a, 2);
+    let candidate = scratch.path("candidate.json");
+    b.save(&candidate).unwrap();
+    let with_suffix = |path: &Path, suffix: &str| {
+        let mut os = path.as_os_str().to_owned();
+        os.push(suffix);
+        PathBuf::from(os)
+    };
+    // A `.next` copy left by an earlier rollout: a failed copy over it
+    // must leave it whole.
+    for r in &specs {
+        std::fs::copy(&r.bundle, with_suffix(&r.bundle, ".next")).unwrap();
+    }
+    let fp_a = file_fingerprint(&specs[0].bundle);
+    let spec = FleetSpec {
+        router: None,
+        replicas: specs.clone(),
+    };
+
+    // The first replica's copy succeeds; the second one's fails.
+    for (point, fault) in [
+        ("rollout.distribute.write", clapf_faults::Fault::Torn { keep: 64 }),
+        ("rollout.distribute.sync", clapf_faults::Fault::Io),
+        ("rollout.distribute.rename", clapf_faults::Fault::Io),
+    ] {
+        clapf_faults::arm_nth(point, fault, 1, Some(1));
+        match rollout(&spec, &candidate) {
+            Err(RolloutError::Rejected { phase, slot, .. }) => {
+                assert_eq!((phase, slot), ("distribute", 1), "{point}")
+            }
+            other => panic!("{point}: expected a distribute rejection, got {other:?}"),
+        }
+        clapf_faults::reset();
+        let r = &specs[1];
+        let next = with_suffix(&r.bundle, ".next");
+        assert_eq!(file_fingerprint(&next), fp_a, "{point} tore the old .next");
+        assert!(!with_suffix(&next, ".tmp").exists(), "{point} left a tmp file");
+        for r in &specs {
+            assert_eq!(file_fingerprint(&r.bundle), fp_a, "{point} touched a live bundle");
+            let (_, probe) = get(r.addr, "/bundle/fingerprint");
+            assert_eq!(
+                json(&probe).get("fingerprint").and_then(Value::as_str),
+                Some(fp_a.as_str()),
+                "{point}: a replica left the old generation",
+            );
+        }
+    }
+
+    // Without the fault the same rollout completes.
+    let report = rollout(&spec, &candidate).expect("rollout after the failed copies");
+    assert_eq!(
+        format!("{:016x}", report.fingerprint),
+        file_fingerprint(&candidate)
+    );
+    for h in handles {
+        h.shutdown();
+    }
+}
+
+#[test]
 fn pause_parks_requests_until_resume_and_sheds_past_the_valve() {
     let a = bundle(1.0, "pause");
     let scratch = Scratch::new("pause");

@@ -161,6 +161,26 @@ impl MfModel {
         &mut self.item_factors[s..s + self.dim]
     }
 
+    /// The rank column of factor `q` over `items`: `out[t]` becomes
+    /// [`simd::rank_bits`] of `V_{items[t], q}` (negated when `negate`),
+    /// whose unsigned order is the factor order (descending when
+    /// `descending`). One gather per item through
+    /// [`simd::gather_rank_bits`]; the DSS positive draw ranks a user's
+    /// observed items by these words.
+    ///
+    /// # Panics
+    /// Panics if `q ≥ dim` or an item is out of range.
+    pub fn item_rank_bits(
+        &self,
+        q: usize,
+        items: &[ItemId],
+        negate: bool,
+        descending: bool,
+        out: &mut Vec<u32>,
+    ) {
+        simd::gather_rank_bits(&self.item_factors, self.dim, q, items, negate, descending, out);
+    }
+
     /// Bias of item `i`.
     #[inline]
     pub fn bias(&self, i: ItemId) -> f32 {

@@ -12,6 +12,13 @@
 //!   blocked [`scores_for_users`](crate::MfModel::scores_for_users) sweep).
 //! * [`axpy_update`] / [`saxpy`] — elementwise factor-update kernels used by
 //!   the SGD paths unconditionally (see "Reassociation" below).
+//! * [`gather_rank_bits`] / [`bracket`] — the integer kernels of the DSS
+//!   positive draw: the rank column (one order-preserving [`rank_bits`]
+//!   word per observed item, fetched by an AVX2 gather) and the one-pass
+//!   bracket that counts the words below a bound and packs those inside.
+//!   Apart from one `+ 0.0` (the same IEEE-754 addition on both paths)
+//!   they only move, flip and compare bits, so their two paths write the
+//!   same words; the property tests check it on every length 0..=300.
 //!
 //! # Dispatch strategy
 //!
@@ -51,7 +58,7 @@
 
 #![allow(unsafe_code)]
 
-use clapf_data::UserId;
+use clapf_data::{ItemId, UserId};
 
 /// Lane width of the wide kernels (f32 elements per vector register).
 pub const LANES: usize = 8;
@@ -252,6 +259,162 @@ pub unsafe fn axpy_update_raw(row: *mut f32, grad: &[f32], step: f32, decay: f32
     }
 }
 
+/// The order-preserving `u32` image of `value` that the DSS rank keys are
+/// built from: unsigned integer order on the result is the float order of
+/// `value` (ascending, or descending when `descending`). `+ 0.0` folds
+/// -0.0 into 0.0, since the two compare equal as floats, and a NaN lands
+/// beyond the infinity of its sign instead of failing a comparison. The
+/// sign flip is branch-free: a negative float's bits are inverted, a
+/// non-negative one's get the top bit set.
+#[inline]
+pub fn rank_bits(value: f32, descending: bool) -> u32 {
+    let bits = (value + 0.0).to_bits();
+    let ordered = bits ^ ((bits as i32 >> 31) as u32 | 0x8000_0000);
+    ordered ^ descending_mask(descending)
+}
+
+/// All ones when `descending`: XOR with it reverses the unsigned order.
+#[inline]
+fn descending_mask(descending: bool) -> u32 {
+    0u32.wrapping_sub(u32::from(descending))
+}
+
+/// Portable reference for [`gather_rank_bits`]: `out[t]` becomes
+/// `rank_bits(±table[items[t]·dim + q], descending)`, negated when
+/// `negate`. Panics when an item's row lies outside `table`.
+pub fn gather_rank_bits_portable(
+    table: &[f32],
+    dim: usize,
+    q: usize,
+    items: &[ItemId],
+    negate: bool,
+    descending: bool,
+    out: &mut Vec<u32>,
+) {
+    assert!(q < dim, "factor {q} out of range for dim {dim}");
+    let column = &table[q..];
+    out.clear();
+    out.extend(items.iter().map(|&t| {
+        let v = column[t.index() * dim];
+        rank_bits(if negate { -v } else { v }, descending)
+    }));
+}
+
+/// The rank column of the DSS positive draw: one [`rank_bits`] word per
+/// item, read from factor `q` of the row-major `dim`-wide `table`. The
+/// AVX2 path fetches eight factors per `_mm256_i32gather_ps` and applies
+/// the same negate, `+ 0.0` and sign flip lane by lane, so both paths
+/// write the same words.
+pub fn gather_rank_bits(
+    table: &[f32],
+    dim: usize,
+    q: usize,
+    items: &[ItemId],
+    negate: bool,
+    descending: bool,
+    out: &mut Vec<u32>,
+) {
+    if !gather_rank_bits_arch(table, dim, q, items, negate, descending, out) {
+        gather_rank_bits_portable(table, dim, q, items, negate, descending, out);
+    }
+}
+
+/// The arch-gated [`gather_rank_bits`], exposed for differential testing:
+/// fills `out` and returns `true` when the AVX2 path is compiled in, the
+/// CPU supports it and every gather index fits its `i32` lane; returns
+/// `false` without touching `out` otherwise.
+pub fn gather_rank_bits_arch(
+    table: &[f32],
+    dim: usize,
+    q: usize,
+    items: &[ItemId],
+    negate: bool,
+    descending: bool,
+    out: &mut Vec<u32>,
+) -> bool {
+    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    if avx2_available() && q < dim && table.len() <= i32::MAX as usize {
+        let max_id = items.iter().map(|t| t.0).max().unwrap_or(0) as usize;
+        let in_table = max_id
+            .checked_mul(dim)
+            .and_then(|s| s.checked_add(q))
+            .is_some_and(|last| last < table.len());
+        if items.is_empty() || in_table {
+            out.clear();
+            out.reserve(items.len());
+            // SAFETY: AVX2 checked above. Every index `id·dim + q` is at
+            // most `max_id·dim + q < table.len() ≤ i32::MAX`, so each
+            // gather reads inside `table` and its `i32` offset does not
+            // overflow; `out` has capacity for `items.len()` words, which
+            // the kernel writes before `set_len` exposes them.
+            unsafe {
+                avx2::gather_rank_bits(
+                    table.as_ptr(),
+                    dim as i32,
+                    q as i32,
+                    items,
+                    if negate { 0x8000_0000 } else { 0 },
+                    descending_mask(descending),
+                    out.as_mut_ptr(),
+                );
+                out.set_len(items.len());
+            }
+            return true;
+        }
+    }
+    #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
+    let _ = (table, dim, q, items, negate, descending, out);
+    false
+}
+
+/// Portable reference for [`bracket`].
+pub fn bracket_portable(vals: &[u32], lo: u32, hi: u32, out: &mut Vec<u32>) -> (usize, usize) {
+    // Every word is written and only the kept ones advance the cursor: no
+    // branch on the words.
+    out.clear();
+    out.resize(vals.len(), 0);
+    let (mut below, mut kept) = (0, 0);
+    for &v in vals {
+        out[kept] = v;
+        kept += usize::from(lo <= v && v <= hi);
+        below += usize::from(v < lo);
+    }
+    out.truncate(kept);
+    (below, kept)
+}
+
+/// One pass that brackets `vals` by `[lo, hi]` (unsigned, inclusive):
+/// returns `(below, kept)`, the count of values under `lo` and of those
+/// inside the bracket, and leaves the `kept` bracketed values in `out` in
+/// input order. The AVX2 path compares eight values at a time after a
+/// sign flip (AVX2 has only signed compares), turns the in-bracket lanes
+/// into a bit mask and packs them to the front of the register through a
+/// 256-entry permutation table, so both paths write the same `out`.
+pub fn bracket(vals: &[u32], lo: u32, hi: u32, out: &mut Vec<u32>) -> (usize, usize) {
+    bracket_arch(vals, lo, hi, out).unwrap_or_else(|| bracket_portable(vals, lo, hi, out))
+}
+
+/// The arch-gated [`bracket`], exposed for differential testing: `Some`
+/// when the AVX2 path is compiled in and the CPU supports it, `None`
+/// (leaving `out` untouched) otherwise.
+pub fn bracket_arch(vals: &[u32], lo: u32, hi: u32, out: &mut Vec<u32>) -> Option<(usize, usize)> {
+    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    if avx2_available() && std::is_x86_feature_detected!("popcnt") {
+        out.clear();
+        out.reserve(vals.len());
+        // SAFETY: AVX2 and POPCNT checked above; `out` has capacity for
+        // `vals.len()` words, the most the kernel writes (see its
+        // `# Safety`), and `set_len` exposes only the `kept` it wrote.
+        let (below, kept) = unsafe { avx2::bracket(vals, lo, hi, out.as_mut_ptr()) };
+        // SAFETY: the kernel initialised `out[..kept]`, `kept ≤ vals.len()`.
+        unsafe { out.set_len(kept) };
+        return Some((below, kept));
+    }
+    #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
+    let _ = (vals, lo, hi, out);
+    None
+}
+
 /// Runtime AVX2 capability check (cached by the standard library's feature
 /// detection after the first call).
 #[cfg(all(feature = "simd", target_arch = "x86_64"))]
@@ -281,11 +444,16 @@ pub fn arch_dispatch_active() -> bool {
 #[allow(unsafe_code)]
 mod avx2 {
     use super::LANES;
+    use clapf_data::ItemId;
     use std::arch::x86_64::{
-        __m256, _mm256_add_ps, _mm256_castps256_ps128, _mm256_extractf128_ps, _mm256_hadd_ps,
-        _mm256_loadu_ps, _mm256_mul_ps, _mm256_set1_ps, _mm256_setzero_ps, _mm256_storeu_ps,
-        _mm256_sub_ps, _mm_add_ps, _mm_add_ss, _mm_cvtss_f32, _mm_hadd_ps, _mm_movehdup_ps,
-        _mm_storeu_ps,
+        __m256, __m256i, _mm256_add_epi32, _mm256_add_ps, _mm256_castps256_ps128,
+        _mm256_castps_si256, _mm256_castsi256_ps, _mm256_cmpgt_epi32, _mm256_cvtepu8_epi32,
+        _mm256_extractf128_ps, _mm256_hadd_ps, _mm256_i32gather_ps, _mm256_loadu_ps,
+        _mm256_loadu_si256, _mm256_movemask_ps, _mm256_mul_ps, _mm256_mullo_epi32, _mm256_or_si256,
+        _mm256_permutevar8x32_epi32, _mm256_set1_epi32, _mm256_set1_ps, _mm256_setzero_ps,
+        _mm256_srai_epi32, _mm256_storeu_ps, _mm256_storeu_si256, _mm256_sub_ps, _mm256_xor_ps,
+        _mm256_xor_si256, _mm_add_ps, _mm_add_ss, _mm_cvtsi64_si128, _mm_cvtss_f32, _mm_hadd_ps,
+        _mm_movehdup_ps, _mm_storeu_ps,
     };
 
     /// Mirrors `dot_wide_portable`: two ymm accumulators over 16-element
@@ -440,6 +608,114 @@ mod avx2 {
             let w = p.read();
             p.write(w + (step * g - decay * w));
         }
+    }
+
+    /// Mirrors `gather_rank_bits_portable` eight items at a time: gather
+    /// factor `q` of each item's row, XOR the sign with `negate` (what
+    /// scalar negation does), add 0.0, flip by the sign word, XOR with
+    /// `flip`. The last `< 8` items take the scalar `rank_bits`.
+    ///
+    /// # Safety
+    /// The CPU must support AVX2. Every `items[t].0 · dim + q` must index
+    /// inside the table at `table` and fit in an `i32`, and `out` must be
+    /// valid for writes of `items.len()` words.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn gather_rank_bits(
+        table: *const f32,
+        dim: i32,
+        q: i32,
+        items: &[ItemId],
+        negate: u32,
+        flip: u32,
+        out: *mut u32,
+    ) {
+        let n = items.len();
+        // `ItemId` is `repr(transparent)` over `u32`: eight ids load as
+        // one vector of gather indices.
+        let ids = items.as_ptr().cast::<__m256i>();
+        let (vdim, vq) = (_mm256_set1_epi32(dim), _mm256_set1_epi32(q));
+        let vneg = _mm256_castsi256_ps(_mm256_set1_epi32(negate as i32));
+        let top = _mm256_set1_epi32(i32::MIN);
+        let vflip = _mm256_set1_epi32(flip as i32);
+        let zero = _mm256_setzero_ps();
+        for c in 0..n / LANES {
+            let id = _mm256_loadu_si256(ids.add(c));
+            let at = _mm256_add_epi32(_mm256_mullo_epi32(id, vdim), vq);
+            let v = _mm256_i32gather_ps::<4>(table, at);
+            let bits = _mm256_castps_si256(_mm256_add_ps(_mm256_xor_ps(v, vneg), zero));
+            let ordered =
+                _mm256_xor_si256(bits, _mm256_or_si256(_mm256_srai_epi32::<31>(bits), top));
+            let word = _mm256_xor_si256(ordered, vflip);
+            _mm256_storeu_si256(out.cast::<__m256i>().add(c), word);
+        }
+        for (t, item) in items.iter().enumerate().skip(n / LANES * LANES) {
+            let v = f32::from_bits(
+                (*table.add(item.index() * dim as usize + q as usize)).to_bits() ^ negate,
+            );
+            out.add(t).write(super::rank_bits(v, false) ^ flip);
+        }
+    }
+
+    /// For each 8-bit lane mask, the indices of its set lanes in order,
+    /// one per byte (the rest zero): the `permutevar8x32` pattern that
+    /// packs a register's selected lanes to its front.
+    const COMPACT: [u64; 256] = {
+        let mut table = [0u64; 256];
+        let mut mask = 0;
+        while mask < 256 {
+            let (mut lane, mut slot, mut packed) = (0, 0, 0u64);
+            while lane < 8 {
+                if mask >> lane & 1 == 1 {
+                    packed |= (lane as u64) << (8 * slot);
+                    slot += 1;
+                }
+                lane += 1;
+            }
+            table[mask] = packed;
+            mask += 1;
+        }
+        table
+    };
+
+    /// Mirrors `bracket_portable`: counts `vals` under `lo`, packs those in
+    /// `[lo, hi]` to `out` in input order, returns `(below, kept)`.
+    ///
+    /// # Safety
+    /// The CPU must support AVX2 and POPCNT, and `out` must be valid for
+    /// writes of `vals.len()` words. (Each eight-lane store lands at
+    /// `kept ≤ 8c` for chunk `c`, so it ends at or before `vals.len()`.)
+    #[target_feature(enable = "avx2,popcnt")]
+    pub unsafe fn bracket(vals: &[u32], lo: u32, hi: u32, out: *mut u32) -> (usize, usize) {
+        let n = vals.len();
+        let src = vals.as_ptr().cast::<__m256i>();
+        let bias = _mm256_set1_epi32(i32::MIN);
+        let vlo = _mm256_set1_epi32((lo ^ 0x8000_0000) as i32);
+        let vhi = _mm256_set1_epi32((hi ^ 0x8000_0000) as i32);
+        let (mut below, mut kept) = (0usize, 0usize);
+        for c in 0..n / LANES {
+            let raw = _mm256_loadu_si256(src.add(c));
+            let x = _mm256_xor_si256(raw, bias);
+            let under = _mm256_cmpgt_epi32(vlo, x);
+            let over = _mm256_cmpgt_epi32(x, vhi);
+            let under_bits = _mm256_movemask_ps(_mm256_castsi256_ps(under)) as u32;
+            let out_bits = _mm256_movemask_ps(_mm256_castsi256_ps(_mm256_or_si256(under, over)));
+            let keep = !out_bits as u8;
+            let perm = _mm256_cvtepu8_epi32(_mm_cvtsi64_si128(COMPACT[keep as usize] as i64));
+            _mm256_storeu_si256(
+                out.add(kept).cast::<__m256i>(),
+                _mm256_permutevar8x32_epi32(raw, perm),
+            );
+            below += under_bits.count_ones() as usize;
+            kept += keep.count_ones() as usize;
+        }
+        for &v in &vals[n / LANES * LANES..] {
+            below += usize::from(v < lo);
+            if lo <= v && v <= hi {
+                out.add(kept).write(v);
+                kept += 1;
+            }
+        }
+        (below, kept)
     }
 
     /// `out[t] += c · x[t]` over raw `out`. Elementwise; bit-identical to

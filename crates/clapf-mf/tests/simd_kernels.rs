@@ -11,13 +11,14 @@
 use clapf_data::{InteractionsBuilder, ItemId, UserId};
 use clapf_metrics::{evaluate_serial, BulkScorer, EvalConfig};
 use clapf_mf::simd::{
-    self, axpy_update, axpy_update_portable, dot_wide, dot_wide_arch, dot_wide_portable, saxpy,
-    saxpy_portable,
+    self, axpy_update, axpy_update_portable, bracket, bracket_arch, bracket_portable, dot_wide,
+    dot_wide_arch, dot_wide_portable, gather_rank_bits, gather_rank_bits_arch,
+    gather_rank_bits_portable, rank_bits, saxpy, saxpy_portable,
 };
 use clapf_mf::{Init, MfModel};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 /// Equal-length f32 vector pairs across every tail shape the kernels have:
 /// lengths 0..=257 cover empty, sub-lane, one-vector, the 16-element unroll
@@ -182,5 +183,157 @@ fn bulk_scorer_batch_is_bitwise_per_user() {
         for i in 0..201 {
             assert_eq!(outs[b][i].to_bits(), single[i].to_bits(), "user {u} item {i}");
         }
+    }
+}
+
+/// Factor values the rank words must order: signed zeros, infinities,
+/// NaNs of both signs (one signalling), subnormals, and repeats.
+const SPECIAL: [f32; 12] = [
+    0.0,
+    -0.0,
+    f32::INFINITY,
+    f32::NEG_INFINITY,
+    f32::NAN,
+    -f32::NAN,
+    1e-40,
+    -1e-40,
+    f32::MIN_POSITIVE,
+    0.5,
+    -0.5,
+    f32::MAX,
+];
+
+/// A row-major `rows × dim` table of factors, about a third of them special
+/// values, the rest from a small pool (so values repeat) or continuous.
+fn factor_table(rows: usize, dim: usize, g: &mut SmallRng) -> Vec<f32> {
+    (0..rows * dim)
+        .map(|_| match g.gen_range(0..3) {
+            0 if g.gen_bool(0.1) => f32::from_bits(0x7f80_0001), // signalling NaN
+            0 => SPECIAL[g.gen_range(0..SPECIAL.len())],
+            1 => [-1.0f32, 0.25, 2.0][g.gen_range(0..3usize)],
+            _ => g.gen_range(-3.0f32..3.0),
+        })
+        .collect()
+}
+
+/// The rank words' unsigned order is the float order with -0.0 == 0.0 and
+/// NaNs beyond the infinity of their sign: `total_cmp` after `+ 0.0`.
+#[test]
+fn rank_bits_order_is_the_folded_total_order() {
+    let mut g = SmallRng::seed_from_u64(41);
+    let values = factor_table(400, 1, &mut g);
+    for &a in &values {
+        for &b in &values[..40] {
+            let want = (a + 0.0).total_cmp(&(b + 0.0));
+            assert_eq!(rank_bits(a, false).cmp(&rank_bits(b, false)), want, "{a} vs {b}");
+            assert_eq!(rank_bits(a, true).cmp(&rank_bits(b, true)), want.reverse(), "{a} vs {b}");
+        }
+    }
+}
+
+/// The rank-column gather: portable, dispatched and (where present) AVX2
+/// paths write the same words for every list length 0..=300, both signs and
+/// both directions, and the portable words are `rank_bits` of the factors.
+#[test]
+fn gather_rank_bits_paths_agree_on_every_length() {
+    let mut g = SmallRng::seed_from_u64(42);
+    let (rows, dim) = (350usize, 5usize);
+    let table = factor_table(rows, dim, &mut g);
+    let (mut portable, mut dispatched, mut arch) = (Vec::new(), Vec::new(), Vec::new());
+    for len in 0..=300usize {
+        let items: Vec<ItemId> = (0..len)
+            .map(|t| ItemId(if t % 7 == 3 { 0 } else { g.gen_range(0..rows as u32) }))
+            .collect();
+        let q = len % dim;
+        for negate in [false, true] {
+            for descending in [false, true] {
+                let case = format!("len {len} negate {negate} descending {descending}");
+                let out = &mut portable;
+                gather_rank_bits_portable(&table, dim, q, &items, negate, descending, out);
+                for (t, &w) in items.iter().zip(&portable) {
+                    let v = table[t.index() * dim + q];
+                    assert_eq!(w, rank_bits(if negate { -v } else { v }, descending), "{case}");
+                }
+                gather_rank_bits(&table, dim, q, &items, negate, descending, &mut dispatched);
+                assert_eq!(dispatched, portable, "{case}: dispatched");
+                if gather_rank_bits_arch(&table, dim, q, &items, negate, descending, &mut arch) {
+                    assert_eq!(arch, portable, "{case}: avx2");
+                }
+            }
+        }
+    }
+}
+
+/// An item whose row lies outside the table panics on the portable path
+/// and is refused (never read) by the AVX2 path.
+#[test]
+fn gather_rank_bits_rejects_an_item_outside_the_table() {
+    let table = vec![1.0f32; 4 * 3];
+    let items: Vec<ItemId> = (0..9).map(|t| ItemId(if t == 8 { 4 } else { t % 4 })).collect();
+    let mut out = Vec::new();
+    assert!(!gather_rank_bits_arch(&table, 3, 1, &items, false, false, &mut out));
+    let caught = std::panic::catch_unwind(|| {
+        gather_rank_bits(&table, 3, 1, &items, false, false, &mut Vec::new())
+    });
+    assert!(caught.is_err(), "an out-of-range item must panic");
+}
+
+/// The bracket pass: portable, dispatched and (where present) AVX2 paths
+/// return the same `(below, kept)` and keep the same words in input order,
+/// for every length 0..=300, over repeated, extreme and random words and
+/// brackets that are empty, inverted, a single value or everything.
+#[test]
+fn bracket_paths_agree_on_every_length() {
+    let mut g = SmallRng::seed_from_u64(43);
+    let (mut portable, mut dispatched, mut arch) = (Vec::new(), Vec::new(), Vec::new());
+    for len in 0..=300usize {
+        let vals: Vec<u32> = (0..len)
+            .map(|_| match g.gen_range(0..4) {
+                0 => [0, 1, u32::MAX, 0x8000_0000, 0x7fff_ffff][g.gen_range(0..5usize)],
+                1 => g.gen_range(1000..1010),
+                _ => g.gen(),
+            })
+            .collect();
+        let pick = |g: &mut SmallRng| {
+            if vals.is_empty() || g.gen_bool(0.2) {
+                g.gen()
+            } else {
+                vals[g.gen_range(0..vals.len())]
+            }
+        };
+        let mut brackets = vec![(0, u32::MAX), (1005, 1005), (u32::MAX, 0)];
+        for _ in 0..4 {
+            let (a, b) = (pick(&mut g), pick(&mut g));
+            brackets.push((a.min(b), a.max(b)));
+        }
+        for (lo, hi) in brackets {
+            let case = format!("len {len} [{lo:#x}, {hi:#x}]");
+            let want = bracket_portable(&vals, lo, hi, &mut portable);
+            assert_eq!(want.0, vals.iter().filter(|&&v| v < lo).count(), "{case}");
+            let inside: Vec<u32> = vals.iter().copied().filter(|v| (lo..=hi).contains(v)).collect();
+            assert_eq!((want.1, &portable), (inside.len(), &inside), "{case}");
+            assert_eq!(bracket(&vals, lo, hi, &mut dispatched), want, "{case}: dispatched");
+            assert_eq!(dispatched, portable, "{case}: dispatched");
+            if let Some(got) = bracket_arch(&vals, lo, hi, &mut arch) {
+                assert_eq!(got, want, "{case}: avx2");
+                assert_eq!(arch, portable, "{case}: avx2");
+            }
+        }
+    }
+}
+
+proptest! {
+    /// Random lists and brackets: the dispatched bracket equals the
+    /// portable one.
+    #[test]
+    fn bracket_dispatch_matches_portable(
+        vals in proptest::collection::vec(0u32..64, 0..300),
+        lo in 0u32..64,
+        width in 0u32..64,
+    ) {
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        let hi = lo.saturating_add(width);
+        prop_assert_eq!(bracket(&vals, lo, hi, &mut a), bracket_portable(&vals, lo, hi, &mut b));
+        prop_assert_eq!(a, b);
     }
 }

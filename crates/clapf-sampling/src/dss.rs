@@ -20,7 +20,7 @@
 
 use crate::{sample_second_observed, sample_unobserved_uniform, DssStats, Geometric, TripleSampler};
 use clapf_data::{Interactions, ItemId, UserId};
-use clapf_mf::MfModel;
+use clapf_mf::{simd, MfModel};
 use clapf_telemetry::Stopwatch;
 use rand::Rng;
 use rand::RngCore;
@@ -80,10 +80,22 @@ pub struct DssSampler {
     /// (`σ_q`) — the AoBPR scheme DSS builds on.
     factor_stds: Vec<f32>,
     dim: usize,
-    /// Scratch for rank keys, the positive draw's and each refresh's;
-    /// reused, so a warmed-up sampler draws and refreshes without
-    /// allocating. Each clone (one per Hogwild worker) owns its own copy.
+    /// The negative draw's geometric over the factor lists, built at each
+    /// refresh (every list has the catalogue's length).
+    negative_geom: Geometric,
+    /// `positive_geoms[n]` is the positive draw's geometric over a list of
+    /// `n` observed items, built the first time a list that long is drawn.
+    positive_geoms: Vec<Geometric>,
+    /// Scratch for `u64` rank keys, the positive draw's fallback selection
+    /// and each refresh's sort.
     scratch: Vec<u64>,
+    /// Scratch for the positive draw's rank column and its brackets. The
+    /// four buffers are reused, so a warmed-up sampler draws and
+    /// refreshes without allocating. Each clone (one per Hogwild worker)
+    /// owns its own copies.
+    ranks: Vec<u32>,
+    bracketed: Vec<u32>,
+    spare: Vec<u32>,
     /// Optional introspection sink. `Clone` shares the `Arc`, so every
     /// Hogwild worker's sampler clone records into the same counters.
     /// Recording never touches the RNG stream — an instrumented run draws
@@ -101,7 +113,12 @@ impl DssSampler {
             factor_lists: Vec::new(),
             factor_stds: Vec::new(),
             dim: 0,
+            negative_geom: Geometric::default(),
+            positive_geoms: Vec::new(),
             scratch: Vec::new(),
+            ranks: Vec::new(),
+            bracketed: Vec::new(),
+            spare: Vec::new(),
             stats: None,
         }
     }
@@ -174,9 +191,8 @@ impl DssSampler {
     ) -> Option<ItemId> {
         let list = &self.factor_lists[q];
         let m = list.len();
-        let geom = Geometric::with_tail_fraction(m, self.config.negative_tail_fraction);
         for _ in 0..32 {
-            let r = geom.draw(m, rng);
+            let r = self.negative_geom.draw(m, rng);
             let idx = if positive_sign { r } else { m - 1 - r };
             let j = list[idx];
             if !data.contains(u, j) {
@@ -202,10 +218,6 @@ impl DssSampler {
     /// negative user sign flips the reading direction. Ties break by
     /// ascending item id. If the drawn rank holds the anchor `i`, the next
     /// rank is taken instead (wrapping to rank 0).
-    ///
-    /// Costs one O(|I_u⁺|) selection over [`rank_key`]s in the sampler's
-    /// scratch buffer: no sort, and no allocation once the buffer has grown
-    /// to the largest user seen.
     #[allow(clippy::too_many_arguments)]
     fn draw_positive(
         &mut self,
@@ -224,44 +236,189 @@ impl DssSampler {
             1 => return Some(items[0]),
             _ => {}
         }
-        let geom = Geometric::with_tail_fraction(n, self.config.positive_tail_fraction);
-        let r = geom.draw(n, rng);
+        let r = self.positive_geometric(n).draw(n, rng);
         if let Some(s) = &self.stats {
             s.positive_depth.record(r as f64);
         }
+        Some(self.item_at_rank(model, items, i, q, positive_sign, r))
+    }
+
+    /// The positive draw's geometric for a list of `n` items, from the
+    /// per-length cache.
+    fn positive_geometric(&mut self, n: usize) -> Geometric {
+        let fraction = self.config.positive_tail_fraction;
+        while self.positive_geoms.len() <= n {
+            let len = self.positive_geoms.len();
+            self.positive_geoms.push(Geometric::with_tail_fraction(len, fraction));
+        }
+        self.positive_geoms[n]
+    }
+
+    /// The item at rank `r` of `items` (at least two) under the positive
+    /// draw's order, or the next rank's when that is the anchor `i`.
+    ///
+    /// Gathers the items' rank words ([`MfModel::item_rank_bits`]) and, for
+    /// a list of at least [`BRACKET_MIN_LEN`], selects inside a bracket
+    /// ([`bracket_select`]). A short list, a bracket that misses `r` or a
+    /// drawn anchor takes the `u64` selection over [`rank_key`]s: one
+    /// O(|I_u⁺|) `select_nth_unstable`, no sort. No allocation once the
+    /// scratch buffers have grown to the largest user seen.
+    fn item_at_rank(
+        &mut self,
+        model: &MfModel,
+        items: &[ItemId],
+        i: ItemId,
+        q: usize,
+        positive_sign: bool,
+        r: usize,
+    ) -> ItemId {
         let descending = self.config.mode == DssMode::Mrr;
+        model.item_rank_bits(q, items, !positive_sign, descending, &mut self.ranks);
+        if items.len() >= BRACKET_MIN_LEN {
+            let (bracketed, spare) = (&mut self.bracketed, &mut self.spare);
+            match bracket_select(&self.ranks, items, r, bracketed, spare) {
+                Some(k) if k != i => return k,
+                _ => {}
+            }
+        }
         let keys = &mut self.scratch;
         keys.clear();
-        keys.extend(items.iter().map(|&t| {
-            let v = model.item(t)[q];
-            rank_key(if positive_sign { v } else { -v }, descending, t)
-        }));
+        keys.extend(self.ranks.iter().zip(items).map(|(&h, &t)| key_of(h, t)));
         let (below, &mut at, above) = keys.select_nth_unstable(r);
         let k = key_item(at);
         if k != i {
-            return Some(k);
+            return k;
         }
         // Prefer a distinct second item: take the next rank — the smallest
         // key above `r`, or rank 0 (the smallest below) when `r` is last.
         let next = above.iter().min().or_else(|| below.iter().min());
-        Some(key_item(*next.expect("n ≥ 2 leaves a second rank")))
+        key_item(*next.expect("n ≥ 2 leaves a second rank"))
     }
+}
+
+/// Shortest observed list the positive draw brackets; shorter ones go
+/// straight to the `u64` selection, which is as fast there.
+const BRACKET_MIN_LEN: usize = 64;
+/// Rank words sampled, at fixed strides, to place each bracket.
+const BRACKET_SAMPLE: usize = 16;
+/// Sample positions on each side of the target rank's that a bracket spans.
+const BRACKET_REACH: usize = 3;
+/// Bracketed words few enough to select among directly.
+const BRACKET_DONE: usize = 32;
+
+/// The item at rank `r` of `items` under the order of their rank words
+/// `ranks` (ties by ascending id), or `None` when the first bracket
+/// misses `r`.
+///
+/// Each bracket ([`bracket_around`]) keeps the words between two sample
+/// words around the target rank and counts those below. The first one
+/// narrows `ranks`; while more than [`BRACKET_DONE`] words remain, the
+/// kept words are bracketed again (a miss or a bracket that keeps
+/// everything, as on all-equal words, stops the narrowing). The rank's
+/// word `v` is then selected among the kept words, and the item is the
+/// `(r − #less)`-th occurrence of `v` in `ranks`: `items` is sorted by
+/// id, so that is the id tie-break of the `u64` key order.
+fn bracket_select(
+    ranks: &[u32],
+    items: &[ItemId],
+    r: usize,
+    bracketed: &mut Vec<u32>,
+    spare: &mut Vec<u32>,
+) -> Option<ItemId> {
+    let below = bracket_around(ranks, r, bracketed);
+    let mut nth = r.checked_sub(below).filter(|&nth| nth < bracketed.len())?;
+    let mut less = below;
+    while bracketed.len() > BRACKET_DONE {
+        let below = bracket_around(bracketed, nth, spare);
+        match nth.checked_sub(below) {
+            Some(inner) if inner < spare.len() && spare.len() < bracketed.len() => {
+                (nth, less) = (inner, less + below);
+                std::mem::swap(bracketed, spare);
+            }
+            _ => break,
+        }
+    }
+    let (smaller, &mut v, _) = bracketed.select_nth_unstable(nth);
+    let occurrence = r - less - smaller.iter().filter(|&&w| w < v).count();
+    Some(items[nth_occurrence(ranks, v, occurrence)])
+}
+
+/// Brackets `vals` around the position of its `nth`-smallest word: sorts
+/// [`BRACKET_SAMPLE`] words taken at fixed strides (no RNG), spans the
+/// sample words [`BRACKET_REACH`] positions either side of where `nth`
+/// falls in the sample, and runs one [`simd::bracket`] pass. Leaves the
+/// words inside in `out` and returns the count below.
+fn bracket_around(vals: &[u32], nth: usize, out: &mut Vec<u32>) -> usize {
+    let n = vals.len();
+    let mut sample: [u32; BRACKET_SAMPLE] =
+        std::array::from_fn(|j| vals[(2 * j + 1) * n / (2 * BRACKET_SAMPLE)]);
+    sort_sample(&mut sample);
+    let at = nth * BRACKET_SAMPLE / n;
+    let lo = at.checked_sub(BRACKET_REACH).map_or(0, |j| sample[j]);
+    let hi = sample.get(at + BRACKET_REACH).copied().unwrap_or(u32::MAX);
+    simd::bracket(vals, lo, hi, out).0
+}
+
+/// Sorts the bracket sample with Batcher's odd–even merge network: a fixed
+/// sequence of min/max exchanges, so no branch depends on the words (an
+/// insertion sort mispredicts on about every other word here). The network
+/// needs a power-of-two size.
+fn sort_sample(s: &mut [u32; BRACKET_SAMPLE]) {
+    const { assert!(BRACKET_SAMPLE.is_power_of_two()) };
+    let n = BRACKET_SAMPLE;
+    let mut p = 1;
+    while p < n {
+        let mut k = p;
+        while k > 0 {
+            let mut j = k % p;
+            while j + k < n {
+                for i in j..j + k.min(n - j - k) {
+                    if i / (2 * p) == (i + k) / (2 * p) {
+                        let (a, b) = (s[i], s[i + k]);
+                        (s[i], s[i + k]) = (a.min(b), a.max(b));
+                    }
+                }
+                j += 2 * k;
+            }
+            k /= 2;
+        }
+        p *= 2;
+    }
+}
+
+/// The index of the `occurrence`-th (0-based) `v` in `ranks`, scanning
+/// eight words at a time so the equality counts vectorize.
+fn nth_occurrence(ranks: &[u32], v: u32, mut occurrence: usize) -> usize {
+    let mut start = 0;
+    for chunk in ranks.chunks(8) {
+        let hits = chunk.iter().filter(|&&w| w == v).count();
+        if occurrence < hits {
+            break;
+        }
+        occurrence -= hits;
+        start += chunk.len();
+    }
+    let (at, _) = ranks[start..]
+        .iter()
+        .enumerate()
+        .filter(|&(_, &w)| w == v)
+        .nth(occurrence)
+        .expect("the bracket counted this occurrence");
+    start + at
 }
 
 /// Packs an observed item into a `u64` whose integer order is the positive
 /// draw's rank order. The high 32 bits hold the signed factor value as
-/// order-preserving bits (inverted when `descending`); the low 32 bits hold
-/// the item id, so equal values tie-break by ascending id. A NaN sorts
-/// beyond the infinity of its sign instead of failing a comparison.
+/// order-preserving bits ([`simd::rank_bits`], inverted when
+/// `descending`); the low 32 bits hold the item id, so equal values
+/// tie-break by ascending id. A NaN sorts beyond the infinity of its sign
+/// instead of failing a comparison.
 fn rank_key(value: f32, descending: bool, item: ItemId) -> u64 {
-    // `+ 0.0` folds -0.0 into 0.0: the two compare equal as floats.
-    let bits = (value + 0.0).to_bits();
-    let ordered = if bits >> 31 == 1 {
-        !bits
-    } else {
-        bits | 0x8000_0000
-    };
-    let high = if descending { !ordered } else { ordered };
+    key_of(simd::rank_bits(value, descending), item)
+}
+
+/// The `u64` key of an item whose rank word is `high`.
+fn key_of(high: u32, item: ItemId) -> u64 {
     (u64::from(high) << 32) | u64::from(item.0)
 }
 
@@ -319,6 +476,7 @@ impl TripleSampler for DssSampler {
         let cold = self.dim != d
             || self.factor_lists.len() != d
             || self.factor_lists.iter().any(|l| l.len() != m);
+        self.negative_geom = Geometric::with_tail_fraction(m, self.config.negative_tail_fraction);
         if cold {
             self.dim = d;
             self.factor_lists = (0..d)
@@ -698,7 +856,9 @@ mod tests {
             })
             .collect();
         keyed.sort_unstable_by(|a, b| {
-            let ord = a.0.partial_cmp(&b.0).expect("factors are finite");
+            // `+ 0.0` makes -0.0 and 0.0 equal; NaNs order beyond the
+            // infinity of their sign.
+            let ord = (a.0 + 0.0).total_cmp(&(b.0 + 0.0));
             match mode {
                 DssMode::Map => ord.then(a.1.cmp(&b.1)),
                 DssMode::Mrr => ord.reverse().then(a.1.cmp(&b.1)),
@@ -793,6 +953,107 @@ mod tests {
         assert!(signed_zero_ties > 0, "no world held both 0.0 and -0.0");
         assert!(wraps > 0, "the anchor never sat at the drawn last rank");
         assert!(draws > 100_000, "{draws} draws");
+    }
+
+    #[test]
+    fn long_lists_pick_the_full_sort_item_at_every_rank() {
+        // Lists long enough to be bracketed, with factor values from
+        // tie-heavy pools (signed zeros, infinities, NaNs, subnormals) or
+        // from a continuous range. At every rank, in both modes and both
+        // signs, the draw must return the full sort's item — or the next
+        // one when that is the anchor. The bracket alone must agree with
+        // the full sort whenever it hits.
+        const TIES: [f32; 9] = [
+            -1.5,
+            -0.0,
+            0.0,
+            0.25,
+            3.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            1e-40,
+            -1e-40,
+        ];
+        let nans = [f32::NAN, -f32::NAN, f32::from_bits(0x7f80_0001)];
+        let (mut hits, mut misses, mut anchors, mut draws) = (0, 0, 0, 0);
+        for world in 0..24u64 {
+            let mut g = SmallRng::seed_from_u64(100 + world);
+            let n = [BRACKET_MIN_LEN, BRACKET_MIN_LEN + 1, 100, 257, 300][world as usize % 5];
+            let m = n as u32 + g.gen_range(1..200u32);
+            let mut ids: Vec<u32> = (0..m).collect();
+            ids.shuffle(&mut g);
+            let mut b = InteractionsBuilder::new(1, m);
+            for &t in &ids[..n] {
+                b.push(UserId(0), ItemId(t)).unwrap();
+            }
+            let data = b.build().unwrap();
+            let mut model = MfModel::new(1, m, 2, Init::Zeros, &mut g);
+            for t in 0..m {
+                for v in model.item_mut(ItemId(t)) {
+                    *v = match world % 4 {
+                        0 => g.gen_range(-2.0f32..2.0),
+                        1 => TIES[g.gen_range(0..TIES.len())],
+                        2 if g.gen_bool(0.05) => nans[g.gen_range(0..nans.len())],
+                        2 => TIES[g.gen_range(0..4usize)],
+                        _ => 0.5,
+                    };
+                }
+            }
+            let items = data.items_of(UserId(0));
+            for q in 0..2 {
+                for mode in [DssMode::Map, DssMode::Mrr] {
+                    let mut s = DssSampler::dss(mode);
+                    for positive_sign in [true, false] {
+                        let order =
+                            sorted_by_reference(mode, &data, &model, UserId(0), q, positive_sign);
+                        for r in 0..n {
+                            let anchor = items[g.gen_range(0..n)];
+                            let want = if order[r] != anchor {
+                                order[r]
+                            } else {
+                                anchors += 1;
+                                order[(r + 1) % n]
+                            };
+                            let got = s.item_at_rank(&model, items, anchor, q, positive_sign, r);
+                            let case =
+                                format!("world {world} {mode:?} q={q} sign={positive_sign} r={r}");
+                            assert_eq!(got, want, "{case}");
+                            let (bracketed, spare) = (&mut s.bracketed, &mut s.spare);
+                            match bracket_select(&s.ranks, items, r, bracketed, spare) {
+                                Some(k) => {
+                                    assert_eq!(k, order[r], "{case}: bracket");
+                                    hits += 1;
+                                }
+                                None => misses += 1,
+                            }
+                            draws += 1;
+                        }
+                    }
+                }
+            }
+        }
+        // The bracket, its fallback and the anchor rule all ran.
+        assert!(hits > draws / 2, "{hits} bracket hits of {draws}");
+        assert!(misses > 0, "the bracket never missed");
+        assert!(anchors > 0, "the anchor never sat at the drawn rank");
+    }
+
+    #[test]
+    fn sample_network_sorts() {
+        let mut g = SmallRng::seed_from_u64(13);
+        for _ in 0..2_000 {
+            let mut sample: [u32; BRACKET_SAMPLE] = std::array::from_fn(|_| {
+                if g.gen_bool(0.3) {
+                    g.gen_range(0..4)
+                } else {
+                    g.gen()
+                }
+            });
+            let mut want = sample;
+            want.sort_unstable();
+            sort_sample(&mut sample);
+            assert_eq!(sample, want);
+        }
     }
 
     #[test]

@@ -23,16 +23,29 @@ use rand::RngCore;
 pub struct Geometric {
     /// Characteristic decay length, in ranks: the probability of rank `r` is
     /// ∝ `exp(-r / tail)`.
-    pub tail: f64,
+    tail: f64,
+    /// `ln q` for `q = exp(-1/tail)`, the inversion constant of every draw,
+    /// computed once here rather than per draw.
+    ln_q: f64,
 }
 
 impl Geometric {
+    /// A geometric with characteristic decay length `tail` ranks.
+    pub fn new(tail: f64) -> Self {
+        // P(rank = r) ∝ exp(-r/tail) ⇒ geometric with q = exp(-1/tail).
+        let q = (-1.0 / tail).exp();
+        Geometric { tail, ln_q: q.ln() }
+    }
+
     /// A geometric whose mass concentrates in roughly the top `fraction` of
     /// a list of length `len`.
     pub fn with_tail_fraction(len: usize, fraction: f64) -> Self {
-        Geometric {
-            tail: (len as f64 * fraction).max(1.0),
-        }
+        Geometric::new((len as f64 * fraction).max(1.0))
+    }
+
+    /// The characteristic decay length, in ranks.
+    pub fn tail(&self) -> f64 {
+        self.tail
     }
 
     /// Draws a 0-based rank in `0..len`.
@@ -45,12 +58,9 @@ impl Geometric {
         if len == 1 {
             return 0;
         }
-        // P(rank = r) ∝ exp(-r/tail) ⇒ geometric with q = exp(-1/tail).
-        let q = (-1.0 / self.tail).exp();
-        let ln_q = q.ln();
         for _ in 0..16 {
             let u: f64 = rng.gen::<f64>().max(f64::MIN_POSITIVE);
-            let r = (u.ln() / ln_q).floor() as usize;
+            let r = (u.ln() / self.ln_q).floor() as usize;
             if r < len {
                 return r;
             }
@@ -61,7 +71,7 @@ impl Geometric {
 
 impl Default for Geometric {
     fn default() -> Self {
-        Geometric { tail: 32.0 }
+        Geometric::new(32.0)
     }
 }
 
@@ -73,7 +83,7 @@ mod tests {
 
     #[test]
     fn draws_are_in_range() {
-        let g = Geometric { tail: 5.0 };
+        let g = Geometric::new(5.0);
         let mut rng = SmallRng::seed_from_u64(1);
         for len in [1usize, 2, 3, 10, 1000] {
             for _ in 0..200 {
@@ -84,7 +94,7 @@ mod tests {
 
     #[test]
     fn head_gets_more_mass_than_tail() {
-        let g = Geometric { tail: 10.0 };
+        let g = Geometric::new(10.0);
         let mut rng = SmallRng::seed_from_u64(2);
         let mut counts = [0usize; 100];
         for _ in 0..20_000 {
@@ -98,7 +108,7 @@ mod tests {
     #[test]
     fn mean_tracks_tail_parameter() {
         let mut rng = SmallRng::seed_from_u64(3);
-        let g = Geometric { tail: 8.0 };
+        let g = Geometric::new(8.0);
         let n = 50_000;
         let sum: usize = (0..n).map(|_| g.draw(10_000, &mut rng)).sum();
         let mean = sum as f64 / n as f64;
@@ -109,10 +119,10 @@ mod tests {
     #[test]
     fn tail_fraction_helper_scales() {
         let g = Geometric::with_tail_fraction(1_000, 0.05);
-        assert!((g.tail - 50.0).abs() < 1e-9);
+        assert!((g.tail() - 50.0).abs() < 1e-9);
         // Degenerate list lengths clamp to 1.
         let g = Geometric::with_tail_fraction(3, 0.01);
-        assert_eq!(g.tail, 1.0);
+        assert_eq!(g.tail(), 1.0);
     }
 
     #[test]
@@ -126,7 +136,7 @@ mod tests {
     fn huge_tail_degrades_to_roughly_uniform() {
         // With tail ≫ len most inversions overflow and the fallback kicks in;
         // the distribution must still cover the whole range.
-        let g = Geometric { tail: 1e9 };
+        let g = Geometric::new(1e9);
         let mut rng = SmallRng::seed_from_u64(5);
         let mut seen_high = false;
         for _ in 0..500 {

@@ -119,7 +119,7 @@ proptest! {
     #[test]
     fn geometric_mass_is_monotone(tail in 1.0f64..64.0, len in 2usize..200, seed in 0u64..100) {
         // Earlier ranks receive at least as much mass as much-later ranks.
-        let g = Geometric { tail };
+        let g = Geometric::new(tail);
         let mut rng = SmallRng::seed_from_u64(seed);
         let mut counts = vec![0usize; len];
         for _ in 0..4_000 {

@@ -276,7 +276,7 @@ fn score_batch(
                 let u = clapf_data::UserId(job.key.user);
                 clapf_metrics::top_k_from_scores(
                     &score_bufs[idx],
-                    &model.train,
+                    &model.bundle.train,
                     u,
                     job.key.k,
                     items_scratch,

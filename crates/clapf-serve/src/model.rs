@@ -17,17 +17,15 @@
 //!    new generation starts empty and stale `put`s are discarded.
 
 use crate::bundle::{BundleError, ModelBundle};
-use clapf_data::{Interactions, UserId};
+use clapf_data::UserId;
 use std::path::Path;
 use std::sync::{Arc, RwLock};
 
 /// A validated bundle plus everything precomputed for request serving.
 pub struct ServingModel {
-    /// The loaded bundle (factors, id map, description).
+    /// The loaded bundle (factors, id map, description, and the training
+    /// interactions handlers exclude seen items with).
     pub bundle: ModelBundle,
-    /// Training interactions, rebuilt once so handlers can exclude seen
-    /// items without re-bucketing pairs per request.
-    pub train: Interactions,
     /// The cache generation this model was published under.
     pub generation: u64,
     /// FNV-1a hash of the bundle file bytes this model was loaded from
@@ -40,10 +38,8 @@ impl ServingModel {
     /// Loads and validates the bundle at `path`, stamping it `generation`.
     pub fn load(path: &Path, generation: u64) -> Result<Self, BundleError> {
         let (bundle, fingerprint) = ModelBundle::load_fingerprinted(path)?;
-        let train = bundle.train_interactions();
         Ok(ServingModel {
             bundle,
-            train,
             generation,
             fingerprint,
         })
@@ -127,10 +123,8 @@ pub(crate) mod tests {
             *model.bias_mut(ItemId(idx as u32)) = *b;
         }
         let bundle = ModelBundle::new("test".into(), model, loaded.ids, &loaded.interactions);
-        let train = bundle.train_interactions();
         ServingModel {
             bundle,
-            train,
             generation,
             fingerprint: 0,
         }
@@ -146,7 +140,7 @@ pub(crate) mod tests {
         // The pre-swap pin still reads the old model coherently.
         assert_eq!(pinned.generation, 0);
         let u = pinned.dense_user("u1").unwrap();
-        let top = clapf_metrics::top_k_for_user(&pinned.bundle.model, &pinned.train, u, 10);
+        let top = clapf_metrics::top_k_for_user(&pinned.bundle.model, &pinned.bundle.train, u, 10);
         // u1 trained on {a=0, b=1}; only c=2 is recommendable.
         assert_eq!(top.items, vec![ItemId(2)]);
         assert_eq!(pinned.raw_item(2), "c");

@@ -561,6 +561,55 @@ mod tests {
     }
 
     #[test]
+    fn long_list_dss_fits_match_pinned_fingerprints() {
+        // The tiny world above has no user with a long observed list, so
+        // the positive draw never leaves its small-list path there. This
+        // world's lists run to several hundred items, which takes the
+        // draw through its long-list path on most steps. The hashes were
+        // recorded with the full-sort positive draw's `u64` selection.
+        let cfg = WorldConfig {
+            n_users: 200,
+            n_items: 600,
+            target_pairs: 20_000,
+            ..WorldConfig::default()
+        };
+        let data = generate(&cfg, &mut SmallRng::seed_from_u64(5)).unwrap();
+        let longest = data.users().map(|u| data.items_of(u).len()).max().unwrap();
+        assert!(longest >= 300, "longest observed list {longest}");
+        for (name, mut sampler, base, want) in [
+            (
+                "map",
+                DssSampler::dss(DssMode::Map),
+                ClapfConfig::map(0.4),
+                0xc77d_ba98_71fa_5358,
+            ),
+            (
+                "mrr",
+                DssSampler::dss(DssMode::Mrr),
+                ClapfConfig::mrr(0.4),
+                0x6c1d_0e7a_ab95_721e,
+            ),
+            (
+                "positive_only",
+                DssSampler::positive_only(DssMode::Map),
+                ClapfConfig::map(0.4),
+                0xaf4b_d8f8_15c0_255b,
+            ),
+        ] {
+            let trainer = Clapf::new(ClapfConfig {
+                dim: 8,
+                iterations: 20_000,
+                ..base
+            });
+            let mut rng = SmallRng::seed_from_u64(17);
+            let (model, report) = trainer.fit(&data, &mut sampler, &mut rng);
+            assert!(!report.diverged, "{name}");
+            let got = model_bits_hash(&model.mf);
+            assert_eq!(got, want, "{name} fit: {got:#018x}");
+        }
+    }
+
+    #[test]
     fn lambda_zero_ignores_k_entirely() {
         // With λ = 0 the k coefficient is 0, so CLAPF must coincide with a
         // run where the sampler returns arbitrary k — i.e. behave as BPR.

@@ -83,9 +83,10 @@ grep -q '"recovered_byte_identical": *true' "$chaos_json" \
 grep -q '"readmissions": *[1-9]' "$chaos_json" \
   || { echo "chaos smoke: no evicted replica was ever re-admitted" >&2; exit 1; }
 
-echo "==> cargo build -p clapf-mf --no-default-features"
-# The portable kernels must stand alone with the simd feature off.
-cargo build -p clapf-mf --no-default-features
+echo "==> cargo test -q -p clapf-mf --no-default-features"
+# The portable kernels must stand alone with the simd feature off, and on
+# an AVX2 host this is the only run that tests them as the dispatched path.
+cargo test -q -p clapf-mf --no-default-features
 
 echo "==> cargo build -p clapf-serve --no-default-features"
 # The serve crate must build without the epoll FFI (scan-poller fallback).
