@@ -16,8 +16,8 @@
 //!   positive draw: the rank column (one order-preserving [`rank_bits`]
 //!   word per observed item, fetched by an AVX2 gather) and the one-pass
 //!   bracket that counts the words below a bound and packs those inside.
-//!   Apart from one `+ 0.0` (the same IEEE-754 addition on both paths)
-//!   they only move, flip and compare bits, so their two paths write the
+//!   They only move, flip and compare bits — no float arithmetic, whose
+//!   NaN signs the compiler may change — so their two paths write the
 //!   same words; the property tests check it on every length 0..=300.
 //!
 //! # Dispatch strategy
@@ -261,14 +261,17 @@ pub unsafe fn axpy_update_raw(row: *mut f32, grad: &[f32], step: f32, decay: f32
 
 /// The order-preserving `u32` image of `value` that the DSS rank keys are
 /// built from: unsigned integer order on the result is the float order of
-/// `value` (ascending, or descending when `descending`). `+ 0.0` folds
-/// -0.0 into 0.0, since the two compare equal as floats, and a NaN lands
-/// beyond the infinity of its sign instead of failing a comparison. The
-/// sign flip is branch-free: a negative float's bits are inverted, a
+/// `value` (ascending, or descending when `descending`). -0.0 folds into
+/// 0.0, since the two compare equal as floats, and a NaN lands beyond the
+/// infinity of its sign instead of failing a comparison. The fold works
+/// on the bits, not as `value + 0.0`: float arithmetic may return a NaN
+/// of either sign, and the optimizer may rewrite `-v + 0.0` as `0.0 - v`.
+/// The sign flip is branch-free: a negative float's bits are inverted, a
 /// non-negative one's get the top bit set.
 #[inline]
 pub fn rank_bits(value: f32, descending: bool) -> u32 {
-    let bits = (value + 0.0).to_bits();
+    let bits = value.to_bits();
+    let bits = if bits == 0x8000_0000 { 0 } else { bits };
     let ordered = bits ^ ((bits as i32 >> 31) as u32 | 0x8000_0000);
     ordered ^ descending_mask(descending)
 }
@@ -303,7 +306,7 @@ pub fn gather_rank_bits_portable(
 /// The rank column of the DSS positive draw: one [`rank_bits`] word per
 /// item, read from factor `q` of the row-major `dim`-wide `table`. The
 /// AVX2 path fetches eight factors per `_mm256_i32gather_ps` and applies
-/// the same negate, `+ 0.0` and sign flip lane by lane, so both paths
+/// the same negate, zero fold and sign flip lane by lane, so both paths
 /// write the same words.
 pub fn gather_rank_bits(
     table: &[f32],
@@ -446,13 +449,13 @@ mod avx2 {
     use super::LANES;
     use clapf_data::ItemId;
     use std::arch::x86_64::{
-        __m256, __m256i, _mm256_add_epi32, _mm256_add_ps, _mm256_castps256_ps128,
-        _mm256_castps_si256, _mm256_castsi256_ps, _mm256_cmpgt_epi32, _mm256_cvtepu8_epi32,
+        __m256, __m256i, _mm256_add_epi32, _mm256_add_ps, _mm256_andnot_si256,
+        _mm256_castps256_ps128, _mm256_castps_si256, _mm256_castsi256_ps, _mm256_cmpeq_epi32,
+        _mm256_cmpgt_epi32, _mm256_cvtepu8_epi32,
         _mm256_extractf128_ps, _mm256_hadd_ps, _mm256_i32gather_ps, _mm256_loadu_ps,
         _mm256_loadu_si256, _mm256_movemask_ps, _mm256_mul_ps, _mm256_mullo_epi32, _mm256_or_si256,
         _mm256_permutevar8x32_epi32, _mm256_set1_epi32, _mm256_set1_ps, _mm256_setzero_ps,
-        _mm256_srai_epi32, _mm256_storeu_ps, _mm256_storeu_si256, _mm256_sub_ps, _mm256_xor_ps,
-        _mm256_xor_si256, _mm_add_ps, _mm_add_ss, _mm_cvtsi64_si128, _mm_cvtss_f32, _mm_hadd_ps,
+        _mm256_srai_epi32, _mm256_storeu_ps, _mm256_storeu_si256, _mm256_sub_ps, _mm256_xor_si256, _mm_add_ps, _mm_add_ss, _mm_cvtsi64_si128, _mm_cvtss_f32, _mm_hadd_ps,
         _mm_movehdup_ps, _mm_storeu_ps,
     };
 
@@ -612,8 +615,8 @@ mod avx2 {
 
     /// Mirrors `gather_rank_bits_portable` eight items at a time: gather
     /// factor `q` of each item's row, XOR the sign with `negate` (what
-    /// scalar negation does), add 0.0, flip by the sign word, XOR with
-    /// `flip`. The last `< 8` items take the scalar `rank_bits`.
+    /// scalar negation does), fold -0.0 into 0.0, flip by the sign word,
+    /// XOR with `flip`. The last `< 8` items take the scalar `rank_bits`.
     ///
     /// # Safety
     /// The CPU must support AVX2. Every `items[t].0 · dim + q` must index
@@ -634,15 +637,16 @@ mod avx2 {
         // one vector of gather indices.
         let ids = items.as_ptr().cast::<__m256i>();
         let (vdim, vq) = (_mm256_set1_epi32(dim), _mm256_set1_epi32(q));
-        let vneg = _mm256_castsi256_ps(_mm256_set1_epi32(negate as i32));
+        let vneg = _mm256_set1_epi32(negate as i32);
         let top = _mm256_set1_epi32(i32::MIN);
         let vflip = _mm256_set1_epi32(flip as i32);
-        let zero = _mm256_setzero_ps();
         for c in 0..n / LANES {
             let id = _mm256_loadu_si256(ids.add(c));
             let at = _mm256_add_epi32(_mm256_mullo_epi32(id, vdim), vq);
             let v = _mm256_i32gather_ps::<4>(table, at);
-            let bits = _mm256_castps_si256(_mm256_add_ps(_mm256_xor_ps(v, vneg), zero));
+            let bits = _mm256_xor_si256(_mm256_castps_si256(v), vneg);
+            // -0.0 (the sign bit alone) becomes 0.0.
+            let bits = _mm256_andnot_si256(_mm256_cmpeq_epi32(bits, top), bits);
             let ordered =
                 _mm256_xor_si256(bits, _mm256_or_si256(_mm256_srai_epi32::<31>(bits), top));
             let word = _mm256_xor_si256(ordered, vflip);

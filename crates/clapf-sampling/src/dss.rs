@@ -856,9 +856,10 @@ mod tests {
             })
             .collect();
         keyed.sort_unstable_by(|a, b| {
-            // `+ 0.0` makes -0.0 and 0.0 equal; NaNs order beyond the
-            // infinity of their sign.
-            let ord = (a.0 + 0.0).total_cmp(&(b.0 + 0.0));
+            // -0.0 and 0.0 are equal; NaNs order beyond the infinity of
+            // their sign.
+            let fold = |x: f32| if x == 0.0 { 0.0 } else { x };
+            let ord = fold(a.0).total_cmp(&fold(b.0));
             match mode {
                 DssMode::Map => ord.then(a.1.cmp(&b.1)),
                 DssMode::Mrr => ord.reverse().then(a.1.cmp(&b.1)),
