@@ -423,6 +423,9 @@ mod tests {
 
     #[test]
     fn fleet_spec_round_trips_through_json() {
+        // `save` checks the `fleet.spec.save.*` failpoints, which the
+        // fault test below arms.
+        let _guard = clapf_faults::exclusive();
         let spec = FleetSpec {
             router: Some("127.0.0.1:4000".parse().unwrap()),
             replicas: vec![
