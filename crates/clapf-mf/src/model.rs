@@ -11,14 +11,14 @@ use crate::image::{ImageReader, ImageWriter};
 use crate::simd::{self, dot_bias, dot_bias_wide};
 use clapf_data::{ItemId, UserId};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Initialization strategy for factor matrices.
 ///
 /// The paper initializes `U_u, V_i, b_i` following Pan et al. (AAAI'12),
 /// i.e. small centered uniform noise; that is [`Init::SmallUniform`] with
 /// `scale = 0.01`, the default across the workspace.
-#[derive(Copy, Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Serialize)]
 pub enum Init {
     /// `(rand − 0.5) · scale` per entry.
     SmallUniform {
@@ -58,7 +58,7 @@ impl Init {
 ///
 /// Field names mirror the paper: `α_u` regularizes user factors, `α_v` item
 /// factors and `β_v` item biases; `γ` is the learning rate (Eq. 22).
-#[derive(Copy, Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Serialize)]
 pub struct SgdConfig {
     /// Learning rate `γ`.
     pub learning_rate: f32,
@@ -89,7 +89,7 @@ impl Default for SgdConfig {
 /// Parameters are stored as row-major `f32` blocks, one row of `dim` floats
 /// per user/item, which keeps a whole embedding on one or two cache lines
 /// for the paper's `d = 20`.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize)]
 pub struct MfModel {
     n_users: u32,
     n_items: u32,

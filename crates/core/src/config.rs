@@ -1,10 +1,10 @@
 //! CLAPF configuration.
 
 use clapf_mf::{Init, SgdConfig};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Which rank-biased measure the CLAPF instantiation is derived from.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq, Serialize)]
 pub enum ClapfMode {
     /// CLAPF-MAP (Eq. 16): listwise pair `k ≻ i`.
     Map,
@@ -27,7 +27,7 @@ impl std::fmt::Display for ClapfMode {
 /// The defaults keep training serial; parallel SGD is opt-in because its
 /// lock-free updates make runs non-reproducible across thread interleavings
 /// (except `threads = 1`, which is bit-identical to the serial path).
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq, Serialize)]
 pub struct ParallelConfig {
     /// Worker threads; `0` resolves to all available cores (the same
     /// convention as `EvalConfig::threads`), `1` reproduces the serial
@@ -71,7 +71,7 @@ impl ParallelConfig {
 }
 
 /// Hyper-parameters of a CLAPF run (Sec 4.2/4.3 and the grid of Sec 6.3).
-#[derive(Copy, Clone, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, Serialize)]
 pub struct ClapfConfig {
     /// Instantiation (MAP or MRR).
     pub mode: ClapfMode,
@@ -100,9 +100,6 @@ pub struct ClapfConfig {
     /// statistics) and breaks bit-reproducibility against serial runs
     /// recorded with it off. Elementwise update kernels vectorize
     /// unconditionally — they never reassociate, so they are exempt.
-    /// `#[serde(default)]` keeps models serialized before this
-    /// field existed loadable (they trained with the scalar kernel).
-    #[serde(default)]
     pub simd_training: bool,
 }
 
@@ -221,17 +218,9 @@ mod tests {
     }
 
     #[test]
-    fn simd_training_defaults_off_and_deserializes_when_absent() {
+    fn simd_training_defaults_off() {
         assert!(!ClapfConfig::map(0.4).simd_training);
-        // A config serialized before the field existed must still load —
-        // and must load with the kernel it actually trained with (scalar).
-        let json = serde_json::to_string(&ClapfConfig::map(0.4)).unwrap();
-        let stripped = json
-            .replace(",\"simd_training\":false", "")
-            .replace("\"simd_training\":false,", "");
-        assert_ne!(json, stripped, "field not found in serialized config");
-        let old: ClapfConfig = serde_json::from_str(&stripped).unwrap();
-        assert!(!old.simd_training);
+        assert!(!ClapfConfig::mrr(0.4).simd_training);
     }
 
     #[test]

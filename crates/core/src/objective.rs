@@ -152,7 +152,7 @@ pub fn clapf_coefficients(mode: crate::ClapfMode, lambda: f32) -> (f32, f32, f32
 /// paper's conclusion invites ("we encourage more smoothed listwise metrics
 /// to be optimized with our CLAPF framework"). Train custom instantiations
 /// through [`crate::ClapfStep::with_weights`] and [`crate::train`].
-#[derive(Copy, Clone, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, serde::Serialize)]
 pub struct CriterionWeights {
     /// Coefficient of the anchor observed item's score `f_ui`.
     pub c_i: f32,

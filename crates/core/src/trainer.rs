@@ -10,9 +10,10 @@ use clapf_sampling::{sample_observed_pair, TripleSampler};
 use clapf_telemetry::{NoopObserver, TrainObserver};
 use rand::{Rng, RngCore};
 
-/// A fitted CLAPF model. Serializable (JSON via serde) for persistence;
-/// see the `model_round_trips_through_serde` integration test.
-#[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
+/// A fitted CLAPF model: the learned factors and the configuration that
+/// produced them. Bundles and checkpoints persist the factors through
+/// `clapf_mf::image`.
+#[derive(Clone, Debug, serde::Serialize)]
 pub struct ClapfModel {
     /// The learned factors.
     pub mf: MfModel,

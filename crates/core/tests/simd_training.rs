@@ -3,7 +3,9 @@
 //! learning, and — because the kernel choice is per-fit, not per-thread —
 //! single-worker parallel training stays bit-identical to serial either way.
 
-use clapf_core::{Clapf, ClapfConfig, ClapfModel, FitOptions, Recommender};
+use clapf_core::{
+    CheckpointConfig, CheckpointError, Clapf, ClapfConfig, ClapfModel, FitOptions, Recommender,
+};
 use clapf_data::split::{split, Split, SplitStrategy};
 use clapf_data::synthetic::{generate, WorldConfig};
 use clapf_data::Interactions;
@@ -128,14 +130,33 @@ fn threads_1_is_bitwise_serial_with_wide_kernel() {
     assert_bitwise_equal(&serial, &parallel, &data);
 }
 
-/// The flag rides along in the serialized model (it documents which kernel
-/// produced the weights), and a serde round-trip scores identically.
+/// The kernel is part of a checkpoint's fingerprint: a wide-kernel
+/// checkpoint resumes under the wide kernel to the uninterrupted fit's
+/// weights, and refuses a scalar-kernel resume instead of splicing two
+/// trajectories.
 #[test]
-fn config_flag_survives_model_serde_round_trip() {
+fn a_checkpoint_resumes_only_under_the_kernel_it_trained_with() {
     let data = world(35);
-    let model = fit_serial(quick(true), &data, 3);
-    let json = serde_json::to_string(&model).unwrap();
-    let back: ClapfModel = serde_json::from_str(&json).unwrap();
-    assert!(back.config.simd_training);
-    assert_bitwise_equal(&model, &back, &data);
+    let dir = std::env::temp_dir().join(format!("clapf-simd-ckpt-{}", std::process::id()));
+    let ckpt = CheckpointConfig {
+        resume: false,
+        ..CheckpointConfig::new(&dir)
+    };
+    let fit = |cfg, ckpt| {
+        let opts = FitOptions {
+            checkpoint: Some(ckpt),
+            ..FitOptions::default()
+        };
+        Clapf::new(cfg).fit_with(&data, &mut UniformSampler, 3, opts)
+    };
+    let (wide, _) = fit(quick(true), &ckpt).unwrap();
+    let resume = CheckpointConfig {
+        resume: true,
+        ..ckpt.clone()
+    };
+    let (resumed, _) = fit(quick(true), &resume).unwrap();
+    assert_bitwise_equal(&wide, &resumed, &data);
+    let err = fit(quick(false), &resume).unwrap_err();
+    assert!(matches!(err, CheckpointError::Mismatch { .. }), "{err}");
+    std::fs::remove_dir_all(&dir).ok();
 }

@@ -44,20 +44,22 @@ echo "==> overhead gate: sampled tracing <=2% end-to-end at a 1-in-64 sample"
 target/release/overhead --fast --out "$smoke_dir/overhead" > "$smoke_dir/overhead.log" 2>&1 \
   || { echo "overhead gate failed:" >&2; cat "$smoke_dir/overhead.log" >&2; exit 1; }
 
+echo "==> epoch: Table 2's per-epoch times and the micro-rows, interleaved"
+# The binary exits 1 unless every lane did bit-identical work in every
+# round (each fit returns the same weights' norm, each micro-row the same
+# folded outputs). The committed ledger is results/BENCH_epoch.json.
+target/release/epoch --fast --out "$smoke_dir/epoch" > "$smoke_dir/epoch.log" 2>&1 \
+  || { echo "epoch failed:" >&2; cat "$smoke_dir/epoch.log" >&2; exit 1; }
+
 echo "==> serve_conns smoke: ~2k concurrent conns on the event loop"
 # The binary asserts the gates itself: every response bit-identical to the
 # offline evaluator across keep-alive rounds, the serve.conns gauge reaches
 # the connection count, and no server thread survives graceful shutdown.
 target/release/serve_conns > /dev/null
 
-echo "==> scale smoke: streaming build + mmap open + SIMD eval gates"
-# The binary itself asserts the smoke gates: nonzero training throughput,
-# mmap peak-RSS delta < 60% of the heap build, SIMD/scalar agreement.
-target/release/scale --smoke --out "$smoke_dir/scale" > /dev/null
-[ -s "$smoke_dir/scale/BENCH_scale.json" ] \
-  || { echo "scale smoke: no BENCH_scale.json written" >&2; exit 1; }
-grep -q '"tag": *"smoke"' "$smoke_dir/scale/BENCH_scale.json" \
-  || { echo "scale smoke: smoke row missing from report" >&2; exit 1; }
+# The scale smoke (scale --smoke: streaming build, mmap open, file-backed
+# fit, SIMD eval, and its report's smoke row) is
+# crates/bench/tests/smokes.rs, run by cargo test.
 
 # The fleet smoke (fleet serve --replicas 2: router /healthz, /recommend
 # across both replicas, a rollout under load with zero non-200s, kill -9 of

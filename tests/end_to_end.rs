@@ -6,6 +6,7 @@ use clapf::data::split::{Protocol, SplitStrategy};
 use clapf::data::synthetic::{generate, WorldConfig};
 use clapf::data::{Interactions, UserId};
 use clapf::metrics::{evaluate_serial, BulkScorer, EvalConfig, EvalReport};
+use clapf::mf::image::{ImageKind, ImageReader, ImageWriter};
 use clapf::{DssMode, DssSampler, Recommender, UniformSampler};
 use clapf_baselines::PopRank;
 use rand::rngs::SmallRng;
@@ -98,7 +99,7 @@ fn recommendations_exclude_training_items_and_rank_by_score() {
 }
 
 #[test]
-fn model_round_trips_through_serde() {
+fn model_round_trips_through_the_image() {
     let data = world(5);
     let mut rng = SmallRng::seed_from_u64(6);
     let trainer = Clapf::new(ClapfConfig {
@@ -108,13 +109,14 @@ fn model_round_trips_through_serde() {
     });
     let (model, _) = trainer.fit(&data, &mut UniformSampler, &mut rng);
 
-    let json = serde_json::to_string(&model.mf).expect("serialize");
-    let restored: clapf::mf::MfModel = serde_json::from_str(&json).expect("deserialize");
-    for u in 0..5u32 {
-        for i in 0..5u32 {
+    let bytes = ImageWriter::new(ImageKind::Bundle, &model.mf).finish();
+    let (restored, rest) = ImageReader::open(&bytes, ImageKind::Bundle).expect("decode");
+    rest.finish().expect("the model tables are the whole image");
+    for u in data.users() {
+        for i in data.items() {
             assert_eq!(
-                model.mf.score(UserId(u), clapf::ItemId(i)),
-                restored.score(UserId(u), clapf::ItemId(i))
+                model.mf.score(u, i).to_bits(),
+                restored.score(u, i).to_bits()
             );
         }
     }
