@@ -1,10 +1,10 @@
 //! The committed result ledgers must be what the code generates today.
-//! Table 1 is a pure function of the run scale and Table 2's metrics of
-//! the scale and seed, so any drift means either the code changed what it
-//! computes or the committed file went stale.
+//! Table 1 is a pure function of the run scale, and Table 2's metrics and
+//! Fig. 4's trajectories of the scale and seed, so any drift means either
+//! the code changed what it computes or the committed file went stale.
 
 use clapf_data::split::{Protocol, SplitStrategy};
-use clapf_eval::{table1, table2, Method, RunScale};
+use clapf_eval::{fig4, table1, table2, Method, RunScale};
 use serde::{Serialize, Value};
 
 /// The committed `results/{name}` as text.
@@ -116,4 +116,37 @@ fn committed_table2_fast_flixter_mf_rows_match_a_fresh_run() {
 #[test]
 fn committed_table2_fast_flixter_neural_rows_match_a_fresh_run() {
     check_table2_fast_flixter(is_neural);
+}
+
+/// One dataset of the committed `fig4-fast.json` — Flixter, the smallest
+/// world — regenerated through `fig4::run_spec`: every sampler's curve
+/// must match the committed one exactly. Its draws are the DSS sampler's,
+/// so this is the end-to-end pin on them. The file holds no wall times.
+#[test]
+fn committed_fig4_fast_flixter_matches_a_fresh_run() {
+    let scale = RunScale::fast();
+    let spec = scale
+        .datasets()
+        .into_iter()
+        .find(|s| s.name == "Flixter")
+        .expect("Flixter is a Fig. 4 dataset");
+    let fresh = fig4::run_spec(&spec, &scale).to_value();
+
+    let all: Value = serde_json::from_str(&committed("fig4-fast.json")).expect("JSON");
+    let stored = all
+        .as_seq()
+        .expect("a list of datasets")
+        .iter()
+        .find(|d| d.get("dataset").and_then(Value::as_str) == Some(spec.name))
+        .expect("Flixter is in fig4-fast.json");
+
+    let (fresh, stored) = (
+        serde_json::to_string_pretty(&fresh).unwrap(),
+        serde_json::to_string_pretty(stored).unwrap(),
+    );
+    assert!(
+        fresh == stored,
+        "results/fig4-fast.json (Flixter) is stale; regenerate it with \
+         `cargo run --release -p bench --bin fig4 -- --fast`.\nfresh:\n{fresh}"
+    );
 }

@@ -86,12 +86,6 @@ impl Interactions {
         self.items_of(u).len()
     }
 
-    /// Number of users that observed item `i` (its popularity).
-    #[inline]
-    pub fn degree_of_item(&self, i: ItemId) -> usize {
-        self.users_of(i).len()
-    }
-
     /// Whether the pair `(u, i)` is observed. `O(log n_u^+)`.
     #[inline]
     pub fn contains(&self, u: UserId, i: ItemId) -> bool {
@@ -106,11 +100,6 @@ impl Interactions {
     /// Iterator over every item id in the id space.
     pub fn items(&self) -> impl Iterator<Item = ItemId> + '_ {
         (0..self.n_items).map(ItemId)
-    }
-
-    /// Iterator over users that have at least one observed pair.
-    pub fn active_users(&self) -> impl Iterator<Item = UserId> + '_ {
-        self.users().filter(|&u| self.degree_of_user(u) > 0)
     }
 
     /// Iterator over all observed `(user, item)` pairs in user-major order.
@@ -264,7 +253,6 @@ mod tests {
     fn degree_accessors() {
         let d = small();
         assert_eq!(d.degree_of_user(UserId(1)), 2);
-        assert_eq!(d.degree_of_item(ItemId(2)), 2);
     }
 
     #[test]
@@ -273,7 +261,6 @@ mod tests {
         b.push(UserId(0), ItemId(0)).unwrap();
         let d = b.build().unwrap();
         assert!(d.items_of(UserId(1)).is_empty());
-        assert_eq!(d.active_users().count(), 1);
     }
 
     #[test]

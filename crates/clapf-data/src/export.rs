@@ -5,7 +5,7 @@
 //! [`crate::loader::load_ratings_reader`] — handy for handing synthetic
 //! worlds to other tooling or for caching expensive generations.
 
-use crate::{DataError, Interactions, ItemId, UserId};
+use crate::{DataError, Interactions};
 use rand::seq::SliceRandom;
 use rand::Rng;
 use std::io::Write;
@@ -48,46 +48,11 @@ pub fn subsample_pairs<R: Rng>(
     b.build()
 }
 
-/// Restricts the dataset to the `n_users`/`n_items` most active users and
-/// most popular items, re-mapping ids densely. The standard "core" shrink
-/// used to scale public datasets down.
-///
-/// Returns the shrunken interactions together with the kept original ids
-/// (`users[new] = old`, `items[new] = old`).
-pub fn head_subset(
-    data: &Interactions,
-    n_users: u32,
-    n_items: u32,
-) -> Result<(Interactions, Vec<UserId>, Vec<ItemId>), DataError> {
-    if n_users == 0 || n_items == 0 {
-        return Err(DataError::Empty);
-    }
-    let mut users: Vec<UserId> = data.users().collect();
-    users.sort_by_key(|&u| std::cmp::Reverse(data.degree_of_user(u)));
-    users.truncate(n_users as usize);
-    users.sort_unstable();
-
-    let mut items: Vec<ItemId> = data.items().collect();
-    items.sort_by_key(|&i| std::cmp::Reverse(data.degree_of_item(i)));
-    items.truncate(n_items as usize);
-    items.sort_unstable();
-
-    let mut b = crate::InteractionsBuilder::new(users.len() as u32, items.len() as u32);
-    for (new_u, &u) in users.iter().enumerate() {
-        for &i in data.items_of(u) {
-            if let Ok(new_i) = items.binary_search(&i) {
-                b.push(UserId(new_u as u32), ItemId(new_i as u32))?;
-            }
-        }
-    }
-    Ok((b.build()?, users, items))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::loader::{load_ratings_reader, Separator};
-    use crate::InteractionsBuilder;
+    use crate::{InteractionsBuilder, ItemId, UserId};
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
@@ -143,29 +108,5 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(3);
         assert!(subsample_pairs(&d, 0.0, &mut rng).is_err());
         assert!(subsample_pairs(&d, 1.5, &mut rng).is_err());
-    }
-
-    #[test]
-    fn head_subset_keeps_most_active() {
-        let d = data();
-        // Top-2 users by degree: u0 (3), u2 (2). Top-3 items: i0 (3), then
-        // ties among {1, 2, 3, 4} broken by the sort's ordering.
-        let (sub, users, items) = head_subset(&d, 2, 3).unwrap();
-        assert_eq!(users.len(), 2);
-        assert!(users.contains(&UserId(0)));
-        assert!(users.contains(&UserId(2)));
-        assert_eq!(items.len(), 3);
-        assert!(items.contains(&ItemId(0)));
-        assert!(sub.n_pairs() >= 2);
-        // Dense remap: ids are within the new ranges.
-        for (u, i) in sub.pairs() {
-            assert!(u.0 < 2 && i.0 < 3);
-        }
-    }
-
-    #[test]
-    fn head_subset_rejects_zero() {
-        let d = data();
-        assert!(head_subset(&d, 0, 3).is_err());
     }
 }

@@ -115,11 +115,6 @@ impl IdMap {
         self.user_to_dense.get(raw).copied().map(UserId)
     }
 
-    /// The dense id of a raw item id.
-    pub fn dense_item(&self, raw: &str) -> Option<ItemId> {
-        self.item_to_dense.get(raw).copied().map(ItemId)
-    }
-
     /// Number of distinct users seen.
     pub fn n_users(&self) -> u32 {
         self.dense_to_user.len() as u32
@@ -282,8 +277,8 @@ mod tests {
         let loaded = load_ratings_reader(Cursor::new(data), Separator::Tab, 3.0).unwrap();
         assert_eq!(loaded.ids.dense_user("42"), Some(UserId(0)));
         assert_eq!(loaded.ids.dense_user("7"), Some(UserId(1)));
-        assert_eq!(loaded.ids.dense_item("900"), Some(ItemId(0)));
-        assert_eq!(loaded.ids.dense_item("901"), Some(ItemId(1)));
+        assert_eq!(loaded.ids.raw_item(ItemId(0)), Some("900"));
+        assert_eq!(loaded.ids.raw_item(ItemId(1)), Some("901"));
         assert_eq!(loaded.ids.dense_user("999"), None);
     }
 

@@ -8,6 +8,7 @@ use crate::report::render_table;
 use crate::RunScale;
 use clapf_core::{Clapf, ClapfConfig, ClapfMode, FitOptions};
 use clapf_data::split::{Protocol, SplitStrategy};
+use clapf_data::synthetic::DatasetSpec;
 use clapf_data::Interactions;
 
 use clapf_mf::MfModel;
@@ -158,20 +159,26 @@ pub fn run_dataset(
     }
 }
 
+/// Runs the convergence experiment on one dataset of `scale`, on the
+/// first fold its protocol draws.
+pub fn run_spec(spec: &DatasetSpec, scale: &RunScale) -> Convergence {
+    let data = spec.generate();
+    let protocol = Protocol {
+        repeats: 1,
+        train_fraction: 0.5,
+        strategy: SplitStrategy::GlobalPairs,
+        base_seed: scale.seed ^ spec.seed,
+    };
+    let fold = &protocol.folds(&data).expect("datasets are splittable")[0];
+    run_dataset(spec.name, &fold.train, &fold.test, scale, fold.seed)
+}
+
 /// Runs the convergence experiment on every dataset at `scale`.
 pub fn run(scale: &RunScale, mut progress: impl FnMut(&str)) -> Vec<Convergence> {
     let mut out = Vec::new();
     for spec in scale.datasets() {
         progress(&format!("dataset {}", spec.name));
-        let data = spec.generate();
-        let protocol = Protocol {
-            repeats: 1,
-            train_fraction: 0.5,
-            strategy: SplitStrategy::GlobalPairs,
-            base_seed: scale.seed ^ spec.seed,
-        };
-        let fold = &protocol.folds(&data).expect("datasets are splittable")[0];
-        let conv = run_dataset(spec.name, &fold.train, &fold.test, scale, fold.seed);
+        let conv = run_spec(&spec, scale);
         for t in &conv.trajectories {
             progress(&format!(
                 "  {} {}: final MAP {:.3}",

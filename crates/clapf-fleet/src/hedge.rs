@@ -24,19 +24,20 @@ use clapf_serve::Reply;
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
+/// Lower clamp on the hedge delay (don't hedge the healthy fast path).
+const MIN_DELAY: Duration = Duration::from_millis(2);
+/// Upper clamp on the hedge delay.
+const MAX_DELAY: Duration = Duration::from_millis(250);
+/// Latency observations required before hedging arms.
+const MIN_SAMPLES: usize = 64;
+
 /// When and how aggressively the router hedges.
 #[derive(Clone, Copy, Debug)]
 pub struct HedgePolicy {
     /// Master switch.
     pub enabled: bool,
-    /// Lower clamp on the hedge delay (don't hedge the healthy fast path).
-    pub min_delay: Duration,
-    /// Upper clamp on the hedge delay.
-    pub max_delay: Duration,
     /// Tokens earned per proxied request; one hedge spends one token.
     pub budget_ratio: f64,
-    /// Latency observations required before hedging arms.
-    pub min_samples: usize,
     /// Test hook: a fixed delay overriding the p99 estimate.
     pub fixed_delay: Option<Duration>,
 }
@@ -45,10 +46,7 @@ impl Default for HedgePolicy {
     fn default() -> Self {
         HedgePolicy {
             enabled: true,
-            min_delay: Duration::from_millis(2),
-            max_delay: Duration::from_millis(250),
             budget_ratio: 0.1,
-            min_samples: 64,
             fixed_delay: None,
         }
     }
@@ -121,8 +119,8 @@ pub fn hedge_delay(policy: &HedgePolicy, window: &LatencyWindow) -> Option<Durat
     if let Some(fixed) = policy.fixed_delay {
         return Some(fixed);
     }
-    let p99 = window.p99(policy.min_samples)?;
-    Some(p99.clamp(policy.min_delay, policy.max_delay))
+    let p99 = window.p99(MIN_SAMPLES)?;
+    Some(p99.clamp(MIN_DELAY, MAX_DELAY))
 }
 
 /// One primary request handed to the helper thread.
@@ -275,17 +273,16 @@ mod tests {
 
     #[test]
     fn hedge_delay_respects_policy_gates() {
-        let w = LatencyWindow::new(64);
-        let mut policy = HedgePolicy {
-            min_samples: 4,
-            ..HedgePolicy::default()
-        };
+        let w = LatencyWindow::new(MIN_SAMPLES);
+        let mut policy = HedgePolicy::default();
         assert_eq!(hedge_delay(&policy, &w), None, "cold window: no hedging");
-        for _ in 0..8 {
+        for _ in 0..MIN_SAMPLES - 1 {
             w.observe(Duration::from_micros(10));
         }
+        assert_eq!(hedge_delay(&policy, &w), None, "still warming up");
+        w.observe(Duration::from_micros(10));
         let d = hedge_delay(&policy, &w).unwrap();
-        assert_eq!(d, policy.min_delay, "fast fleet clamps to min_delay");
+        assert_eq!(d, MIN_DELAY, "fast fleet clamps to MIN_DELAY");
         policy.fixed_delay = Some(Duration::from_millis(7));
         assert_eq!(hedge_delay(&policy, &w), Some(Duration::from_millis(7)));
         policy.enabled = false;

@@ -38,6 +38,10 @@ use std::time::{Duration, Instant};
 const READ_POLL: Duration = Duration::from_millis(250);
 /// Idle keep-alive connections are closed after this long without a request.
 const KEEP_ALIVE_IDLE: Duration = Duration::from_secs(30);
+/// Retry-budget tokens earned per proxied request (a retry spends 1).
+const RETRY_BUDGET_RATIO: f64 = 0.2;
+/// Retry- and hedge-budget bucket capacity, in whole tokens.
+const RETRY_BUDGET_CAP: u64 = 10;
 
 /// How a router is sized and wired.
 #[derive(Clone, Debug)]
@@ -72,10 +76,6 @@ pub struct RouterConfig {
     pub lease_ttl: Duration,
     /// Circuit-breaker thresholds shared by every slot.
     pub breaker: BreakerConfig,
-    /// Retry-budget tokens earned per proxied request (a retry spends 1).
-    pub retry_budget_ratio: f64,
-    /// Retry-budget bucket capacity, in whole tokens.
-    pub retry_budget_cap: u64,
     /// When and how aggressively reads are hedged.
     pub hedge: HedgePolicy,
     /// Entries in the degraded-mode fallback cache (0 disables it).
@@ -97,8 +97,6 @@ impl Default for RouterConfig {
             trace_sample: 0,
             lease_ttl: Duration::from_secs(3),
             breaker: BreakerConfig::default(),
-            retry_budget_ratio: 0.2,
-            retry_budget_cap: 10,
             hedge: HedgePolicy::default(),
             fallback_cache: 512,
         }
@@ -471,9 +469,9 @@ pub fn start_router(
         write_timeout: config.write_timeout,
         pause_max_wait: config.pause_max_wait,
         pause_guard: config.pause_guard,
-        retry_budget: RetryBudget::new(config.retry_budget_ratio, config.retry_budget_cap),
+        retry_budget: RetryBudget::new(RETRY_BUDGET_RATIO, RETRY_BUDGET_CAP),
         hedge: config.hedge,
-        hedge_budget: RetryBudget::new(config.hedge.budget_ratio, config.retry_budget_cap.max(4)),
+        hedge_budget: RetryBudget::new(config.hedge.budget_ratio, RETRY_BUDGET_CAP),
         latency: LatencyWindow::new(512),
         fallback: FallbackCache::new(config.fallback_cache),
         started: Instant::now(),

@@ -137,15 +137,6 @@ impl EvalReport {
         self.topk[&k].ndcg
     }
 
-    /// Convenience accessor: `Precision@k`.
-    pub fn precision_at(&self, k: usize) -> f64 {
-        self.topk[&k].precision
-    }
-
-    /// Convenience accessor: `Recall@k`.
-    pub fn recall_at(&self, k: usize) -> f64 {
-        self.topk[&k].recall
-    }
 }
 
 #[derive(Clone, Default)]
@@ -703,8 +694,6 @@ mod tests {
         let scorer = oracle(test.clone());
         let report = evaluate_serial(&scorer, &train, &test, &EvalConfig::at_5());
         assert!(report.ndcg_at(5) > 0.0);
-        assert!(report.precision_at(5) > 0.0);
-        assert!(report.recall_at(5) > 0.0);
         let caught = std::panic::catch_unwind(|| report.ndcg_at(99));
         assert!(caught.is_err());
     }

@@ -30,7 +30,6 @@ mod evaluate;
 mod ranked;
 mod rankmetrics;
 mod recommend;
-pub mod sampled;
 mod stats;
 mod topk;
 

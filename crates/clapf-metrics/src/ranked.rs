@@ -24,14 +24,6 @@ impl RankedList {
     pub fn is_empty(&self) -> bool {
         self.items.is_empty()
     }
-
-    /// 1-based rank of `item`, if it is in the list. `O(len)` — intended
-    /// for the short top-k prefix lists produced by [`top_k_ranked`]; exact
-    /// ranks over a full candidate set come from [`CountingRanks`], which
-    /// never materializes the ranking at all.
-    pub fn rank_of(&self, item: ItemId) -> Option<usize> {
-        self.items.iter().position(|&i| i == item).map(|p| p + 1)
-    }
 }
 
 /// Exact ranks of a user's relevant items, computed by counting instead of
@@ -276,8 +268,6 @@ mod tests {
         let scores = vec![0.9, 0.8, 0.7];
         let r = rank_all(&scores, |i| i != ItemId(0));
         assert_eq!(r.items, vec![ItemId(1), ItemId(2)]);
-        assert_eq!(r.rank_of(ItemId(0)), None);
-        assert_eq!(r.rank_of(ItemId(2)), Some(2));
     }
 
     #[test]
@@ -327,7 +317,7 @@ mod tests {
         let full = rank_all(scores, is_candidate);
         let mut r: Vec<usize> = relevant
             .iter()
-            .filter_map(|&i| full.rank_of(i))
+            .filter_map(|&i| full.items.iter().position(|&x| x == i).map(|p| p + 1))
             .collect();
         r.sort_unstable();
         r

@@ -37,15 +37,6 @@ impl SquareMatrix {
         }
     }
 
-    /// The identity scaled by `lambda` (the ridge term of ALS).
-    pub fn scaled_identity(n: usize, lambda: f64) -> Self {
-        let mut m = Self::zeros(n);
-        for i in 0..n {
-            m[(i, i)] = lambda;
-        }
-        m
-    }
-
     /// Order of the matrix.
     pub fn order(&self) -> usize {
         self.n
@@ -63,21 +54,6 @@ impl SquareMatrix {
                 *item += xr * x[c];
             }
         }
-    }
-
-    /// Matrix-vector product `A x`.
-    #[inline]
-    pub fn mul_vec(&self, x: &[f64]) -> Vec<f64> {
-        assert_eq!(x.len(), self.n);
-        (0..self.n)
-            .map(|r| {
-                self.data[r * self.n..(r + 1) * self.n]
-                    .iter()
-                    .zip(x)
-                    .map(|(a, b)| a * b)
-                    .sum()
-            })
-            .collect()
     }
 
     /// Solves `A x = b` for symmetric positive-definite `A` via Cholesky,
@@ -145,9 +121,18 @@ impl std::ops::IndexMut<(usize, usize)> for SquareMatrix {
 mod tests {
     use super::*;
 
+    /// The identity scaled by `lambda` (the ridge term of ALS).
+    fn scaled_identity(n: usize, lambda: f64) -> SquareMatrix {
+        let mut m = SquareMatrix::zeros(n);
+        for i in 0..n {
+            m[(i, i)] = lambda;
+        }
+        m
+    }
+
     #[test]
     fn identity_solves_trivially() {
-        let a = SquareMatrix::scaled_identity(3, 1.0);
+        let a = scaled_identity(3, 1.0);
         let mut b = vec![1.0, 2.0, 3.0];
         a.cholesky_solve_into(&mut b).unwrap();
         assert_eq!(b, vec![1.0, 2.0, 3.0]);
@@ -155,7 +140,7 @@ mod tests {
 
     #[test]
     fn scaled_identity_divides() {
-        let a = SquareMatrix::scaled_identity(2, 4.0);
+        let a = scaled_identity(2, 4.0);
         let mut b = vec![8.0, 2.0];
         a.cholesky_solve_into(&mut b).unwrap();
         assert_eq!(b, vec![2.0, 0.5]);
@@ -178,7 +163,7 @@ mod tests {
     #[test]
     fn outer_products_build_normal_equations() {
         // A = λI + Σ x xᵀ for x in {e0·2, [1,1]}
-        let mut a = SquareMatrix::scaled_identity(2, 0.5);
+        let mut a = scaled_identity(2, 0.5);
         a.add_outer(&[2.0, 0.0], 1.0);
         a.add_outer(&[1.0, 1.0], 3.0);
         assert!((a[(0, 0)] - (0.5 + 4.0 + 3.0)).abs() < 1e-12);
@@ -189,12 +174,14 @@ mod tests {
 
     #[test]
     fn solve_round_trips_through_mul() {
-        let mut a = SquareMatrix::scaled_identity(4, 1.0);
+        let mut a = scaled_identity(4, 1.0);
         a.add_outer(&[1.0, 2.0, 3.0, 4.0], 0.5);
         a.add_outer(&[-1.0, 0.5, 0.0, 2.0], 1.5);
         let x_true = vec![0.3, -0.7, 1.1, 0.05];
-        let mut b = a.mul_vec(&x_true);
-        a.clone().cholesky_solve_into(&mut b).unwrap();
+        let mut b: Vec<f64> = (0..4)
+            .map(|r| (0..4).map(|c| a[(r, c)] * x_true[c]).sum())
+            .collect();
+        a.cholesky_solve_into(&mut b).unwrap();
         for (xi, ti) in b.iter().zip(&x_true) {
             assert!((xi - ti).abs() < 1e-10, "{xi} vs {ti}");
         }

@@ -2,7 +2,7 @@
 //!
 //! The dense-f32 arithmetic lives in [`crate::simd`]; this module only
 //! decides *which* kernel each entry point uses. [`MfModel::score`] stays on
-//! the scalar kernel (its exact operation order is what default training
+//! the scalar kernel (its exact operation order is what training
 //! trajectories are pinned to), while the bulk inference paths
 //! ([`MfModel::scores_for_user`], [`MfModel::scores_for_users`]) use the
 //! wide kernels.
@@ -203,21 +203,11 @@ impl MfModel {
     ///
     /// Uses the scalar [`dot_bias`] kernel on purpose: this is the scoring
     /// path inside `sgd_step` and the samplers, and its exact operation
-    /// order is what keeps default training trajectories bit-identical
-    /// across releases. The trainer's opt-in SIMD mode goes through
-    /// [`score_wide`](MfModel::score_wide) instead.
+    /// order is what keeps training trajectories bit-identical
+    /// across releases.
     #[inline]
     pub fn score(&self, u: UserId, i: ItemId) -> f32 {
         dot_bias(self.user(u), self.item(i), self.item_bias[i.index()])
-    }
-
-    /// Predicted relevance via the wide (8-lane) kernel — the same value as
-    /// [`score`](MfModel::score) up to f32 summation order, and exactly the
-    /// per-pair arithmetic of [`scores_for_user`](MfModel::scores_for_user).
-    /// The trainer uses it when the `simd_training` config flag is set.
-    #[inline]
-    pub fn score_wide(&self, u: UserId, i: ItemId) -> f32 {
-        dot_bias_wide(self.user(u), self.item(i), self.item_bias[i.index()])
     }
 
     /// Writes the scores of user `u` against every item into `out`
@@ -294,14 +284,6 @@ impl MfModel {
                 out[vi] = dot_bias(self.user(u), vf, b);
             }
         }
-    }
-
-    /// Copies the factor row of item `i` into `buf` (length `dim`).
-    /// Convenience for SGD kernels that must read several rows while
-    /// mutating others.
-    #[inline]
-    pub fn copy_item_into(&self, i: ItemId, buf: &mut [f32]) {
-        buf.copy_from_slice(self.item(i));
     }
 
     /// Copies the factor row of user `u` into `buf` (length `dim`).
@@ -541,17 +523,6 @@ mod tests {
                     m.score(u, ItemId(i)).to_bits()
                 );
             }
-        }
-    }
-
-    #[test]
-    fn wide_score_agrees_with_scalar_score() {
-        let mut rng = SmallRng::seed_from_u64(22);
-        let m = MfModel::new(4, 9, 20, Init::SmallUniform { scale: 0.5 }, &mut rng);
-        for i in 0..9u32 {
-            let s = m.score(UserId(1), ItemId(i));
-            let w = m.score_wide(UserId(1), ItemId(i));
-            assert!((s - w).abs() < 1e-5, "item {i}: {s} vs {w}");
         }
     }
 

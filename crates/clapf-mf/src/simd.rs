@@ -5,7 +5,7 @@
 //! * [`dot`] / [`dot_bias`] — the historical scalar kernels (4 independent
 //!   accumulator lanes), moved here verbatim from `model.rs` so there is
 //!   exactly one definition. [`MfModel::score`](crate::MfModel::score) still
-//!   uses them, which keeps default training trajectories bit-identical to
+//!   uses them, which keeps training trajectories bit-identical to
 //!   every release before the wide kernels existed.
 //! * [`dot_wide`] / [`dot_bias_wide`] — the 8-lane wide kernels behind bulk
 //!   scoring ([`scores_for_user`](crate::MfModel::scores_for_user) and the
@@ -49,9 +49,9 @@
 //!
 //! * **Inference scoring** uses the wide kernels by default; correctness is
 //!   pinned against the portable wide kernel, not against historical output.
-//! * **Training** keeps the scalar [`dot`] inside `sgd_step` unless the
-//!   opt-in `simd_training` config flag is set, so default training runs
-//!   (and the `threads = 1` bit-identity guarantee) are unchanged.
+//! * **Training** scores with the scalar [`dot`] inside `sgd_step`, so
+//!   training runs (and the `threads = 1` bit-identity guarantee) are
+//!   unchanged.
 //! * **Elementwise updates** ([`axpy_update`], [`saxpy`]) never reassociate
 //!   — lane `t` only ever touches element `t` — so they are bit-identical
 //!   to the scalar loops they replace and are used unconditionally.
@@ -70,7 +70,7 @@ pub const LANES: usize = 8;
 /// (f32 addition is not associative, so a single-lane loop forms a
 /// dependency chain the optimizer must preserve). This is the kernel
 /// [`MfModel::score`](crate::MfModel::score) uses, and its exact operation
-/// order is load-bearing: default training trajectories depend on it.
+/// order is load-bearing: training trajectories depend on it.
 #[inline]
 pub fn dot(a: &[f32], b: &[f32]) -> f32 {
     debug_assert_eq!(a.len(), b.len());

@@ -34,6 +34,13 @@ pub enum Transport {
     EventLoop,
 }
 
+/// Top-k cache lock shards.
+const CACHE_SHARDS: usize = 8;
+/// `k` used when the request has no `?k=` parameter.
+const DEFAULT_K: usize = 10;
+/// Largest accepted `k` (caps per-request work).
+const MAX_K: usize = 1000;
+
 /// How a server is sized and where it listens.
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
@@ -43,12 +50,6 @@ pub struct ServeConfig {
     pub workers: usize,
     /// Total top-k cache entries (0 disables caching).
     pub cache_capacity: usize,
-    /// Cache lock shards.
-    pub cache_shards: usize,
-    /// `k` used when the request has no `?k=` parameter.
-    pub default_k: usize,
-    /// Largest accepted `k` (caps per-request work).
-    pub max_k: usize,
     /// Poll interval for the bundle-file watcher; `None` disables watching
     /// (reloads then only happen via `POST /reload`).
     pub watch_poll: Option<Duration>,
@@ -93,9 +94,6 @@ impl Default for ServeConfig {
             addr: "127.0.0.1:0".into(),
             workers: 4,
             cache_capacity: 4096,
-            cache_shards: 8,
-            default_k: 10,
-            max_k: 1000,
             watch_poll: None,
             read_cap: Duration::from_secs(10),
             write_timeout: Duration::from_secs(10),
@@ -146,8 +144,6 @@ pub(crate) struct Shared {
     reload_lock: Mutex<()>,
     pub(crate) shutdown: AtomicBool,
     pub(crate) addr: SocketAddr,
-    default_k: usize,
-    max_k: usize,
     pub(crate) read_cap: Duration,
     pub(crate) write_timeout: Duration,
     /// Head-based request sampler; finished traces feed `/debug/traces`
@@ -388,15 +384,13 @@ pub fn start(
 
     let shared = Arc::new(Shared {
         slot: ModelSlot::new(model),
-        cache: TopKCache::new(config.cache_capacity, config.cache_shards),
+        cache: TopKCache::new(config.cache_capacity, CACHE_SHARDS),
         registry,
         bundle_path,
         staged: Mutex::new(None),
         reload_lock: Mutex::new(()),
         shutdown: AtomicBool::new(false),
         addr,
-        default_k: config.default_k,
-        max_k: config.max_k.max(1),
         read_cap: config.read_cap,
         write_timeout: config.write_timeout,
         tracer: Tracer::new(config.trace_sample, 256, 8),
@@ -811,13 +805,13 @@ fn recommend_route(
         return Routed::Immediate(Response::error(404, "expected /recommend/{user}"));
     }
     let k = match req.query_value("k") {
-        None => shared.default_k,
+        None => DEFAULT_K,
         Some(v) => match v.parse::<usize>() {
-            Ok(k) if (1..=shared.max_k).contains(&k) => k,
+            Ok(k) if (1..=MAX_K).contains(&k) => k,
             Ok(_) => {
                 return Routed::Immediate(Response::error(
                     400,
-                    &format!("k must be between 1 and {}", shared.max_k),
+                    &format!("k must be between 1 and {MAX_K}"),
                 ))
             }
             Err(_) => {

@@ -202,11 +202,6 @@ impl Trace {
         self.mark = Instant::now();
     }
 
-    /// Moves the lap mark to an explicit instant.
-    pub fn rebase_at(&mut self, at: Instant) {
-        self.mark = at;
-    }
-
     /// Records a span over an explicit `[start, end]` window (for work
     /// timed on another thread and fanned back into this trace).
     pub fn span_between(&mut self, stage: Stage, start: Instant, end: Instant) {
@@ -430,11 +425,6 @@ impl TraceRing {
         self.slots.len()
     }
 
-    /// Traces pushed over the ring's lifetime (wraps count as pushes).
-    pub fn pushed(&self) -> u64 {
-        self.head.load(Ordering::Relaxed)
-    }
-
     fn push_words(&self, words: &[u64; SLOT_WORDS]) {
         let seq = self.head.fetch_add(1, Ordering::Relaxed);
         let slot = &self.slots[(seq % self.slots.len() as u64) as usize];
@@ -547,7 +537,7 @@ impl SlowLog {
 /// and slow log in one shareable handle.
 pub struct Tracer {
     /// Sample 1-in-`every` requests; 0 disables tracing entirely.
-    every: AtomicU64,
+    every: u64,
     counter: AtomicU64,
     ring: TraceRing,
     slow: SlowLog,
@@ -558,7 +548,7 @@ impl Tracer {
     /// `ring_capacity` recent traces and a log of `slow_capacity` slowest.
     pub fn new(sample_every: u64, ring_capacity: usize, slow_capacity: usize) -> Tracer {
         Tracer {
-            every: AtomicU64::new(sample_every),
+            every: sample_every,
             counter: AtomicU64::new(0),
             ring: TraceRing::new(ring_capacity),
             slow: SlowLog::new(slow_capacity),
@@ -570,27 +560,22 @@ impl Tracer {
         Tracer::new(0, 1, 1)
     }
 
-    /// Whether sampling is currently enabled.
+    /// Whether sampling is enabled.
     pub fn enabled(&self) -> bool {
-        self.every.load(Ordering::Relaxed) != 0
+        self.every != 0
     }
 
-    /// The current 1-in-N sampling rate (0 = off).
+    /// The 1-in-N sampling rate (0 = off).
     pub fn sample_every(&self) -> u64 {
-        self.every.load(Ordering::Relaxed)
-    }
-
-    /// Changes the sampling rate at runtime (0 = off).
-    pub fn set_sample_every(&self, every: u64) {
-        self.every.store(every, Ordering::Relaxed);
+        self.every
     }
 
     /// The head-based sampling decision: `None` for unsampled requests
-    /// (a single relaxed load when tracing is off), a fresh [`TraceId`]
+    /// (a single branch when tracing is off), a fresh [`TraceId`]
     /// for every `every`-th request. Call once per request and carry the
     /// decision — never re-sample mid-request.
     pub fn sample(&self) -> Option<TraceId> {
-        let every = self.every.load(Ordering::Relaxed);
+        let every = self.every;
         if every == 0 {
             return None;
         }
@@ -743,8 +728,6 @@ mod tests {
         let tr = Tracer::disabled();
         assert!(!tr.enabled());
         assert!((0..1000).all(|_| tr.sample().is_none()));
-        tr.set_sample_every(1);
-        assert!(tr.sample().is_some());
     }
 
     #[test]

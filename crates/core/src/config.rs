@@ -93,14 +93,6 @@ pub struct ClapfConfig {
     pub refresh_every: usize,
     /// Multi-threaded training settings used by `Clapf::fit_with`.
     pub parallel: ParallelConfig,
-    /// Use the reassociating wide (SIMD) dot kernel for the three score
-    /// evaluations inside each SGD step. Off by default: the wide kernel
-    /// sums lanes in a different order than the scalar kernel, so enabling
-    /// it changes the training trajectory (by float-rounding noise, not by
-    /// statistics) and breaks bit-reproducibility against serial runs
-    /// recorded with it off. Elementwise update kernels vectorize
-    /// unconditionally — they never reassociate, so they are exempt.
-    pub simd_training: bool,
 }
 
 impl ClapfConfig {
@@ -115,7 +107,6 @@ impl ClapfConfig {
             init: Init::default(),
             refresh_every: 0,
             parallel: ParallelConfig::default(),
-            simd_training: false,
         }
     }
 
@@ -215,12 +206,6 @@ mod tests {
         };
         assert!(p.resolve_threads() >= 1);
         assert_eq!(p.resolve_chunk(), 256);
-    }
-
-    #[test]
-    fn simd_training_defaults_off() {
-        assert!(!ClapfConfig::map(0.4).simd_training);
-        assert!(!ClapfConfig::mrr(0.4).simd_training);
     }
 
     #[test]

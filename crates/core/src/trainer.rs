@@ -266,13 +266,9 @@ impl<S: TripleSampler> Step for ClapfStep<S> {
             ("refresh", plan.epoch_steps.to_string()),
             ("sampler", self.sampler.name().to_string()),
             ("seed", seed.to_string()),
-            // The score-kernel choice changes per-step rounding, so resuming
-            // a scalar-kernel checkpoint under the wide kernel (or vice
-            // versa) would splice two different trajectories.
-            (
-                "kernel",
-                if cfg.simd_training { "wide" } else { "scalar" }.to_string(),
-            ),
+            // Training always scores with the scalar kernel; the entry stays
+            // so that checkpoints written with it still resume.
+            ("kernel", "scalar".to_string()),
         ]
     }
 
@@ -318,17 +314,9 @@ impl<S: TripleSampler> Step for ClapfStep<S> {
             return;
         };
 
-        // Kernel choice is per-fit, not per-step: the scalar dot (default)
-        // preserves historical trajectories bit-for-bit; the wide dot
-        // (`simd_training`) reassociates the lane sum for throughput.
-        let score: fn(&MfModel, UserId, ItemId) -> f32 = if self.config.simd_training {
-            MfModel::score_wide
-        } else {
-            MfModel::score
-        };
-        let f_ui = score(model, u, i);
-        let f_uk = if k == i { f_ui } else { score(model, u, k) };
-        let f_uj = score(model, u, j);
+        let f_ui = model.score(u, i);
+        let f_uk = if k == i { f_ui } else { model.score(u, k) };
+        let f_uj = model.score(u, j);
         let r = self.weights.criterion(f_ui, f_uk, f_uj);
         // Eq. 23: every parameter gradient carries the scale 1 − σ(R).
         let g = sigmoid(-r);

@@ -17,6 +17,12 @@ cargo test -q
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+smoke_dir="$(mktemp -d)"
+# The perfbench build rewrites perfbench/Cargo.lock when it is stale; put
+# the committed copy back however this script exits.
+cp perfbench/Cargo.lock "$smoke_dir/perfbench.Cargo.lock"
+trap 'cp "$smoke_dir/perfbench.Cargo.lock" perfbench/Cargo.lock; rm -rf "$smoke_dir"' EXIT
+
 echo "==> perfbench build: the benchmark compiles against the training API"
 # perfbench/ trains through Clapf::fit_observed and reads FitReport,
 # PhaseTimings::sweep_secs and TripleSampler; an API break must fail here,
@@ -27,8 +33,6 @@ CARGO_TARGET_DIR=.bench_build cargo build --release --offline \
 # The telemetry smoke (fit --metrics-out + clapf trace) and the crash smoke
 # (SIGKILL mid-train, resume, identical metrics) are
 # crates/clapf-cli/tests/train_smoke.rs, run by cargo test.
-smoke_dir="$(mktemp -d)"
-trap 'rm -rf "$smoke_dir"' EXIT
 clapf=target/release/clapf
 
 # The serve smoke (fit --save, serve, /healthz, /recommend, /metrics,
@@ -51,11 +55,9 @@ echo "==> epoch: Table 2's per-epoch times and the micro-rows, interleaved"
 target/release/epoch --fast --out "$smoke_dir/epoch" > "$smoke_dir/epoch.log" 2>&1 \
   || { echo "epoch failed:" >&2; cat "$smoke_dir/epoch.log" >&2; exit 1; }
 
-echo "==> serve_conns smoke: ~2k concurrent conns on the event loop"
-# The binary asserts the gates itself: every response bit-identical to the
-# offline evaluator across keep-alive rounds, the serve.conns gauge reaches
-# the connection count, and no server thread survives graceful shutdown.
-target/release/serve_conns > /dev/null
+# The serve_conns smoke (2,000 simultaneous keep-alive connections, every
+# body byte-equal to the offline list, no server thread left after
+# shutdown) is crates/bench/tests/serve_conns.rs, run by cargo test.
 
 # The scale smoke (scale --smoke: streaming build, mmap open, file-backed
 # fit, SIMD eval, and its report's smoke row) is
@@ -70,20 +72,11 @@ echo "==> chaos smoke: seeded fault schedule against a 2-replica fleet under loa
 # The binary asserts the resilience invariants itself — zero
 # mixed-generation responses, zero untyped errors, bounded per-event-class
 # error rates, ring convergence within one lease TTL of each kill, and
-# byte-identical responses after full recovery — and exits non-zero on any
-# violation. The greps below just pin the report's shape.
+# byte-identical responses after full recovery, at least one evicted
+# replica re-admitted — and exits non-zero on any violation.
 target/release/chaos --smoke --clapf "$clapf" --out "$smoke_dir/chaos" \
   > "$smoke_dir/chaos.log" 2>&1 \
   || { echo "chaos smoke: invariants failed:" >&2; cat "$smoke_dir/chaos.log" >&2; exit 1; }
-chaos_json="$smoke_dir/chaos/BENCH_fleet_chaos.json"
-grep -q '"pass": *true' "$chaos_json" \
-  || { echo "chaos smoke: report not passing" >&2; exit 1; }
-grep -q '"mixed_generation_responses": *0' "$chaos_json" \
-  || { echo "chaos smoke: mixed-generation responses detected" >&2; exit 1; }
-grep -q '"recovered_byte_identical": *true' "$chaos_json" \
-  || { echo "chaos smoke: post-recovery responses not byte-identical" >&2; exit 1; }
-grep -q '"readmissions": *[1-9]' "$chaos_json" \
-  || { echo "chaos smoke: no evicted replica was ever re-admitted" >&2; exit 1; }
 
 echo "==> cargo test -q -p clapf-mf --no-default-features"
 # The portable kernels must stand alone with the simd feature off, and on
