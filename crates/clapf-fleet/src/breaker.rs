@@ -1,5 +1,6 @@
-//! Per-slot circuit breakers, the fleet-wide retry budget, and the
-//! deterministic jitter every periodic fleet activity uses.
+//! Per-slot circuit breakers, the fleet-wide retry budget, and the salt
+//! counter behind the deterministic jitter every periodic fleet activity
+//! uses.
 //!
 //! The breaker is the classic three-state machine. **Closed** counts
 //! consecutive upstream failures; at the trip threshold it **opens** and
@@ -17,10 +18,11 @@
 //! multiplying traffic instead of feeding a retry storm — the degraded
 //! path answers instead.
 //!
-//! Jitter is deterministic (splitmix64 over a caller-supplied counter) so
-//! chaos runs replay identically under a fixed seed: no wall-clock
-//! entropy anywhere in the resilience layer.
+//! Jitter is deterministic (`clapf_serve::jittered`: splitmix64 over a
+//! caller-supplied counter) so chaos runs replay identically under a fixed
+//! seed: no wall-clock entropy anywhere in the resilience layer.
 
+use clapf_serve::jittered;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -232,19 +234,6 @@ impl RetryBudget {
     pub fn available(&self) -> u64 {
         (self.millitokens.load(Ordering::Relaxed).max(0) / 1000) as u64
     }
-}
-
-/// Deterministic ±`frac` jitter around `base`, derived from splitmix64
-/// over `salt`. Same salt, same jitter — chaos replays stay bit-stable.
-pub fn jittered(base: Duration, frac: f64, salt: u64) -> Duration {
-    let mut z = salt.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^= z >> 31;
-    // Map to [-frac, +frac] off the 53-bit mantissa range.
-    let unit = (z >> 11) as f64 / (1u64 << 53) as f64; // [0, 1)
-    let scale = 1.0 + frac * (2.0 * unit - 1.0);
-    Duration::from_secs_f64((base.as_secs_f64() * scale).max(0.0))
 }
 
 /// A process-wide monotonically increasing jitter salt, for callers

@@ -1,10 +1,13 @@
 //! The router's pooled upstream: one keep-alive [`Conn`] per replica slot
-//! per worker, plus the reconnect and failpoint logic around it. Framing
-//! is `clapf-serve`'s shared client; a malformed or truncated reply is an
-//! I/O error, which callers treat like a dead replica (drop the pooled
-//! connection, retry once through the ring).
+//! per worker, plus the reconnect, abandon and failpoint logic around it.
+//! Send and receive are separate calls, so a hedged read can wait on two
+//! upstreams in turn (`hedge.rs`). Framing is `clapf-serve`'s shared
+//! client; a malformed or truncated reply is an I/O error, which callers
+//! treat like a dead replica (drop the pooled connection, retry once
+//! through the ring).
 
 use clapf_serve::{Conn, Reply};
+use std::io;
 use std::net::SocketAddr;
 use std::time::Duration;
 
@@ -36,22 +39,11 @@ impl Upstream {
         }
     }
 
-    /// The replica address this upstream targets.
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// Sends one request over the pooled connection (connecting if
-    /// needed) and reads the reply. Any failure drops the connection
-    /// before propagating, so the caller's retry starts from a fresh
-    /// connect — which is exactly how a stale keep-alive socket to a
-    /// restarted replica heals.
-    pub fn request(
-        &mut self,
-        method: &str,
-        path: &str,
-        trace: Option<u64>,
-    ) -> std::io::Result<Reply> {
+    /// Writes one request on the pooled connection, connecting if needed.
+    /// A failure drops the connection before propagating, so the caller's
+    /// retry starts from a fresh connect — which is exactly how a stale
+    /// keep-alive socket to a restarted replica heals.
+    pub fn send(&mut self, method: &str, path: &str, trace: Option<u64>) -> io::Result<()> {
         // Failpoints: tests kill a replica "mid-load" by failing the
         // connect (replica gone) or the send (socket died under us).
         clapf_faults::check("fleet.upstream.connect")?;
@@ -59,13 +51,33 @@ impl Upstream {
             Some(conn) => conn,
             empty => empty.insert(Conn::open(self.addr, self.timeout)?),
         };
-        let result = clapf_faults::check("fleet.upstream.send")
-            .and_then(|()| conn.send(method, path, trace))
-            .and_then(|()| conn.recv());
-        if !matches!(&result, Ok(reply) if reply.keep_alive) {
+        let sent =
+            clapf_faults::check("fleet.upstream.send").and_then(|()| conn.send(method, path, trace));
+        if sent.is_err() {
             self.conn = None;
         }
+        sent
+    }
+
+    /// Waits up to `wait` for the reply to the request [`send`](Self::send)
+    /// put in flight: `Ok(None)` while it has not arrived, and the request
+    /// stays in flight. A failure, or a reply that closes the connection,
+    /// drops the connection.
+    pub fn recv_within(&mut self, wait: Duration) -> io::Result<Option<Reply>> {
+        let conn = self.conn.as_mut().ok_or(io::ErrorKind::NotConnected)?;
+        let result = conn.recv_within(wait);
+        match &result {
+            Ok(None) => {}
+            Ok(Some(reply)) if reply.keep_alive => {}
+            _ => self.conn = None,
+        }
         result
+    }
+
+    /// Drops the connection while a request is still in flight on it, so
+    /// its late reply can never be read as the answer to a later request.
+    pub fn abandon(&mut self) {
+        self.conn = None;
     }
 }
 
@@ -95,7 +107,8 @@ mod tests {
             String::from_utf8(req).unwrap()
         });
         let mut up = Upstream::new(addr, Duration::from_secs(5));
-        let r = up.request("GET", "/recommend/u1", Some(0xabcd)).unwrap();
+        up.send("GET", "/recommend/u1", Some(0xabcd)).unwrap();
+        let r = up.recv_within(Duration::from_secs(5)).unwrap().expect("reply");
         assert_eq!(r.status, 200);
         let req = server.join().unwrap();
         assert!(

@@ -9,19 +9,22 @@
 //! work stays a bounded fraction of traffic even when the whole fleet
 //! slows down.
 //!
-//! Mechanically, each router worker owns one [`HedgeRunner`]: a
-//! persistent helper thread connected by channels. The worker moves the
-//! primary's pooled [`Upstream`] into the runner, waits up to the hedge
-//! delay for the reply, and on timeout races a secondary call on its own
-//! thread. The helper always finishes the primary read (the connection
-//! comes back through the channel and is reclaimed into the worker's
-//! pool later), so a late primary still updates latency stats and its
-//! slot's breaker — a hedge never turns a slow replica into a marked-dead
-//! one by accident.
+//! Mechanically, everything runs on the router worker's own thread. Each
+//! upstream call is a `Leg`: a request sent on a connection taken from
+//! the worker's pool. The worker reads the primary leg with a deadline at
+//! the hedge delay; past it, it sends the secondary leg and `race`s the
+//! two, reading each in turn for at most `RACE_SLICE` until one holds a
+//! complete reply. The loser is abandoned: its connection is dropped, not
+//! pooled, so its late reply can never answer a later request, and it
+//! gets no breaker verdict — a hedge never turns a slow replica into a
+//! tripped one by accident.
 
 use crate::client::Upstream;
+use crate::membership::SlotState;
 use clapf_serve::Reply;
-use std::sync::mpsc;
+use std::io;
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Lower clamp on the hedge delay (don't hedge the healthy fast path).
@@ -30,6 +33,10 @@ const MIN_DELAY: Duration = Duration::from_millis(2);
 const MAX_DELAY: Duration = Duration::from_millis(250);
 /// Latency observations required before hedging arms.
 const MIN_SAMPLES: usize = 64;
+/// Longest one leg of a race is read before the other gets its turn:
+/// well under [`MIN_DELAY`], so a reply waits at most one slice (rounded
+/// up to the kernel's timer tick) to be noticed.
+const RACE_SLICE: Duration = Duration::from_micros(250);
 
 /// When and how aggressively the router hedges.
 #[derive(Clone, Copy, Debug)]
@@ -123,123 +130,73 @@ pub fn hedge_delay(policy: &HedgePolicy, window: &LatencyWindow) -> Option<Durat
     Some(p99.clamp(MIN_DELAY, MAX_DELAY))
 }
 
-/// One primary request handed to the helper thread.
-pub struct HedgeJob {
-    /// Worker-local sequence number, echoed back in the [`HedgeDone`] so
-    /// the worker can tell this call's completion from an older stray.
-    pub seq: u64,
-    /// The slot the primary was aimed at.
+/// One upstream call in flight: a request sent to `slot` on a connection
+/// taken from the router worker's pool.
+pub(crate) struct Leg {
     pub slot: u32,
-    /// The worker's pooled connection, moved in; comes back in the
-    /// [`HedgeDone`].
-    pub upstream: Upstream,
-    /// Full request target (path + query).
-    pub path: String,
-    /// Propagated trace id.
-    pub trace: Option<u64>,
+    pub state: Arc<SlotState>,
+    pub up: Upstream,
+    sent: Instant,
+    /// Once the call finished: its reply or failure, and how long it took.
+    pub done: Option<(io::Result<Reply>, Duration)>,
 }
 
-/// A finished primary: its verdict and the pooled connection, returned.
-pub struct HedgeDone {
-    /// The submitting call's sequence number.
-    pub seq: u64,
-    /// The slot the call was aimed at.
-    pub slot: u32,
-    /// The upstream's reply or failure.
-    pub result: std::io::Result<Reply>,
-    /// The pooled connection, back for reclamation.
-    pub upstream: Upstream,
-    /// Wall-clock time the call took.
-    pub elapsed: Duration,
+impl Leg {
+    /// Sends `GET path` on `up`, counting the call in flight at `slot`. A
+    /// send failure finishes the leg at once.
+    pub fn send(
+        slot: u32,
+        state: Arc<SlotState>,
+        mut up: Upstream,
+        path: &str,
+        trace: Option<u64>,
+    ) -> Leg {
+        state.inflight.fetch_add(1, Ordering::Relaxed);
+        let sent = Instant::now();
+        let done = up.send("GET", path, trace).err().map(|e| (Err(e), sent.elapsed()));
+        Leg {
+            slot,
+            state,
+            up,
+            sent,
+            done,
+        }
+    }
 }
 
-/// A worker's persistent hedge helper: one thread, two channels. Dropping
-/// the runner closes the job channel and the helper exits after at most
-/// one in-flight call.
-pub struct HedgeRunner {
-    job_tx: Option<mpsc::Sender<HedgeJob>>,
-    done_rx: mpsc::Receiver<HedgeDone>,
-    outstanding: usize,
-}
-
-impl HedgeRunner {
-    /// Spawns the helper thread for router worker `worker`.
-    pub fn new(worker: usize) -> HedgeRunner {
-        let (job_tx, job_rx) = mpsc::channel::<HedgeJob>();
-        let (done_tx, done_rx) = mpsc::channel::<HedgeDone>();
-        std::thread::Builder::new()
-            .name(format!("clapf-fleet-hedge-{worker}"))
-            .spawn(move || {
-                for mut job in job_rx {
-                    let started = Instant::now();
-                    let result = job.upstream.request("GET", &job.path, job.trace);
-                    let done = HedgeDone {
-                        seq: job.seq,
-                        slot: job.slot,
-                        result,
-                        upstream: job.upstream,
-                        elapsed: started.elapsed(),
-                    };
-                    if done_tx.send(done).is_err() {
-                        return; // runner dropped; nobody is listening
-                    }
+/// Reads the legs still in flight until one holds a complete reply or
+/// `deadline` passes. A lone leg is read for the whole wait; racing legs
+/// take turns of at most [`RACE_SLICE`]. A leg that fails drops out and
+/// the rest race on. Returns whether a reply won; the legs record their
+/// own outcomes, and a leg left in flight stays in flight.
+pub(crate) fn race(legs: &mut [Leg], deadline: Instant) -> bool {
+    loop {
+        let running = legs.iter().filter(|l| l.done.is_none()).count();
+        if running == 0 {
+            return false;
+        }
+        for leg in legs.iter_mut().filter(|l| l.done.is_none()) {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                return false;
+            }
+            let wait = if running > 1 { left.min(RACE_SLICE) } else { left };
+            match leg.up.recv_within(wait) {
+                Ok(None) => {}
+                Ok(Some(reply)) => {
+                    leg.done = Some((Ok(reply), leg.sent.elapsed()));
+                    return true;
                 }
-            })
-            .expect("spawn hedge helper");
-        HedgeRunner {
-            job_tx: Some(job_tx),
-            done_rx,
-            outstanding: 0,
-        }
-    }
-
-    /// Hands the primary call to the helper.
-    pub fn submit(&mut self, job: HedgeJob) {
-        self.outstanding += 1;
-        let _ = self
-            .job_tx
-            .as_ref()
-            .expect("job channel open while runner lives")
-            .send(job);
-    }
-
-    /// Waits up to `timeout` for a finished call.
-    pub fn recv_timeout(&mut self, timeout: Duration) -> Option<HedgeDone> {
-        match self.done_rx.recv_timeout(timeout) {
-            Ok(done) => {
-                self.outstanding -= 1;
-                Some(done)
+                Err(e) => leg.done = Some((Err(e), leg.sent.elapsed())),
             }
-            Err(_) => None,
         }
-    }
-
-    /// Collects a finished call without blocking (reclamation path).
-    pub fn try_recv(&mut self) -> Option<HedgeDone> {
-        match self.done_rx.try_recv() {
-            Ok(done) => {
-                self.outstanding -= 1;
-                Some(done)
-            }
-            Err(_) => None,
-        }
-    }
-
-    /// Calls still in the helper's hands.
-    pub fn outstanding(&self) -> usize {
-        self.outstanding
-    }
-}
-
-impl Drop for HedgeRunner {
-    fn drop(&mut self) {
-        self.job_tx.take(); // closes the channel; the helper exits
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::membership::Membership;
     use std::io::{Read, Write};
     use std::net::{SocketAddr, TcpListener};
 
@@ -295,64 +252,74 @@ mod tests {
         let addr = listener.local_addr().unwrap();
         std::thread::spawn(move || {
             while let Ok((mut s, _)) = listener.accept() {
-                let mut scratch = [0u8; 4096];
-                while let Ok(n) = s.read(&mut scratch) {
-                    if n == 0 {
-                        break;
+                std::thread::spawn(move || {
+                    let mut scratch = [0u8; 4096];
+                    while let Ok(n) = s.read(&mut scratch) {
+                        if n == 0 {
+                            break;
+                        }
+                        std::thread::sleep(delay);
+                        let resp = format!(
+                            "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: {}\r\n\r\n{}",
+                            body.len(),
+                            body
+                        );
+                        if s.write_all(resp.as_bytes()).is_err() {
+                            break;
+                        }
                     }
-                    std::thread::sleep(delay);
-                    let resp = format!(
-                        "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: {}\r\n\r\n{}",
-                        body.len(),
-                        body
-                    );
-                    if s.write_all(resp.as_bytes()).is_err() {
-                        break;
-                    }
-                }
+                });
             }
         });
         addr
     }
 
-    #[test]
-    fn runner_round_trips_a_call_and_returns_the_connection() {
-        let addr = slow_server(Duration::ZERO, "{}");
-        let mut runner = HedgeRunner::new(0);
-        runner.submit(HedgeJob {
-            seq: 1,
-            slot: 3,
-            upstream: Upstream::new(addr, Duration::from_secs(5)),
-            path: "/x".into(),
-            trace: None,
-        });
-        let done = runner.recv_timeout(Duration::from_secs(5)).expect("reply");
-        assert_eq!(done.slot, 3);
-        assert_eq!(done.result.unwrap().body, b"{}");
-        assert_eq!(runner.outstanding(), 0);
-        // The returned connection still works (it was pooled, not dropped).
-        let mut up = done.upstream;
-        assert_eq!(up.request("GET", "/y", None).unwrap().status, 200);
+    /// A leg to the server at `addr`, on slot 0 of a one-slot membership.
+    fn leg(addr: SocketAddr, slot: u32) -> Leg {
+        let members = Membership::new(&[addr], Duration::from_secs(3), Default::default());
+        let state = members.get(0).unwrap();
+        let up = Upstream::new(addr, Duration::from_secs(5));
+        Leg::send(slot, state, up, "/x", None)
     }
 
     #[test]
-    fn slow_primary_times_out_then_arrives_late() {
+    fn a_lone_leg_outlives_a_short_deadline_then_answers_on_a_reusable_connection() {
         let addr = slow_server(Duration::from_millis(150), "{}");
-        let mut runner = HedgeRunner::new(1);
-        runner.submit(HedgeJob {
-            seq: 2,
-            slot: 0,
-            upstream: Upstream::new(addr, Duration::from_secs(5)),
-            path: "/x".into(),
-            trace: None,
-        });
-        assert!(
-            runner.recv_timeout(Duration::from_millis(20)).is_none(),
-            "hedge window expires before the slow primary answers"
-        );
-        assert_eq!(runner.outstanding(), 1);
-        let done = runner.recv_timeout(Duration::from_secs(5)).expect("late reply");
-        assert!(done.result.is_ok());
-        assert!(done.elapsed >= Duration::from_millis(100));
+        let mut legs = [leg(addr, 0)];
+        assert_eq!(legs[0].state.inflight.load(Ordering::Relaxed), 1);
+        let t = Instant::now();
+        assert!(!race(&mut legs, t + Duration::from_millis(20)), "the hedge delay passes first");
+        assert!(legs[0].done.is_none(), "the request stays in flight");
+        assert!(race(&mut legs, Instant::now() + Duration::from_secs(5)));
+        let (reply, elapsed) = legs[0].done.take().unwrap();
+        assert_eq!(reply.unwrap().body, b"{}");
+        assert!(elapsed >= Duration::from_millis(100), "{elapsed:?}");
+        // The connection that carried the late reply still works.
+        let up = &mut legs[0].up;
+        up.send("GET", "/y", None).unwrap();
+        let again = up.recv_within(Duration::from_secs(5)).unwrap().expect("second reply");
+        assert_eq!(again.status, 200);
+    }
+
+    #[test]
+    fn a_race_is_won_by_the_first_complete_reply() {
+        let slow = slow_server(Duration::from_millis(300), r#"{"slow":1}"#);
+        let fast = slow_server(Duration::ZERO, r#"{"fast":1}"#);
+        let mut legs = [leg(slow, 0), leg(fast, 1)];
+        assert!(race(&mut legs, Instant::now() + Duration::from_secs(5)));
+        assert!(legs[0].done.is_none(), "the slow leg is still in flight");
+        let (reply, elapsed) = legs[1].done.take().unwrap();
+        assert_eq!(reply.unwrap().body, br#"{"fast":1}"#);
+        assert!(elapsed < Duration::from_millis(300), "{elapsed:?}");
+    }
+
+    #[test]
+    fn a_failed_leg_drops_out_and_the_other_races_on() {
+        let dead = TcpListener::bind("127.0.0.1:0").unwrap().local_addr().unwrap();
+        let fast = slow_server(Duration::from_millis(30), "{}");
+        let mut legs = [leg(dead, 0), leg(fast, 1)];
+        assert!(matches!(legs[0].done, Some((Err(_), _))), "nothing listens: the send fails");
+        assert!(race(&mut legs, Instant::now() + Duration::from_secs(5)));
+        assert!(matches!(legs[1].done, Some((Ok(_), _))));
     }
 }

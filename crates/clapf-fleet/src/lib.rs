@@ -11,10 +11,11 @@
 //!   evict the slot, re-registration re-admits it, and the ring grows as
 //!   new names join (DESIGN.md §17).
 //! * [`breaker`] — per-slot circuit breakers (closed → open → half-open
-//!   probe), the fleet-wide token-bucket retry budget, and deterministic
-//!   jitter for every periodic activity.
-//! * [`hedge`] — hedged reads: a p99-derived delay, a helper thread per
-//!   router worker, and a hedge budget capping duplicated work.
+//!   probe), the fleet-wide token-bucket retry budget, and the salt
+//!   counter for every periodic activity's deterministic jitter.
+//! * [`hedge`] — hedged reads: a p99-derived delay, a race of the primary
+//!   and the hedge on the worker's own connections, and a hedge budget
+//!   capping duplicated work.
 //! * [`client`] — the router's pooled keep-alive upstream: reconnect and
 //!   failpoint logic around `clapf-serve`'s shared client, whose one-shot
 //!   `call` the health checker, the rollout driver and the supervisor use.

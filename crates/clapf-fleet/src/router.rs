@@ -6,13 +6,15 @@
 //! enter the pause gate, hash the user through the [`Ring`]
 //! (bounded-load) over the current membership snapshot, claim the picked
 //! slot's circuit breaker, and relay over the worker's pooled keep-alive
-//! [`Upstream`]. Failures mark the slot dead, feed its breaker, and
-//! retry through the ring while the token-bucket retry budget lasts.
-//! On the first attempt the call is *hedged*: if the primary is slower
-//! than the fleet's recent p99, a second copy goes to the next ring
-//! candidate and the first answer wins (`hedge.rs`). Replica bodies are
-//! relayed byte-for-byte, so a routed answer is bit-identical to asking
-//! the replica directly.
+//! [`Upstream`]. Failures feed the slot's breaker and retry through the
+//! ring while the token-bucket retry budget lasts.
+//! On the first attempt the call is *hedged*: the worker reads the
+//! primary's reply with a deadline at the fleet's recent p99; past it, a
+//! second copy goes to the next ring candidate, the worker races the two
+//! connections, the first complete answer wins and the loser's connection
+//! is dropped (`hedge.rs`). Every upstream call runs on the worker's own
+//! thread. Replica bodies are relayed byte-for-byte, so a routed answer is
+//! bit-identical to asking the replica directly.
 //!
 //! Membership is dynamic (`membership.rs`): replicas register and renew
 //! leases over `POST /fleet/register`; the health thread sweeps expired
@@ -23,10 +25,13 @@
 
 use crate::breaker::{next_salt, Admission, BreakerConfig, RetryBudget};
 use crate::client::Upstream;
-use crate::hedge::{hedge_delay, HedgeDone, HedgeJob, HedgePolicy, HedgeRunner, LatencyWindow};
+use crate::hedge::{hedge_delay, race, HedgePolicy, LatencyWindow, Leg};
 use crate::membership::{LeaseView, Membership, SlotState};
-use clapf_serve::{call, parse_request_deadline_timed, Method, ParseError, Reply, Request, Response};
-use clapf_telemetry::{intern_stage, FinishedTrace, JsonValue, Registry, Stage, Trace, Tracer};
+use clapf_serve::{
+    call, debug_slow, debug_traces, parse_request_deadline_timed, Method, ParseError, Reply,
+    Request, Response,
+};
+use clapf_telemetry::{intern_stage, JsonValue, Registry, Stage, Trace, Tracer};
 use std::collections::HashMap;
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -413,36 +418,32 @@ fn count_registration(shared: &RouterShared, reg: &crate::membership::Registered
     }
 }
 
-/// Per-worker mutable state: the pooled upstream connections (one per
-/// slot, grown as membership grows) and the lazily-spawned hedge helper.
+/// A worker's pooled upstream connections, one per slot (grown as
+/// membership grows). A call takes its slot's connection out of the pool
+/// and [`settle`] puts it back.
 struct Worker {
     pool: Vec<Option<Upstream>>,
-    runner: Option<HedgeRunner>,
-    index: usize,
-    next_seq: u64,
 }
 
 impl Worker {
-    fn new(index: usize) -> Worker {
-        Worker {
-            pool: Vec::new(),
-            runner: None,
-            index,
-            next_seq: 0,
+    /// Sends `GET path` to `slot` on its pooled connection (a fresh one if
+    /// the pool has none), repointed at the slot's current address.
+    fn send(
+        &mut self,
+        slot: u32,
+        state: Arc<SlotState>,
+        path: &str,
+        trace: Option<u64>,
+        timeout: Duration,
+    ) -> Leg {
+        let i = slot as usize;
+        if self.pool.len() <= i {
+            self.pool.resize_with(i + 1, || None);
         }
-    }
-
-    fn pool_slot(&mut self, slot: u32) -> &mut Option<Upstream> {
-        let slot = slot as usize;
-        if self.pool.len() <= slot {
-            self.pool.resize_with(slot + 1, || None);
-        }
-        &mut self.pool[slot]
-    }
-
-    fn runner(&mut self) -> &mut HedgeRunner {
-        let index = self.index;
-        self.runner.get_or_insert_with(|| HedgeRunner::new(index))
+        let addr = state.addr();
+        let mut up = self.pool[i].take().unwrap_or_else(|| Upstream::new(addr, timeout));
+        up.set_addr(addr);
+        Leg::send(slot, state, up, path, trace)
     }
 }
 
@@ -495,7 +496,7 @@ pub fn start_router(
                 .name("clapf-fleet-health".into())
                 .spawn(move || {
                     while !shared.shutdown.load(Ordering::Acquire) {
-                        std::thread::sleep(crate::breaker::jittered(interval, 0.2, next_salt()));
+                        std::thread::sleep(clapf_serve::jittered(interval, 0.2, next_salt()));
                         let now = Instant::now();
                         let evicted = shared.members.sweep(now);
                         for _ in &evicted {
@@ -522,7 +523,7 @@ pub fn start_router(
             std::thread::Builder::new()
                 .name(format!("clapf-fleet-worker-{n}"))
                 .spawn(move || {
-                    let mut worker = Worker::new(n);
+                    let mut worker = Worker { pool: Vec::new() };
                     loop {
                         let conn = rx.lock().expect("worker receiver poisoned").recv();
                         match conn {
@@ -678,14 +679,8 @@ fn route(
                 .set(shared.retry_budget.available() as f64);
             Some(Response::text(200, shared.registry.render_text()))
         }
-        (Method::Get, "/debug/traces") => {
-            let n = req
-                .query_value("n")
-                .and_then(|v| v.parse::<usize>().ok())
-                .unwrap_or(32);
-            Some(render_traces(shared, shared.tracer.recent(n)))
-        }
-        (Method::Get, "/debug/slow") => Some(render_traces(shared, shared.tracer.slowest())),
+        (Method::Get, "/debug/traces") => Some(debug_traces(&shared.tracer, req)),
+        (Method::Get, "/debug/slow") => Some(debug_slow(&shared.tracer)),
         (Method::Post, "/fleet/pause") => {
             let (epoch, drained) = shared.gate.pause(shared.pause_max_wait);
             shared.registry.counter("fleet.pause").inc();
@@ -838,24 +833,6 @@ fn fleet_status(shared: &RouterShared) -> Response {
     )
 }
 
-fn render_traces(shared: &RouterShared, traces: Vec<FinishedTrace>) -> Response {
-    Response::json(
-        200,
-        JsonValue::Obj(vec![
-            (
-                "sample_every".into(),
-                JsonValue::UInt(shared.tracer.sample_every()),
-            ),
-            ("count".into(), JsonValue::UInt(traces.len() as u64)),
-            (
-                "traces".into(),
-                JsonValue::Arr(traces.iter().map(|t| t.to_json()).collect()),
-            ),
-        ])
-        .render(),
-    )
-}
-
 /// Proxies one `/recommend` request: gate, pick, relay — hedging the
 /// first attempt, retrying within budget, degrading when unroutable.
 fn proxy(
@@ -950,38 +927,6 @@ fn degraded_response(shared: &RouterShared, path_q: &str, fail: ForwardFail) -> 
     Response::error(503, &reason).with_header("Retry-After", "1")
 }
 
-/// Settles one finished hedge-runner call: in-flight accounting, breaker
-/// and latency updates, and connection reclamation. Every submitted job
-/// flows through here exactly once, prompt or late.
-fn settle(shared: &RouterShared, worker: &mut Worker, done: HedgeDone) -> std::io::Result<Reply> {
-    if let Some(state) = shared.members.get(done.slot as usize) {
-        state.inflight.fetch_sub(1, Ordering::Relaxed);
-        match &done.result {
-            Ok(_) => {
-                shared.succeed_slot(&state, done.elapsed);
-                let pooled = worker.pool_slot(done.slot);
-                if pooled.is_none() && done.upstream.addr() == state.addr() {
-                    *pooled = Some(done.upstream);
-                }
-            }
-            Err(_) => shared.fail_slot(&state),
-        }
-    }
-    done.result
-}
-
-/// Drains any completions left over from earlier requests (abandoned
-/// hedged primaries), keeping inflight counts and breakers honest.
-fn reap(shared: &RouterShared, worker: &mut Worker) {
-    while let Some(done) = worker
-        .runner
-        .as_mut()
-        .and_then(|r| if r.outstanding() > 0 { r.try_recv() } else { None })
-    {
-        let _ = settle(shared, worker, done);
-    }
-}
-
 /// Walks the ring for `user`, claiming the picked slot's breaker. Slots
 /// whose breaker rejects the claim are excluded and the walk re-picks, so
 /// a half-open slot only ever sees its single probe request.
@@ -1018,154 +963,74 @@ fn claim_slot(
     }
 }
 
-/// One synchronous upstream call on the worker's own pooled connection.
-fn call_slot(
+/// Ends an attempt: every leg leaves the in-flight count and returns its
+/// connection to the pool. A finished leg gets its breaker verdict. A leg
+/// still in flight is abandoned — its connection dropped — and, only when
+/// no leg `won`, failed as timed out. Returns the winning reply, or the
+/// first failure.
+fn settle(
     shared: &RouterShared,
     worker: &mut Worker,
-    state: &SlotState,
-    slot: u32,
-    path_q: &str,
-    trace_id: Option<u64>,
+    legs: Vec<Leg>,
+    won: bool,
 ) -> std::io::Result<Reply> {
-    state.inflight.fetch_add(1, Ordering::Relaxed);
-    let addr = state.addr();
-    let timeout = shared.upstream_timeout;
-    let up = worker
-        .pool_slot(slot)
-        .get_or_insert_with(|| Upstream::new(addr, timeout));
-    up.set_addr(addr);
-    let t = Instant::now();
-    let result = up.request("GET", path_q, trace_id);
-    state.inflight.fetch_sub(1, Ordering::Relaxed);
-    match &result {
-        Ok(_) => shared.succeed_slot(state, t.elapsed()),
-        Err(_) => shared.fail_slot(state),
-    }
-    result
-}
-
-/// Waits for the hedged primary with sequence `seq`, settling any strays
-/// that land first. `None` means the wait timed out (the job stays
-/// outstanding; a later [`reap`] settles it).
-fn wait_primary(
-    shared: &RouterShared,
-    worker: &mut Worker,
-    seq: u64,
-    timeout: Duration,
-) -> Option<std::io::Result<Reply>> {
-    let deadline = Instant::now() + timeout;
-    loop {
-        let now = Instant::now();
-        let remaining = deadline.checked_duration_since(now)?;
-        let done = {
-            let runner = worker.runner.as_mut().expect("runner exists while waiting");
-            runner.recv_timeout(remaining)?
-        };
-        let is_ours = done.seq == seq;
-        let result = settle(shared, worker, done);
-        if is_ours {
-            return Some(result);
+    let mut result = None;
+    for (i, mut leg) in legs.into_iter().enumerate() {
+        leg.state.inflight.fetch_sub(1, Ordering::Relaxed);
+        match leg.done {
+            Some((Ok(reply), elapsed)) => {
+                shared.succeed_slot(&leg.state, elapsed);
+                if i > 0 {
+                    shared.registry.counter("fleet.hedge.wins").inc();
+                }
+                result = Some(Ok(reply));
+            }
+            Some((Err(e), _)) => {
+                shared.fail_slot(&leg.state);
+                result.get_or_insert(Err(e));
+            }
+            None => {
+                leg.up.abandon();
+                if !won {
+                    shared.fail_slot(&leg.state);
+                }
+            }
         }
+        worker.pool[leg.slot as usize] = Some(leg.up);
     }
+    result.unwrap_or_else(|| {
+        Err(std::io::Error::new(
+            std::io::ErrorKind::TimedOut,
+            "upstream never answered",
+        ))
+    })
 }
 
-/// The first attempt's call: hedged when the policy, warm-up, and budget
-/// allow; a plain pooled call otherwise. On a hedge, the primary runs on
-/// the helper thread while this worker races a secondary against the next
-/// ring candidate — first well-formed answer wins.
-#[allow(clippy::too_many_arguments)]
-fn first_attempt(
+/// The primary is past the hedge delay: spends a hedge token and sends a
+/// copy to the next ring candidate, never the primary's own slot. `None`
+/// when the budget is dry or no other slot is routable; the primary then
+/// waits alone.
+fn hedge_leg(
     shared: &RouterShared,
     worker: &mut Worker,
     user: &str,
-    state: &Arc<SlotState>,
     slot: u32,
     path_q: &str,
-    trace_id: Option<u64>,
     excluded: &mut Vec<u32>,
-    trace: &mut Option<&mut Trace>,
-) -> std::io::Result<Reply> {
-    let Some(delay) = hedge_delay(&shared.hedge, &shared.latency) else {
-        return call_slot(shared, worker, state, slot, path_q, trace_id);
-    };
-
-    // Move the pooled connection into the helper; it comes back through
-    // settle() whenever the primary finishes.
-    let addr = state.addr();
-    let timeout = shared.upstream_timeout;
-    let mut up = worker
-        .pool_slot(slot)
-        .take()
-        .unwrap_or_else(|| Upstream::new(addr, timeout));
-    up.set_addr(addr);
-    let seq = worker.next_seq;
-    worker.next_seq += 1;
-    state.inflight.fetch_add(1, Ordering::Relaxed);
-    worker.runner().submit(HedgeJob {
-        seq,
-        slot,
-        upstream: up,
-        path: path_q.to_string(),
-        trace: trace_id,
-    });
-
-    // Fast path: the primary answers within the hedge delay.
-    if let Some(result) = wait_primary(shared, worker, seq, delay) {
-        return result;
-    }
-
-    // The primary is past p99. Spend a hedge token and race a secondary
-    // against the next ring candidate.
+    trace: Option<&mut Trace>,
+) -> Option<Leg> {
     if !shared.hedge_budget.try_withdraw() {
         shared.registry.counter("fleet.hedge.budget_exhausted").inc();
-        return wait_primary(shared, worker, seq, shared.upstream_timeout)
-            .unwrap_or_else(|| Err(std::io::Error::new(
-                std::io::ErrorKind::TimedOut,
-                "primary upstream never answered",
-            )));
+        return None;
     }
     shared.registry.counter("fleet.hedge.fired").inc();
-    if let Some(t) = trace.as_deref_mut() {
+    let trace_id = trace.map(|t| {
         t.lap(stages().hedge);
-    }
+        t.id().get()
+    });
     excluded.push(slot);
-    let Some((slot2, state2, _adm)) = claim_slot(shared, user, excluded) else {
-        // Nowhere to hedge to: keep waiting on the primary.
-        return wait_primary(shared, worker, seq, shared.upstream_timeout)
-            .unwrap_or_else(|| Err(std::io::Error::new(
-                std::io::ErrorKind::TimedOut,
-                "primary upstream never answered",
-            )));
-    };
-    match call_slot(shared, worker, &state2, slot2, path_q, trace_id) {
-        Ok(resp) => {
-            // If the primary is still outstanding the secondary genuinely
-            // arrived first — a hedge win. (A primary that landed while
-            // the secondary ran gets settled here or by a later reap.)
-            let mut primary_finished = false;
-            while let Some(done) = worker.runner.as_mut().and_then(|r| r.try_recv()) {
-                let ours = done.seq == seq;
-                let _ = settle(shared, worker, done);
-                if ours {
-                    primary_finished = true;
-                }
-            }
-            if !primary_finished {
-                shared.registry.counter("fleet.hedge.wins").inc();
-            }
-            Ok(resp)
-        }
-        Err(_) => {
-            // Secondary lost its race with failure; the primary is the
-            // only hope left — wait it out.
-            wait_primary(shared, worker, seq, shared.upstream_timeout).unwrap_or_else(|| {
-                Err(std::io::Error::new(
-                    std::io::ErrorKind::TimedOut,
-                    "both primary and hedge failed",
-                ))
-            })
-        }
-    }
+    let (slot2, state2, _adm) = claim_slot(shared, user, excluded)?;
+    Some(worker.send(slot2, state2, path_q, trace_id, shared.upstream_timeout))
 }
 
 /// Picks slots and forwards, hedging the first attempt and retrying
@@ -1179,10 +1044,10 @@ fn forward(
     mut trace: Option<&mut Trace>,
 ) -> Result<Reply, ForwardFail> {
     let st = stages();
-    reap(shared, worker);
     shared.retry_budget.deposit();
     shared.hedge_budget.deposit();
 
+    let timeout = shared.upstream_timeout;
     let mut excluded: Vec<u32> = Vec::new();
     let mut last_err: Option<std::io::Error> = None;
     for attempt in 0..3 {
@@ -1200,14 +1065,26 @@ fn forward(
             t.lap(st.pick);
         }
         let trace_id = trace.as_deref_mut().map(|t| t.id().get());
-        let result = if attempt == 0 {
-            first_attempt(
-                shared, worker, user, &state, slot, path_q, trace_id, &mut excluded, &mut trace,
-            )
-        } else {
-            call_slot(shared, worker, &state, slot, path_q, trace_id)
-        };
-        match result {
+        let mut legs = vec![worker.send(slot, state, path_q, trace_id, timeout)];
+        let mut won = false;
+        // Only the first attempt hedges: a reply later than the hedge delay
+        // sends a copy to the next ring candidate, and the two race.
+        if let Some(delay) = hedge_delay(&shared.hedge, &shared.latency).filter(|_| attempt == 0) {
+            won = race(&mut legs, Instant::now() + delay);
+            if !won && legs[0].done.is_none() {
+                legs.extend(hedge_leg(
+                    shared,
+                    worker,
+                    user,
+                    slot,
+                    path_q,
+                    &mut excluded,
+                    trace.as_deref_mut(),
+                ));
+            }
+        }
+        won = won || race(&mut legs, Instant::now() + timeout);
+        match settle(shared, worker, legs, won) {
             Ok(resp) => {
                 if let Some(t) = trace.as_deref_mut() {
                     t.lap(if attempt == 0 { st.upstream } else { st.retry });
@@ -1216,9 +1093,9 @@ fn forward(
             }
             Err(e) => {
                 // The slot (and possibly its hedge partner) failed; its
-                // breaker and liveness were updated at the call site. The
-                // health checker re-admits it when it answers again; the
-                // next loop iteration re-picks around it.
+                // breaker was fed in `settle`. The health checker re-admits
+                // it when it answers again; the next loop iteration re-picks
+                // around it.
                 if !excluded.contains(&slot) {
                     excluded.push(slot);
                 }

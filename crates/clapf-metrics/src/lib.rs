@@ -39,7 +39,7 @@ pub use evaluate::{
     evaluate_serial_naive, score_block_serially, BulkScorer, EvalConfig, EvalReport, TopKMetrics,
 };
 pub use stats::EvalStats;
-pub use ranked::{rank_all, top_k_into, top_k_ranked, CountingRanks, RankedList};
+pub use ranked::{rank_all, top_k_into, CountingRanks, RankedList};
 pub use recommend::{top_k_for_user, top_k_for_user_into, top_k_from_scores};
 pub use rankmetrics::{
     auc, auc_at_ranks, average_precision, average_precision_at_ranks, reciprocal_rank,

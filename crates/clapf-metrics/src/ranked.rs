@@ -148,20 +148,9 @@ pub fn rank_all<F: Fn(ItemId) -> bool>(scores: &[f32], is_candidate: F) -> Ranke
     RankedList { items }
 }
 
-/// The top `k` candidates by descending score; `O(m)` selection followed by
-/// an `O(k log k)` sort, which beats a full sort when `k ≪ m`.
-pub fn top_k_ranked<F: FnMut(ItemId) -> bool>(
-    scores: &[f32],
-    k: usize,
-    is_candidate: F,
-) -> RankedList {
-    let mut items = Vec::new();
-    top_k_into(scores, k, is_candidate, &mut items);
-    RankedList { items }
-}
-
-/// [`top_k_ranked`] writing into a caller-owned buffer, so per-user prefix
-/// computation in the evaluation loop does not allocate after warm-up.
+/// The top `k` candidates by descending score (ties by ascending item id)
+/// into a caller-owned buffer, so per-user prefix computation in the
+/// evaluation loop does not allocate after warm-up.
 ///
 /// Single pass with `items` doubling as a bounded binary max-heap (ordered
 /// by "worse", so the root is the current k-th best): each candidate pays
@@ -274,9 +263,10 @@ mod tests {
     fn top_k_matches_full_ranking_prefix() {
         let scores: Vec<f32> = (0..50).map(|i| ((i * 37) % 50) as f32).collect();
         let full = rank_all(&scores, |_| true);
+        let mut top = Vec::new();
         for k in [1, 3, 10, 49, 50, 80] {
-            let top = top_k_ranked(&scores, k, |_| true);
-            assert_eq!(&top.items[..], &full.items[..k.min(50)], "k = {k}");
+            top_k_into(&scores, k, |_| true, &mut top);
+            assert_eq!(&top[..], &full.items[..k.min(50)], "k = {k}");
         }
     }
 
@@ -297,15 +287,16 @@ mod tests {
 
     #[test]
     fn top_k_zero_is_empty() {
-        let r = top_k_ranked(&[1.0, 2.0], 0, |_| true);
-        assert!(r.is_empty());
-        assert_eq!(r.len(), 0);
+        let mut top = vec![ItemId(9)];
+        top_k_into(&[1.0, 2.0], 0, |_| true, &mut top);
+        assert!(top.is_empty(), "the buffer is cleared");
     }
 
     #[test]
     fn top_k_with_all_filtered_is_empty() {
-        let r = top_k_ranked(&[1.0, 2.0], 3, |_| false);
-        assert!(r.is_empty());
+        let mut top = Vec::new();
+        top_k_into(&[1.0, 2.0], 3, |_| false, &mut top);
+        assert!(top.is_empty());
     }
 
     /// Reference: ranks via the full sort.

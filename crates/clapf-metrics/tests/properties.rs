@@ -3,7 +3,7 @@
 use clapf_data::{InteractionsBuilder, ItemId, UserId};
 use clapf_metrics::{
     auc, average_precision, evaluate_serial, evaluate_serial_naive, f1, ndcg_at_k,
-    one_call_at_k, precision_at_k, rank_all, recall_at_k, reciprocal_rank, top_k_ranked,
+    one_call_at_k, precision_at_k, rank_all, recall_at_k, reciprocal_rank, top_k_into,
     EvalConfig, RankedList,
 };
 use proptest::prelude::*;
@@ -96,8 +96,9 @@ proptest! {
     #[test]
     fn top_k_is_prefix_of_full((scores, _) in arb_scores_and_relevant(), k in 1usize..30) {
         let full = rank_all(&scores, |_| true);
-        let top = top_k_ranked(&scores, k, |_| true);
-        prop_assert_eq!(&top.items[..], &full.items[..k.min(scores.len())]);
+        let mut top = Vec::new();
+        top_k_into(&scores, k, |_| true, &mut top);
+        prop_assert_eq!(&top[..], &full.items[..k.min(scores.len())]);
     }
 
     #[test]

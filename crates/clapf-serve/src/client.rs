@@ -4,7 +4,7 @@
 
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use crate::http::{Reply, ResponseFeed, ResponseParser};
 
@@ -14,6 +14,9 @@ use crate::http::{Reply, ResponseFeed, ResponseParser};
 pub struct Conn {
     stream: TcpStream,
     parser: ResponseParser,
+    /// The read timeout [`open`](Conn::open) set, restored by
+    /// [`recv_within`](Conn::recv_within).
+    timeout: Duration,
 }
 
 impl Conn {
@@ -28,6 +31,7 @@ impl Conn {
         Ok(Conn {
             stream,
             parser: ResponseParser::new(),
+            timeout,
         })
     }
 
@@ -41,23 +45,61 @@ impl Conn {
     /// the parser has a verdict. A clean close before the first byte is
     /// `UnexpectedEof`; a malformed or truncated response is `InvalidData`.
     pub fn recv(&mut self) -> io::Result<Reply> {
-        let mut chunk = [0u8; 8192];
         loop {
-            match self.parser.next_response() {
-                ResponseFeed::Response(reply) => return Ok(reply),
-                ResponseFeed::NeedMore => {}
-                ResponseFeed::Closed => return Err(io::ErrorKind::UnexpectedEof.into()),
-                ResponseFeed::Bad { reason } => {
-                    return Err(io::Error::new(io::ErrorKind::InvalidData, reason))
+            if let Some(reply) = self.parsed()? {
+                return Ok(reply);
+            }
+            self.fill()?;
+        }
+    }
+
+    /// [`recv`](Conn::recv) that gives up after `wait`: `Ok(None)` when no
+    /// full response has arrived by then. Bytes read so far stay in the
+    /// parser, so a later call resumes where this one stopped. The
+    /// connection's normal read timeout is restored before returning.
+    pub fn recv_within(&mut self, wait: Duration) -> io::Result<Option<Reply>> {
+        let deadline = Instant::now() + wait;
+        let result = loop {
+            match self.parsed() {
+                Ok(None) => {}
+                done => break done,
+            }
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                break Ok(None);
+            }
+            let read = self.stream.set_read_timeout(Some(left)).and_then(|()| self.fill());
+            if let Err(e) = read {
+                if !matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut) {
+                    break Err(e);
                 }
             }
-            match self.stream.read(&mut chunk) {
-                Ok(0) => self.parser.close(),
-                Ok(n) => self.parser.feed(&chunk[..n]),
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
-            }
+        };
+        self.stream.set_read_timeout(Some(self.timeout))?;
+        result
+    }
+
+    /// The parser's verdict on the bytes fed so far: a response, `None`
+    /// when it needs more, or the framing error.
+    fn parsed(&mut self) -> io::Result<Option<Reply>> {
+        match self.parser.next_response() {
+            ResponseFeed::Response(reply) => Ok(Some(reply)),
+            ResponseFeed::NeedMore => Ok(None),
+            ResponseFeed::Closed => Err(io::ErrorKind::UnexpectedEof.into()),
+            ResponseFeed::Bad { reason } => Err(io::Error::new(io::ErrorKind::InvalidData, reason)),
         }
+    }
+
+    /// One socket read, fed to the parser (a clean close closes it).
+    fn fill(&mut self) -> io::Result<()> {
+        let mut chunk = [0u8; 8192];
+        match self.stream.read(&mut chunk) {
+            Ok(0) => self.parser.close(),
+            Ok(n) => self.parser.feed(&chunk[..n]),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+        Ok(())
     }
 
     /// One keep-alive `GET` round trip.
@@ -135,6 +177,30 @@ mod tests {
         let addr = canned_server(&[b"HTTP/1.1 200 OK\r\nConnection: close\r\n\r\nhello"]);
         let err = call(addr, "GET", "/", T).unwrap_err();
         assert!(err.to_string().contains("content-length"), "{err}");
+    }
+
+    #[test]
+    fn recv_within_resumes_a_partial_response_and_restores_the_timeout() {
+        // The head now, the body 150 ms later: the first short wait sees
+        // only the head, the second wait picks up from there.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        std::thread::spawn(move || {
+            let (mut s, _) = listener.accept().unwrap();
+            let mut scratch = [0u8; 1024];
+            let _ = s.read(&mut scratch);
+            let _ = s.write_all(b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\n");
+            std::thread::sleep(Duration::from_millis(150));
+            let _ = s.write_all(b"{}");
+            let _ = s.read(&mut scratch); // hold the connection open
+        });
+        let mut conn = Conn::open(addr, T).unwrap();
+        conn.send("GET", "/x", None).unwrap();
+        assert!(conn.recv_within(Duration::from_millis(20)).unwrap().is_none());
+        assert_eq!(conn.stream.read_timeout().unwrap(), Some(T));
+        let reply = conn.recv_within(T).unwrap().expect("the rest of the reply");
+        assert_eq!(reply.body, b"{}");
+        assert_eq!(conn.stream.read_timeout().unwrap(), Some(T));
     }
 
     #[test]

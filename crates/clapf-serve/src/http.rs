@@ -231,24 +231,17 @@ fn parse_query(q: &str) -> Result<Vec<(String, String)>, ParseError> {
 /// Request bodies (announced via `Content-Length`) are read and discarded
 /// up to [`MAX_BODY`]; chunked transfer encoding is rejected.
 pub fn parse_request<R: BufRead>(r: &mut R) -> Result<Request, ParseError> {
-    parse_request_deadline(r, None)
+    parse_request_deadline_timed(r, None).map(|(req, _)| req)
 }
 
 /// [`parse_request`] with a **total** wall-clock cap on reading one request
 /// (line + headers + body), measured from the request's first byte so idle
 /// keep-alive connections are unaffected. Exceeding the cap is a
 /// [`ParseError::Bad`] 408. `None` means uncapped.
-pub fn parse_request_deadline<R: BufRead>(
-    r: &mut R,
-    read_cap: Option<Duration>,
-) -> Result<Request, ParseError> {
-    parse_request_deadline_timed(r, read_cap).map(|(req, _)| req)
-}
-
-/// [`parse_request_deadline`], also returning the instant the request's
-/// first byte was read off the socket — the natural start of a request
-/// trace, so a traced request's parse span covers the read as well as the
-/// header parsing.
+///
+/// Also returns the instant the request's first byte was read off the
+/// socket — the natural start of a request trace, so a traced request's
+/// parse span covers the read as well as the header parsing.
 pub fn parse_request_deadline_timed<R: BufRead>(
     r: &mut R,
     read_cap: Option<Duration>,
@@ -973,7 +966,7 @@ mod tests {
             pos: 0,
             delay: Duration::from_millis(5),
         };
-        match parse_request_deadline(&mut r, Some(Duration::from_millis(1))) {
+        match parse_request_deadline_timed(&mut r, Some(Duration::from_millis(1))) {
             Err(ParseError::Bad { status: 408, .. }) => {}
             other => panic!("expected 408 budget rejection, got {other:?}"),
         }
@@ -985,12 +978,12 @@ mod tests {
         // stream is still a clean Eof (idle keep-alive), not a 408.
         let mut cur = Cursor::new(Vec::new());
         assert!(matches!(
-            parse_request_deadline(&mut cur, Some(Duration::ZERO)),
+            parse_request_deadline_timed(&mut cur, Some(Duration::ZERO)),
             Err(ParseError::Eof)
         ));
         // A prompt, complete request well under the cap parses fine.
         let mut cur = Cursor::new(b"GET /x HTTP/1.1\r\n\r\n".to_vec());
-        let r = parse_request_deadline(&mut cur, Some(Duration::from_secs(5))).unwrap();
+        let (r, _) = parse_request_deadline_timed(&mut cur, Some(Duration::from_secs(5))).unwrap();
         assert_eq!(r.path, "/x");
     }
 

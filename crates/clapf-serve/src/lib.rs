@@ -71,9 +71,10 @@ pub use bundle::{fingerprint64, BundleError, ModelBundle};
 pub use cache::TopKCache;
 pub use client::{call, Conn};
 pub use http::{
-    parse_request, parse_request_deadline, parse_request_deadline_timed, Feed, FeedParser, Method,
-    ParseError, Reply, Request, Response, ResponseFeed, ResponseParser, MAX_RESPONSE_BODY,
+    parse_request, parse_request_deadline_timed, Feed, FeedParser, Method, ParseError, Reply,
+    Request, Response, ResponseFeed, ResponseParser, MAX_RESPONSE_BODY,
 };
 pub use model::{ModelSlot, ServingModel};
-pub use register::RegisterConfig;
+pub use register::{jittered, RegisterConfig};
 pub use server::{start, ServeConfig, ServeError, ServerHandle, Transport};
+pub use trace::{debug_slow, debug_traces};

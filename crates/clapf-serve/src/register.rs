@@ -48,7 +48,7 @@ const SLEEP_SLICE: Duration = Duration::from_millis(100);
 /// never fatal — the router's sweep handles a member that stops renewing.
 pub(crate) fn heartbeat_loop(shared: Arc<Shared>, config: RegisterConfig) {
     let advertised = shared.addr;
-    let mut beat: u64 = fnv64(config.name.as_bytes());
+    let mut beat: u64 = crate::bundle::fingerprint64(config.name.as_bytes());
     loop {
         if shared.shutdown.load(Ordering::Acquire) {
             return;
@@ -65,7 +65,10 @@ pub(crate) fn heartbeat_loop(shared: Arc<Shared>, config: RegisterConfig) {
             }
         }
         beat = beat.wrapping_add(1);
-        let deadline = Instant::now() + jittered(config.interval, beat);
+        // ±10%, seeded from the member name and beat count: replicas
+        // started together do not heartbeat in lockstep, and no wall-clock
+        // entropy enters, so chaos runs replay identically.
+        let deadline = Instant::now() + jittered(config.interval, 0.1, beat);
         loop {
             if shared.shutdown.load(Ordering::Acquire) {
                 return;
@@ -102,30 +105,19 @@ fn send_registration(config: &RegisterConfig, advertised: SocketAddr) -> std::io
     }
 }
 
-/// Deterministic ±20% jitter so a fleet of replicas started together does
-/// not heartbeat in lockstep. Seeded from the member name and beat count —
-/// no wall-clock entropy, so chaos runs replay identically.
-fn jittered(base: Duration, salt: u64) -> Duration {
-    let nanos = base.as_nanos() as u64;
-    let band = nanos / 5; // 20% total width
-    let offset = splitmix64(salt) % band.max(1);
-    Duration::from_nanos(nanos - band / 2 + offset)
-}
-
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
-fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    }
-    h
+/// Deterministic ±`frac` jitter around `base`, derived from splitmix64
+/// over `salt`. Same salt, same jitter — chaos replays stay bit-stable.
+/// The heartbeat and the fleet router's probes and breaker cooldowns all
+/// jitter through this.
+pub fn jittered(base: Duration, frac: f64, salt: u64) -> Duration {
+    let mut z = salt.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^= z >> 31;
+    // Map to [-frac, +frac] off the 53-bit mantissa range.
+    let unit = (z >> 11) as f64 / (1u64 << 53) as f64; // [0, 1)
+    let scale = 1.0 + frac * (2.0 * unit - 1.0);
+    Duration::from_secs_f64((base.as_secs_f64() * scale).max(0.0))
 }
 
 #[cfg(test)]
@@ -185,11 +177,19 @@ mod tests {
     #[test]
     fn jitter_stays_within_the_band_and_is_deterministic() {
         let base = Duration::from_millis(1000);
-        for salt in 0..200 {
-            let d = jittered(base, salt);
-            assert!(d >= Duration::from_millis(900), "too short: {d:?}");
-            assert!(d <= Duration::from_millis(1100), "too long: {d:?}");
-            assert_eq!(d, jittered(base, salt), "same salt, same jitter");
+        for salt in 0..200u64 {
+            let j = jittered(base, 0.2, salt);
+            assert_eq!(j, jittered(base, 0.2, salt), "same salt, same jitter");
+            assert!(j >= Duration::from_millis(800), "{j:?}");
+            assert!(j <= Duration::from_millis(1200), "{j:?}");
+            let beat = jittered(base, 0.1, salt);
+            assert!(beat >= Duration::from_millis(900), "heartbeat too short: {beat:?}");
+            assert!(beat <= Duration::from_millis(1100), "heartbeat too long: {beat:?}");
         }
+        assert_ne!(
+            jittered(base, 0.2, 1),
+            jittered(base, 0.2, 2),
+            "different salts decorrelate"
+        );
     }
 }

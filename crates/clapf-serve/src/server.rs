@@ -542,11 +542,7 @@ pub(crate) fn route(req: &Request, shared: &Shared, mut trace: Option<&mut Trace
             Routed::Immediate(r)
         }
         (Method::Get, "/debug/traces") => {
-            let n = req
-                .query_value("n")
-                .and_then(|v| v.parse::<usize>().ok())
-                .unwrap_or(32);
-            let r = crate::trace::debug_traces(&shared.tracer, n);
+            let r = crate::trace::debug_traces(&shared.tracer, req);
             shared.observe("debug", started);
             Routed::Immediate(r)
         }

@@ -14,7 +14,7 @@
 //! `GET /debug/traces?n=`) and its slowest-K log (`GET /debug/slow`), and
 //! their ids annotate `/metrics` latency buckets as OpenMetrics exemplars.
 
-use crate::http::Response;
+use crate::http::{Request, Response};
 use clapf_telemetry::{intern_stage, JsonValue, Stage, Tracer};
 use std::sync::OnceLock;
 
@@ -60,13 +60,18 @@ pub(crate) fn stages() -> &'static Stages {
 }
 
 /// `GET /debug/traces?n=` — the `n` most recent finished traces (newest
-/// first), read lock-free from the tracer's ring.
-pub(crate) fn debug_traces(tracer: &Tracer, n: usize) -> Response {
+/// first, 32 when `n` is absent or not a number), read lock-free from the
+/// tracer's ring. The fleet router serves its own traces through this too.
+pub fn debug_traces(tracer: &Tracer, req: &Request) -> Response {
+    let n = req
+        .query_value("n")
+        .and_then(|v| v.parse::<usize>().ok())
+        .unwrap_or(32);
     render_traces(tracer, tracer.recent(n))
 }
 
 /// `GET /debug/slow` — the slowest traces seen since startup.
-pub(crate) fn debug_slow(tracer: &Tracer) -> Response {
+pub fn debug_slow(tracer: &Tracer) -> Response {
     render_traces(tracer, tracer.slowest())
 }
 

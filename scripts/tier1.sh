@@ -33,7 +33,6 @@ CARGO_TARGET_DIR=.bench_build cargo build --release --offline \
 # The telemetry smoke (fit --metrics-out + clapf trace) and the crash smoke
 # (SIGKILL mid-train, resume, identical metrics) are
 # crates/clapf-cli/tests/train_smoke.rs, run by cargo test.
-clapf=target/release/clapf
 
 # The serve smoke (fit --save, serve, /healthz, /recommend, /metrics,
 # POST /shutdown) and the trace smoke (serve --trace-sample 1: the
@@ -44,7 +43,9 @@ clapf=target/release/clapf
 echo "==> overhead gate: sampled tracing <=2% end-to-end at a 1-in-64 sample"
 # The binary asserts bit identity itself (the four fits learn identical
 # weights; traced bodies equal untraced ones) and exits non-zero when the
-# sampled trace overhead exceeds the 2% bound.
+# sampled trace overhead exceeds the 2% bound. It stays here rather than in
+# cargo test: the debug build cargo test runs takes minutes, not ~25 s, and
+# a 2% gate measured on unoptimized code says little about the release one.
 target/release/overhead --fast --out "$smoke_dir/overhead" > "$smoke_dir/overhead.log" 2>&1 \
   || { echo "overhead gate failed:" >&2; cat "$smoke_dir/overhead.log" >&2; exit 1; }
 
@@ -68,15 +69,10 @@ target/release/epoch --fast --out "$smoke_dir/epoch" > "$smoke_dir/epoch.log" 2>
 # a replica and its restart, drain with no leaked replica) is
 # crates/clapf-cli/tests/fleet_smoke.rs, run by cargo test.
 
-echo "==> chaos smoke: seeded fault schedule against a 2-replica fleet under load"
-# The binary asserts the resilience invariants itself — zero
-# mixed-generation responses, zero untyped errors, bounded per-event-class
-# error rates, ring convergence within one lease TTL of each kill, and
-# byte-identical responses after full recovery, at least one evicted
-# replica re-admitted — and exits non-zero on any violation.
-target/release/chaos --smoke --clapf "$clapf" --out "$smoke_dir/chaos" \
-  > "$smoke_dir/chaos.log" 2>&1 \
-  || { echo "chaos smoke: invariants failed:" >&2; cat "$smoke_dir/chaos.log" >&2; exit 1; }
+# The chaos smoke (chaos --smoke: a seeded fault schedule against a
+# 2-replica fleet under load; the binary asserts the resilience invariants,
+# and the report must show zero mixed-generation responses and a hedge that
+# fired and won) is crates/bench/tests/smokes.rs, run by cargo test.
 
 echo "==> cargo test -q -p clapf-mf --no-default-features"
 # The portable kernels must stand alone with the simd feature off, and on

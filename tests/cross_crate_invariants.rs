@@ -163,8 +163,8 @@ fn recommend_agrees_with_metrics_ranking() {
         let user = UserId(u);
         let mut scores = Vec::new();
         model.scores_into(user, &mut scores);
-        let via_metrics =
-            clapf::metrics::top_k_ranked(&scores, 8, |i| !data.contains(user, i)).items;
+        let mut via_metrics = Vec::new();
+        clapf::metrics::top_k_into(&scores, 8, |i| !data.contains(user, i), &mut via_metrics);
         let via_recommend = model.recommend(user, 8, Some(&data));
         assert_eq!(via_metrics, via_recommend, "mismatch for {user}");
     }
